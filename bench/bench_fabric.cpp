@@ -1,20 +1,22 @@
 // Million-station fabric (docs/FABRIC.md): station-slots per wall-second
-// of core::run_fabric under the streaming wheel engine versus the naive
-// per-station-heap configuration (generate-everything + one simulator
-// event per message — the run_ddcr scheme, kept as FabricEngine::
-// kNaiveHeap exactly so this comparison stays honest).
+// of core::run_fabric with the epoch compiler on ("compiled", the fabric
+// configuration) versus off ("interpreted": every slot polled station by
+// station — the pre-compiler simulation scheme). Both rows materialize
+// arrivals and schedule one simulator event per message, exactly as
+// run_ddcr does, so the compiler is the only difference between them.
 //
 // The workload is a uniform fabric: every station carries one periodic
 // class, the saturating adversary fires every window, and class ids are
 // laid out so plan_channels assigns exactly `stations` stations to each
-// channel. The two engines must agree bit-for-bit on the protocol digest
+// channel. The two rows must agree bit-for-bit on the protocol digest
 // chain — the bench doubles as the at-scale equivalence pin and exits
 // non-zero on divergence.
 //
 // Rows carry name/real_time/time_unit so scripts/bench_compare.py can
 // gate them: the 64x256 smoke row is pinned against
-// bench/baselines/fabric.json in CI; the full 1000x1000 headline row
-// lives in the repo-root BENCH_fabric.json.
+// bench/baselines/fabric.json in CI. The full run (no HRTDM_BENCH_SMOKE)
+// adds the 1000x1000 headline rows to the BENCH_fabric.json it writes
+// into HRTDM_BENCH_DIR; that artifact is not committed.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -59,27 +61,20 @@ traffic::Workload uniform_fabric(int sources, util::Duration window) {
   return wl;
 }
 
-struct EngineRun {
+struct FabricRun {
   double wall_s = 0.0;
   core::FabricResult result;
 };
 
-EngineRun run_engine(const traffic::Workload& wl,
-                     const core::FabricOptions& base,
-                     core::FabricEngine engine) {
+FabricRun run_mode(const traffic::Workload& wl,
+                   const core::FabricOptions& base,
+                   core::EpochCompilerMode mode) {
   core::FabricOptions options = base;
-  options.engine = engine;
-  // The naive configuration is the whole pre-fabric simulation scheme:
-  // every message materialized into its own simulator-heap event AND the
-  // protocol interpreted slot by slot (per-station intent polling, no
-  // compiled spans). The fabric configuration streams arrivals through
-  // the wheel and bulk-advances clean epochs. Digests must match across
-  // the two regardless — both equivalences are pinned by tier-1 tests
-  // (test_fabric, test_epoch_compiler) and re-checked here at scale.
-  options.run.epoch_compiler = engine == core::FabricEngine::kNaiveHeap
-                                   ? core::EpochCompilerMode::kOff
-                                   : core::EpochCompilerMode::kOn;
-  EngineRun out;
+  // Digests must match across the two modes regardless — the equivalence
+  // is pinned by tier-1 tests (test_fabric, test_epoch_compiler) and
+  // re-checked here at scale.
+  options.run.epoch_compiler = mode;
+  FabricRun out;
   const auto start = std::chrono::steady_clock::now();
   out.result = core::run_fabric(wl, options);
   out.wall_s = seconds_since(start);
@@ -111,9 +106,8 @@ int main(int argc, char** argv) {
   run.arrivals = traffic::ArrivalKind::kSaturatingAdversary;
 
   std::printf("%s", util::banner(
-      "Fabric: station-slots/s, streaming wheel vs naive "
-      "per-station heap").c_str());
-  util::TextTable out({"fabric", "engine", "wall s", "station-slots",
+      "Fabric: station-slots/s, epoch compiler on vs off").c_str());
+  util::TextTable out({"fabric", "mode", "wall s", "station-slots",
                        "slots/s", "delivered", "misses", "speedup"});
 
   bool identical = true;
@@ -144,37 +138,41 @@ int main(int argc, char** argv) {
 
     const std::string label =
         std::to_string(cfg.channels) + "x" + std::to_string(cfg.stations);
-    const EngineRun wheel =
-        run_engine(wl, base, core::FabricEngine::kStreamWheel);
-    const EngineRun naive =
-        run_engine(wl, base, core::FabricEngine::kNaiveHeap);
+    const FabricRun compiled =
+        run_mode(wl, base, core::EpochCompilerMode::kOn);
+    const FabricRun interpreted =
+        run_mode(wl, base, core::EpochCompilerMode::kOff);
 
-    identical = identical &&
-                wheel.result.protocol_digest == naive.result.protocol_digest &&
-                wheel.result.delivered == naive.result.delivered &&
-                wheel.result.misses == naive.result.misses &&
-                wheel.result.undelivered == naive.result.undelivered;
+    identical =
+        identical &&
+        compiled.result.protocol_digest == interpreted.result.protocol_digest &&
+        compiled.result.delivered == interpreted.result.delivered &&
+        compiled.result.misses == interpreted.result.misses &&
+        compiled.result.undelivered == interpreted.result.undelivered;
 
-    const double wheel_rate =
-        wheel.wall_s > 0.0
-            ? static_cast<double>(wheel.result.station_slots) / wheel.wall_s
+    const double compiled_rate =
+        compiled.wall_s > 0.0
+            ? static_cast<double>(compiled.result.station_slots) /
+                  compiled.wall_s
             : 0.0;
-    const double naive_rate =
-        naive.wall_s > 0.0
-            ? static_cast<double>(naive.result.station_slots) / naive.wall_s
+    const double interpreted_rate =
+        interpreted.wall_s > 0.0
+            ? static_cast<double>(interpreted.result.station_slots) /
+                  interpreted.wall_s
             : 0.0;
-    const double speedup = naive_rate > 0.0 ? wheel_rate / naive_rate : 0.0;
+    const double speedup =
+        interpreted_rate > 0.0 ? compiled_rate / interpreted_rate : 0.0;
 
     const struct {
-      const char* engine;
-      const EngineRun* r;
+      const char* mode;
+      const FabricRun* r;
       double rate;
       double speedup;
-    } rows[] = {{"stream_wheel", &wheel, wheel_rate, speedup},
-                {"naive_heap", &naive, naive_rate, 1.0}};
+    } rows[] = {{"compiled", &compiled, compiled_rate, speedup},
+                {"interpreted", &interpreted, interpreted_rate, 1.0}};
     for (const auto& row : rows) {
       out.add_row({util::TextTable::cell(label),
-                   util::TextTable::cell(row.engine),
+                   util::TextTable::cell(row.mode),
                    util::TextTable::cell(row.r->wall_s, 3),
                    util::TextTable::cell(row.r->result.station_slots),
                    util::TextTable::cell(row.rate, 0),
@@ -182,7 +180,7 @@ int main(int argc, char** argv) {
                    util::TextTable::cell(row.r->result.misses),
                    util::TextTable::cell(row.speedup, 2)});
       auto& json = report.add_row();
-      json["name"] = bench::Json("fabric/" + label + "/" + row.engine);
+      json["name"] = bench::Json("fabric/" + label + "/" + row.mode);
       json["run_type"] = bench::Json("iteration");
       json["real_time"] = bench::Json(row.r->wall_s * 1e3);
       json["time_unit"] = bench::Json("ms");
@@ -201,7 +199,7 @@ int main(int argc, char** argv) {
     report.metric("speedup_" + label, speedup);
   }
   std::printf("%s", out.str().c_str());
-  std::printf("\nengines digest-identical: %s\n", identical ? "yes" : "NO");
+  std::printf("\nmodes digest-identical: %s\n", identical ? "yes" : "NO");
 
   report.set_threads(std::min(util::ThreadPool::hardware_threads(),
                               configs.front().channels));

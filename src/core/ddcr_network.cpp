@@ -44,8 +44,6 @@ obs::EventTracer* effective_tracer(const DdcrRunOptions& options) {
   return global.enabled() ? &global : nullptr;
 }
 
-namespace {
-
 /// Channel observer that verifies the replicated protocol state after every
 /// slot delivery (stations observe before channel observers run).
 class ConsistencyChecker final : public net::ChannelObserver {
@@ -92,16 +90,14 @@ class ConsistencyChecker final : public net::ChannelObserver {
   bool ok_ = true;
 };
 
-DdcrConfig with_default_indices(DdcrConfig config, int z) {
-  if (config.static_indices.empty()) {
-    config.static_indices = DdcrConfig::one_index_per_source(z, config.q);
-  }
-  config.validate(z);
-  return config;
-}
+namespace {
 
 DdcrRunOptions resolve_options(DdcrRunOptions options, int z) {
-  options.ddcr = with_default_indices(options.ddcr, z);
+  if (options.ddcr.static_indices.empty()) {
+    options.ddcr.static_indices =
+        DdcrConfig::one_index_per_source(z, options.ddcr.q);
+  }
+  options.ddcr.validate(z);
   HRTDM_EXPECT(options.churn_events >= 0,
                "churn_events cannot be negative");
   HRTDM_EXPECT(options.churn_events == 0 || options.require_rejoinable,
@@ -116,12 +112,26 @@ DdcrRunOptions resolve_options(DdcrRunOptions options, int z) {
 }  // namespace
 
 DdcrTestbed::DdcrTestbed(int stations, const DdcrRunOptions& options)
+    : DdcrTestbed(stations, options, nullptr) {}
+
+DdcrTestbed::DdcrTestbed(const traffic::Workload& workload,
+                         const DdcrRunOptions& options)
+    : DdcrTestbed(workload.z(), options, &workload) {}
+
+DdcrTestbed::DdcrTestbed(int stations, const DdcrRunOptions& options,
+                         const traffic::Workload* workload)
     : options_(options),
       recorder_(options.flight_recorder_capacity) {
   HRTDM_EXPECT(stations >= 1, "need at least one station");
+  HRTDM_EXPECT(workload != nullptr || !options.conformance_check,
+               "conformance_check audits a run against its generating "
+               "workload: build the testbed from the workload "
+               "(DdcrTestbed(workload, options)) or use run_ddcr");
   options_ = resolve_options(options_, stations);
   channel_ = std::make_unique<net::BroadcastChannel>(
       simulator_, options_.phy, options_.collision_mode);
+  // Always-on black box: the run's causal history for post-mortems and
+  // forensics. Recording never feeds back into protocol state.
   channel_->set_flight_recorder(&recorder_);
   for (int s = 0; s < stations; ++s) {
     stations_.push_back(std::make_unique<DdcrStation>(
@@ -149,6 +159,17 @@ DdcrTestbed::DdcrTestbed(int stations, const DdcrRunOptions& options)
       station->set_trace(tracer, options_.trace_channel);
     }
   }
+  if (options_.check_consistency) {
+    checker_ = std::make_unique<ConsistencyChecker>(stations_);
+    channel_->add_observer(*checker_);
+  }
+  if (options_.conformance_check) {
+    HRTDM_EXPECT(g_auditor_factory != nullptr,
+                 "conformance_check requires the differential checker: link "
+                 "hrtdm_check and call check::install_conformance_auditor()");
+    auditor_ = g_auditor_factory(*workload, options_);
+    channel_->add_observer(auditor_->observer());
+  }
 }
 
 DdcrTestbed::~DdcrTestbed() = default;
@@ -161,17 +182,48 @@ void DdcrTestbed::inject(int source, const traffic::Message& msg) {
   DdcrStation* station = stations_[static_cast<std::size_t>(source)].get();
   simulator_.schedule_at(
       msg.arrival, [station, msg] { station->enqueue(msg); }, "arrival");
+  ++injected_;
 }
 
-void DdcrTestbed::run(SimTime horizon) {
+void DdcrTestbed::inject(const traffic::GeneratedTraffic& traffic) {
+  for (std::size_t s = 0; s < traffic.per_source.size(); ++s) {
+    for (const traffic::Message& msg : traffic.per_source[s]) {
+      inject(static_cast<int>(s), msg);
+    }
+  }
+}
+
+void DdcrTestbed::start_once() {
   if (!started_) {
     started_ = true;
     channel_->start();
   }
+}
+
+void DdcrTestbed::advance(SimTime horizon) {
+  start_once();
+  simulator_.run_until(horizon);
+}
+
+void DdcrTestbed::drain(SimTime cap) {
+  start_once();
+  // Successes flushed out of an active compiled span leave the sender's
+  // queue only at span hand-off; drained() subtracts them so "still
+  // queued" matches the slot-by-slot world at every chunk boundary.
+  sim::run_chunked(
+      simulator_, options_.phy.slot_x * 1024, cap,
+      [this] { return !drained(); },
+      [this] { return channel_->next_compiled_delivery(); });
+}
+
+void DdcrTestbed::stop() { channel_->stop(); }
+
+void DdcrTestbed::run(SimTime horizon) {
+  start_once();
   // The caller may have mutated station state directly since the last run
   // (crash, reset_for_rejoin) — force the slot loop to re-check quiescence.
   channel_->revalidate_idle_gap();
-  simulator_.run_until(horizon);
+  advance(horizon);
   // Tests read metrics_ and station state directly between run() calls;
   // bring lazily accounted fast-forwarded slots up to date and dissolve any
   // compiled span so the stations are materialized at now().
@@ -179,10 +231,7 @@ void DdcrTestbed::run(SimTime horizon) {
 }
 
 void DdcrTestbed::run_until_delivered(std::int64_t count, SimTime cap) {
-  if (!started_) {
-    started_ = true;
-    channel_->start();
-  }
+  start_once();
   channel_->revalidate_idle_gap();
   const util::Duration step = options_.phy.slot_x * 256;
   sim::run_chunked(
@@ -209,12 +258,28 @@ bool DdcrTestbed::digests_agree() const {
                      });
 }
 
+bool DdcrTestbed::consistency_ok() const {
+  return checker_ == nullptr || checker_->ok();
+}
+
+std::uint64_t DdcrTestbed::protocol_digest() const {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  for (const auto& station : stations_) {
+    digest = (digest ^ station->protocol_digest()) * 0x100000001b3ULL;
+  }
+  return digest;
+}
+
 std::int64_t DdcrTestbed::queued() const {
   std::int64_t total = 0;
   for (const auto& station : stations_) {
     total += static_cast<std::int64_t>(station->queue().size());
   }
   return total;
+}
+
+bool DdcrTestbed::drained() const {
+  return queued() - channel_->unapplied_deliveries() <= 0;
 }
 
 net::ChannelSnapshot DdcrTestbed::channel_snapshot() const {
@@ -230,119 +295,31 @@ std::vector<StationSnapshot> DdcrTestbed::station_snapshots() const {
   return snaps;
 }
 
-DdcrRunResult run_ddcr(const traffic::Workload& workload,
-                       const DdcrRunOptions& options) {
-  workload.validate();
-  const int z = workload.z();
-
-  const DdcrRunOptions resolved = resolve_options(options, z);
-
-  sim::Simulator simulator;
-  net::BroadcastChannel channel(simulator, resolved.phy,
-                                resolved.collision_mode);
-  // Always-on black box: the run's causal history for post-mortems and
-  // forensics. Recording never feeds back into protocol state.
-  obs::FlightRecorder recorder(resolved.flight_recorder_capacity);
-  channel.set_flight_recorder(&recorder);
-  std::vector<std::unique_ptr<DdcrStation>> stations;
-  for (int s = 0; s < z; ++s) {
-    stations.push_back(std::make_unique<DdcrStation>(
-        s, resolved.ddcr,
-        resolved.ddcr.static_indices[static_cast<std::size_t>(s)]));
-    stations.back()->set_flight_recorder(&recorder);
-    channel.attach(*stations.back());
-  }
-  std::vector<DdcrStation*> raw_stations;
-  raw_stations.reserve(stations.size());
-  for (auto& station : stations) {
-    raw_stations.push_back(station.get());
-  }
-  EpochCompiler compiler(channel, std::move(raw_stations));
-  if (epoch_compiler_enabled(resolved.epoch_compiler)) {
-    channel.set_span_compiler(&compiler);
-  }
-  MetricsCollector metrics;
-  channel.add_observer(metrics);
-  std::unique_ptr<obs::ChannelTracer> channel_tracer;
-  if (obs::EventTracer* tracer = effective_tracer(resolved)) {
-    channel_tracer =
-        std::make_unique<obs::ChannelTracer>(*tracer, resolved.trace_channel);
-    channel.add_observer(*channel_tracer);
-    for (auto& station : stations) {
-      station->set_trace(tracer, resolved.trace_channel);
-    }
-  }
-  ConsistencyChecker checker(stations);
-  if (resolved.check_consistency) {
-    channel.add_observer(checker);
-  }
-  std::unique_ptr<RunAuditor> auditor;
-  if (resolved.conformance_check) {
-    HRTDM_EXPECT(g_auditor_factory != nullptr,
-                 "conformance_check requires the differential checker: link "
-                 "hrtdm_check and call check::install_conformance_auditor()");
-    auditor = g_auditor_factory(workload, resolved);
-    channel.add_observer(auditor->observer());
-  }
-
-  const auto traffic = traffic::generate_traffic(
-      workload, resolved.arrivals, resolved.arrival_horizon, resolved.seed);
-  for (std::size_t s = 0; s < traffic.per_source.size(); ++s) {
-    DdcrStation* station = stations[s].get();
-    for (const traffic::Message& msg : traffic.per_source[s]) {
-      simulator.schedule_at(
-          msg.arrival, [station, msg] { station->enqueue(msg); }, "arrival");
-    }
-  }
-
-  channel.start();
-  simulator.run_until(resolved.arrival_horizon);
-  // Drain: keep the channel running until every queue empties (or the cap).
-  auto queued = [&stations] {
-    std::int64_t total = 0;
-    for (const auto& station : stations) {
-      total += static_cast<std::int64_t>(station->queue().size());
-    }
-    return total;
-  };
-  const util::Duration drain_step = resolved.phy.slot_x * 1024;
-  // Successes flushed out of an active compiled span leave the sender's
-  // queue only at span hand-off; subtract them so "still queued" matches
-  // the slot-by-slot world at every chunk boundary.
-  sim::run_chunked(
-      simulator, drain_step, resolved.drain_cap,
-      [&queued, &channel] {
-        return queued() - channel.unapplied_deliveries() > 0;
-      },
-      [&channel] { return channel.next_compiled_delivery(); });
-  channel.stop();
-
+DdcrRunResult DdcrTestbed::result() {
   DdcrRunResult result;
-  result.metrics = metrics.summarize();
-  result.channel = channel.stats();
-  result.protocol_digest = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  for (const auto& station : stations) {
-    result.protocol_digest =
-        (result.protocol_digest ^ station->protocol_digest()) *
-        0x100000001b3ULL;
-    result.per_station.push_back(station->counters());
-    result.snapshots.push_back(station->snapshot());
-    result.dropped_late += station->counters().dropped_late;
-    result.desyncs_detected += station->counters().desyncs_detected;
-    result.quarantines += station->counters().quarantines;
-    result.rejoins += station->counters().rejoins;
+  result.metrics = metrics_.summarize();
+  result.channel = channel_->stats();
+  result.protocol_digest = protocol_digest();
+  for (const auto& station : stations_) {
+    const DdcrStation::Counters& counters = station->counters();
+    result.per_station.push_back(counters);
+    result.dropped_late += counters.dropped_late;
+    result.desyncs_detected += counters.desyncs_detected;
+    result.quarantines += counters.quarantines;
+    result.rejoins += counters.rejoins;
   }
-  result.generated = traffic.total_messages;
+  result.snapshots = station_snapshots();
+  result.generated = injected_;
   result.undelivered = queued();
-  result.utilization = channel.utilization();
-  result.channel_snapshot = channel.snapshot();
-  result.consistency_ok = !resolved.check_consistency || checker.ok();
-  result.flight_window = recorder.window();
-  result.flight_window_truncated = recorder.wrapped();
-  if (resolved.forensics) {
+  result.utilization = channel_->utilization();
+  result.channel_snapshot = channel_->snapshot();
+  result.consistency_ok = consistency_ok();
+  result.flight_window = recorder_.window();
+  result.flight_window_truncated = recorder_.wrapped();
+  if (options_.forensics) {
     std::vector<obs::MissInput> inputs;
-    inputs.reserve(metrics.log().size());
-    for (const TxRecord& tx : metrics.log()) {
+    inputs.reserve(metrics_.log().size());
+    for (const TxRecord& tx : metrics_.log()) {
       obs::MissInput mi;
       mi.uid = tx.uid;
       mi.class_id = tx.class_id;
@@ -353,12 +330,28 @@ DdcrRunResult run_ddcr(const traffic::Workload& workload,
       inputs.push_back(mi);
     }
     result.miss_reports = obs::Forensics::attribute_all(
-        inputs, result.flight_window, resolved.forensics_near_miss_slack_ns);
+        inputs, result.flight_window, options_.forensics_near_miss_slack_ns);
   }
-  if (auditor != nullptr) {
-    auditor->finish(result);
+  if (auditor_ != nullptr) {
+    auditor_->finish(result);
   }
   return result;
+}
+
+DdcrRunResult run_ddcr(const traffic::Workload& workload,
+                       const DdcrRunOptions& options) {
+  workload.validate();
+  DdcrTestbed bed(workload, options);
+  const DdcrRunOptions& resolved = bed.options();
+  // Held until the run ends: releasing the arrivals before the slot loop
+  // fragments the heap, and peak RSS then creeps up over repeated runs.
+  const traffic::GeneratedTraffic traffic = traffic::generate_traffic(
+      workload, resolved.arrivals, resolved.arrival_horizon, resolved.seed);
+  bed.inject(traffic);
+  bed.advance(resolved.arrival_horizon);
+  bed.drain(resolved.drain_cap);
+  bed.stop();
+  return bed.result();
 }
 
 }  // namespace hrtdm::core

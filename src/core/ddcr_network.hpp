@@ -147,11 +147,11 @@ struct DdcrRunResult {
   std::vector<obs::MissReport> miss_reports;
 };
 
-/// Seam through which run_ddcr reaches the differential conformance
+/// Seam through which conformance-checked runs reach the differential
 /// checker. The core library cannot link src/check (check sits above core),
 /// so the checker installs a factory at static-init / first-use time via
-/// check::install_conformance_auditor(); run_ddcr instantiates one auditor
-/// per conformance-checked run.
+/// check::install_conformance_auditor(); a DdcrTestbed built from a workload
+/// instantiates one auditor per conformance-checked run.
 class RunAuditor {
  public:
   virtual ~RunAuditor() = default;
@@ -172,15 +172,30 @@ using AuditorFactory = std::unique_ptr<RunAuditor> (*)(
 void set_auditor_factory(AuditorFactory factory);
 AuditorFactory auditor_factory();
 
-/// Runs the workload through a CSMA/DDCR network and returns the metrics.
+/// Runs the workload through a CSMA/DDCR network and returns the metrics:
+/// generate the arrivals, inject them into a DdcrTestbed, run to the
+/// arrival horizon, drain, and assemble the result.
 DdcrRunResult run_ddcr(const traffic::Workload& workload,
                        const DdcrRunOptions& options);
 
-/// Lower-level harness used by tests and the sim-vs-analysis benches: a
-/// network with externally controlled message injection.
+/// The check_consistency observer (defined in ddcr_network.cpp).
+class ConsistencyChecker;
+
+/// One CSMA/DDCR channel: simulator, channel, stations, epoch compiler,
+/// metrics, tracer and the optional consistency checker and conformance
+/// auditor, with externally controlled message injection. run_ddcr, the
+/// fabric's channels, the tests and the sim-vs-analysis benches all run
+/// on it.
 class DdcrTestbed {
  public:
+  /// A network of `stations` stations fed only by inject(). Rejects
+  /// conformance_check: without a workload there is nothing to audit the
+  /// run against.
   DdcrTestbed(int stations, const DdcrRunOptions& options);
+  /// One station per workload source; conformance_check attaches the
+  /// differential auditor for `workload`'s generated arrivals.
+  DdcrTestbed(const traffic::Workload& workload,
+              const DdcrRunOptions& options);
   /// Out of line: the ChannelTracer member is only forward-declared here.
   ~DdcrTestbed();
 
@@ -193,11 +208,31 @@ class DdcrTestbed {
   /// (tests use it to assert the bail-out taxonomy is exhaustive).
   EpochCompiler* epoch_compiler() { return compiler_.get(); }
   int station_count() const { return static_cast<int>(stations_.size()); }
+  /// The options with defaults filled in (static indices allocated).
+  const DdcrRunOptions& options() const { return options_; }
 
   /// Injects a message at the given arrival time (scheduled, not direct).
   void inject(int source, const traffic::Message& msg);
+  /// Injects every generated message, source by source: station s takes
+  /// traffic.per_source[s].
+  void inject(const traffic::GeneratedTraffic& traffic);
+  /// Messages injected so far (DdcrRunResult::generated).
+  std::int64_t injected() const { return injected_; }
 
-  /// Starts the channel and runs until `horizon`.
+  /// Starts the channel (first call only) and runs the event loop until
+  /// `horizon`, leaving any fast-forwarded span in flight. Callers that
+  /// mutate stations between calls want run() instead.
+  void advance(SimTime horizon);
+
+  /// Keeps the channel running in 1024-slot chunks until every queue is
+  /// empty or `cap` is reached.
+  void drain(SimTime cap);
+
+  /// Stops the slot loop (dissolving any fast-forwarded span).
+  void stop();
+
+  /// Starts the channel and runs until `horizon`; the stations are
+  /// materialized at the horizon, so tests may read or mutate them.
   void run(SimTime horizon);
 
   /// Starts the channel and runs until `count` frames have been delivered
@@ -208,14 +243,35 @@ class DdcrTestbed {
   /// True iff all stations' protocol digests currently agree.
   bool digests_agree() const;
 
+  /// Verdict of the check_consistency checker: false once the synced
+  /// replicas disagreed after some slot. True when the check is off.
+  bool consistency_ok() const;
+
+  /// Order-sensitive combination (FNV-1a chain, station order) of every
+  /// station's protocol_digest().
+  std::uint64_t protocol_digest() const;
+
   /// Total queued messages across stations.
   std::int64_t queued() const;
+
+  /// True when no message is queued, counting deliveries a compiled span
+  /// has made but not yet handed back to the sender's queue.
+  bool drained() const;
 
   /// Introspection snapshots of the current state (docs/OBSERVABILITY.md).
   net::ChannelSnapshot channel_snapshot() const;
   std::vector<StationSnapshot> station_snapshots() const;
 
+  /// The full result: metrics, counters, snapshots, flight window, the
+  /// forensics reports when asked for, and the conformance report of an
+  /// audited run. Call once, after stop().
+  DdcrRunResult result();
+
  private:
+  DdcrTestbed(int stations, const DdcrRunOptions& options,
+              const traffic::Workload* workload);
+  void start_once();
+
   sim::Simulator simulator_;
   DdcrRunOptions options_;
   obs::FlightRecorder recorder_;  ///< declared before channel_ (detach order)
@@ -224,6 +280,9 @@ class DdcrTestbed {
   std::unique_ptr<EpochCompiler> compiler_;  ///< declared after channel_
   MetricsCollector metrics_;
   std::unique_ptr<obs::ChannelTracer> channel_tracer_;
+  std::unique_ptr<ConsistencyChecker> checker_;
+  std::unique_ptr<RunAuditor> auditor_;
+  std::int64_t injected_ = 0;
   bool started_ = false;
 };
 

@@ -5,11 +5,8 @@
 #include <memory>
 #include <utility>
 
-#include "obs/channel_tracer.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "sim/timing_wheel.hpp"
-#include "traffic/arrival_stream.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -126,72 +123,6 @@ StationSoA::Aggregate StationSoA::aggregate_all() const {
 
 namespace {
 
-// ddcr_network.cpp keeps its option resolution and consistency observer
-// file-local; the fabric replicates them so a fabric channel resolves and
-// checks exactly as run_ddcr() would (tests/test_fabric.cpp pins the
-// resulting digests against run_multi_channel, which goes through the
-// originals).
-
-DdcrConfig with_default_indices(DdcrConfig config, int z) {
-  if (config.static_indices.empty()) {
-    config.static_indices = DdcrConfig::one_index_per_source(z, config.q);
-  }
-  config.validate(z);
-  return config;
-}
-
-DdcrRunOptions resolve_options(DdcrRunOptions options, int z) {
-  options.ddcr = with_default_indices(options.ddcr, z);
-  HRTDM_EXPECT(options.churn_events >= 0, "churn_events cannot be negative");
-  HRTDM_EXPECT(options.churn_events == 0 || options.require_rejoinable,
-               "a churn plan drives stations through the quiet-period "
-               "rejoin path: set require_rejoinable when churn_events > 0");
-  if (options.require_rejoinable) {
-    options.ddcr.validate_rejoinable();
-  }
-  return options;
-}
-
-class ConsistencyChecker final : public net::ChannelObserver {
- public:
-  explicit ConsistencyChecker(
-      const std::vector<std::unique_ptr<DdcrStation>>& stations)
-      : stations_(stations) {}
-
-  void on_slot(const net::SlotRecord& record) override {
-    (void)record;
-    bool have_reference = false;
-    std::uint64_t reference = 0;
-    for (const auto& station : stations_) {
-      if (!station->synced()) {
-        continue;
-      }
-      if (!have_reference) {
-        reference = station->protocol_digest();
-        have_reference = true;
-      } else if (station->protocol_digest() != reference) {
-        ok_ = false;
-        return;
-      }
-    }
-  }
-
-  void on_idle_gap(std::int64_t slots, net::SimTime first_start,
-                   util::Duration slot_x) override {
-    (void)first_start;
-    (void)slot_x;
-    if (slots > 0) {
-      on_slot(net::SlotRecord{});
-    }
-  }
-
-  bool ok() const { return ok_; }
-
- private:
-  const std::vector<std::unique_ptr<DdcrStation>>& stations_;
-  bool ok_ = true;
-};
-
 /// Records every delivered frame (with its slot end) for bridge relay at
 /// the next barrier. Compiled-span flushes replay the exact per-slot
 /// on_slot stream, so captures are complete under the fast path too.
@@ -226,114 +157,77 @@ class BridgeCapture final : public net::ChannelObserver {
   std::vector<Captured> captured_;
 };
 
-/// One live fabric channel: the exact run_ddcr() object graph (channel,
-/// recorder, stations, epoch compiler, metrics, tracer, checker, auditor —
-/// same construction and scheduling order), steerable from outside so the
-/// barrier loop can advance every channel in lockstep, plus the streaming
-/// arrival engine (WorkloadStream + TimingWheel pump) as an alternative to
-/// the materialize-and-schedule-everything scheme.
+/// Everything needed to open one channel, staged serially up front.
+struct ChannelSetup {
+  traffic::Workload sub;   ///< the channel's sources (workload channels)
+  DdcrRunOptions options;  ///< per-channel; the testbed resolves them
+  /// Replay channels (run_fabric_replay): explicit messages for
+  /// `replay_stations` stations instead of a generating workload.
+  const std::vector<traffic::Message>* replay = nullptr;
+  int replay_stations = 0;
+  bool empty = false;
+};
+
+/// One live fabric channel: a DdcrTestbed (the run_ddcr object graph and
+/// result assembly) steerable from outside so the barrier loop can advance
+/// every channel in lockstep, plus what only the fabric needs: bridge
+/// capture, relay injection and their counters, the lean summary and the
+/// SoA refresh.
 class ChannelRunner {
  public:
-  /// Workload-driven channel (run_fabric).
-  ChannelRunner(traffic::Workload sub, const DdcrRunOptions& resolved,
-                FabricEngine engine, bool capture_bridges)
-      : ChannelRunner(std::move(sub), 0, resolved, engine, capture_bridges,
-                      nullptr) {}
-
-  /// Replay channel (run_fabric_replay): explicit messages, no generators.
-  ChannelRunner(int stations, const DdcrRunOptions& resolved,
-                const std::vector<traffic::Message>* replay,
-                bool capture_bridges)
-      : ChannelRunner(traffic::Workload{}, stations, resolved,
-                      FabricEngine::kNaiveHeap, capture_bridges, replay) {}
+  /// Arrivals are injected exactly as run_ddcr() injects them (replay
+  /// channels: the explicit messages, in order); start() is left to the
+  /// first advance().
+  ChannelRunner(const ChannelSetup& setup, bool capture_bridges)
+      : bed_(setup.replay != nullptr
+                 ? std::make_unique<DdcrTestbed>(setup.replay_stations,
+                                                 setup.options)
+                 : std::make_unique<DdcrTestbed>(setup.sub, setup.options)) {
+    if (capture_bridges) {
+      bridge_capture_ = std::make_unique<BridgeCapture>();
+      bed_->channel().add_observer(*bridge_capture_);
+    }
+    if (setup.replay != nullptr) {
+      for (const traffic::Message& msg : *setup.replay) {
+        bed_->inject(msg.source, msg);
+      }
+    } else {
+      const DdcrRunOptions& resolved = bed_->options();
+      bed_->inject(traffic::generate_traffic(setup.sub, resolved.arrivals,
+                                             resolved.arrival_horizon,
+                                             resolved.seed));
+    }
+  }
 
   ChannelRunner(const ChannelRunner&) = delete;
   ChannelRunner& operator=(const ChannelRunner&) = delete;
 
-  /// Schedules the arrival machinery (engine-specific) and starts the slot
-  /// loop — the same order run_ddcr() uses: arrivals first, then start().
-  void start() {
-    if (replay_ != nullptr) {
-      for (const traffic::Message& msg : *replay_) {
-        DdcrStation* station =
-            stations_[static_cast<std::size_t>(msg.source)].get();
-        simulator_.schedule_at(
-            msg.arrival, [station, msg] { station->enqueue(msg); }, "arrival");
-      }
-      generated_ = static_cast<std::int64_t>(replay_->size());
-    } else if (engine_ == FabricEngine::kNaiveHeap) {
-      const auto traffic = traffic::generate_traffic(
-          workload_, resolved_.arrivals, resolved_.arrival_horizon,
-          resolved_.seed);
-      for (std::size_t s = 0; s < traffic.per_source.size(); ++s) {
-        DdcrStation* station = stations_[s].get();
-        for (const traffic::Message& msg : traffic.per_source[s]) {
-          simulator_.schedule_at(
-              msg.arrival, [station, msg] { station->enqueue(msg); },
-              "arrival");
-        }
-      }
-      generated_ = traffic.total_messages;
-    } else {
-      streams_ = std::make_unique<traffic::WorkloadStream>(
-          workload_, resolved_.arrivals, resolved_.arrival_horizon,
-          resolved_.seed);
-      for (int s = 0; s < streams_->num_sources(); ++s) {
-        traffic::SourceStream& stream = streams_->source(s);
-        if (!stream.done()) {
-          wheel_.schedule(stream.peek().arrival, s);
-        }
-      }
-      generated_ = streams_->total_messages();
-      arm_pump();
-    }
-    channel_->start();
-  }
-
-  void advance(SimTime t) { simulator_.run_until(t); }
-
-  /// The run_ddcr() drain loop verbatim (non-barrier fabrics).
-  void drain(SimTime cap) {
-    const util::Duration drain_step = resolved_.phy.slot_x * 1024;
-    sim::run_chunked(
-        simulator_, drain_step, cap,
-        [this] { return queued() - channel_->unapplied_deliveries() > 0; },
-        [this] { return channel_->next_compiled_delivery(); });
-  }
-
-  void stop() { channel_->stop(); }
-
-  std::int64_t queued() const {
-    std::int64_t total = 0;
-    for (const auto& station : stations_) {
-      total += static_cast<std::int64_t>(station->queue().size());
-    }
-    return total;
-  }
+  void advance(SimTime t) { bed_->advance(t); }
+  void drain(SimTime cap) { bed_->drain(cap); }
+  void stop() { bed_->stop(); }
 
   /// "Still working" predicate at a barrier: messages queued (modulo
   /// compiled-span hand-off lag) or relays injected but not yet arrived.
-  bool drained() const {
-    return queued() - channel_->unapplied_deliveries() <= 0 &&
-           pending_relays_ == 0;
-  }
+  bool drained() const { return bed_->drained() && pending_relays_ == 0; }
 
   /// Enqueues a bridge relay at msg.arrival (>= now). `origin_uid` is the
-  /// relayed frame's uid, for the flight-recorder breadcrumb.
-  void inject_relay(const traffic::Message& msg, std::int64_t origin_uid) {
-    DdcrStation* station =
-        stations_[static_cast<std::size_t>(msg.source)].get();
+  /// relayed frame's uid, for the flight-recorder breadcrumb. Relays are
+  /// not injected messages: they never count as generated.
+  void inject_relay(const traffic::Message& msg,
+                    [[maybe_unused]] std::int64_t origin_uid) {
+    DdcrStation* station = &bed_->station(msg.source);
     ++pending_relays_;
     ++bridge_injected_;
-    simulator_.schedule_at(
+    bed_->simulator().schedule_at(
         msg.arrival,
         [this, station, msg] {
           station->enqueue(msg);
           --pending_relays_;
         },
         "bridge-relay");
-    HRTDM_FR_RECORD(&recorder_, obs::FrKind::kBridgeHop, msg.arrival.ns(),
-                    msg.source, msg.arrival.ns(), origin_uid);
+    HRTDM_FR_RECORD(&bed_->flight_recorder(), obs::FrKind::kBridgeHop,
+                    msg.arrival.ns(), msg.source, msg.arrival.ns(),
+                    origin_uid);
   }
 
   std::vector<BridgeCapture::Captured> take_captured() {
@@ -342,211 +236,48 @@ class ChannelRunner {
     return out;
   }
 
-  void refresh_soa(StationSoA& soa, std::size_t base) const {
-    for (std::size_t s = 0; s < stations_.size(); ++s) {
-      soa.load(base + s, *stations_[s]);
+  void refresh_soa(StationSoA& soa, std::size_t base) {
+    for (int s = 0; s < bed_->station_count(); ++s) {
+      soa.load(base + static_cast<std::size_t>(s), bed_->station(s));
     }
   }
 
-  int station_count() const { return static_cast<int>(stations_.size()); }
-  bool audited() const { return auditor_ != nullptr; }
+  int station_count() const { return bed_->station_count(); }
+  bool audited() const { return bed_->options().conformance_check; }
 
   /// Lean summary; call after stop().
-  FabricChannelSummary summarize() const {
+  FabricChannelSummary summarize() {
     FabricChannelSummary s;
-    s.stations = static_cast<std::int64_t>(stations_.size());
-    s.generated = generated_;
-    const MetricsSummary m = metrics_.summarize();
+    s.stations = bed_->station_count();
+    s.generated = bed_->injected();
+    const MetricsSummary m = bed_->metrics().summarize();
     s.delivered = m.delivered;
     s.misses = m.misses;
     s.worst_latency_s = m.worst_latency_s;
-    s.undelivered = queued();
-    s.utilization = channel_->utilization();
-    const net::ChannelStats& stats = channel_->stats();
+    s.undelivered = bed_->queued();
+    s.utilization = bed_->channel().utilization();
+    const net::ChannelStats& stats = bed_->channel().stats();
     s.slots = stats.silence_slots + stats.collision_slots + stats.successes;
-    s.protocol_digest = station_digest();
-    for (const auto& station : stations_) {
-      s.dropped_late += station->counters().dropped_late;
+    s.protocol_digest = bed_->protocol_digest();
+    for (int i = 0; i < bed_->station_count(); ++i) {
+      s.dropped_late += bed_->station(i).counters().dropped_late;
     }
-    s.consistency_ok = checker_ == nullptr || checker_->ok();
+    s.consistency_ok = bed_->consistency_ok();
     s.bridge_captured = bridge_captured_;
     s.bridge_injected = bridge_injected_;
     return s;
   }
 
-  /// The full run_ddcr() result assembly (collect_channel_results and
-  /// audited channels — the auditor needs the fully populated result).
-  DdcrRunResult full_result() {
-    DdcrRunResult result;
-    result.metrics = metrics_.summarize();
-    result.channel = channel_->stats();
-    result.protocol_digest = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-    for (const auto& station : stations_) {
-      result.protocol_digest =
-          (result.protocol_digest ^ station->protocol_digest()) *
-          0x100000001b3ULL;
-      result.per_station.push_back(station->counters());
-      result.snapshots.push_back(station->snapshot());
-      result.dropped_late += station->counters().dropped_late;
-      result.desyncs_detected += station->counters().desyncs_detected;
-      result.quarantines += station->counters().quarantines;
-      result.rejoins += station->counters().rejoins;
-    }
-    result.generated = generated_;
-    result.undelivered = queued();
-    result.utilization = channel_->utilization();
-    result.channel_snapshot = channel_->snapshot();
-    result.consistency_ok = checker_ == nullptr || checker_->ok();
-    result.flight_window = recorder_.window();
-    result.flight_window_truncated = recorder_.wrapped();
-    if (resolved_.forensics) {
-      std::vector<obs::MissInput> inputs;
-      inputs.reserve(metrics_.log().size());
-      for (const TxRecord& tx : metrics_.log()) {
-        obs::MissInput mi;
-        mi.uid = tx.uid;
-        mi.class_id = tx.class_id;
-        mi.source = tx.source;
-        mi.arrival_ns = tx.arrival.ns();
-        mi.deadline_ns = tx.deadline.ns();
-        mi.completed_ns = tx.completed.ns();
-        inputs.push_back(mi);
-      }
-      result.miss_reports = obs::Forensics::attribute_all(
-          inputs, result.flight_window, resolved_.forensics_near_miss_slack_ns);
-    }
-    if (auditor_ != nullptr) {
-      auditor_->finish(result);
-    }
-    return result;
-  }
+  /// The full run_ddcr() result (collect_channel_results and audited
+  /// channels — the auditor needs the fully populated result).
+  DdcrRunResult full_result() { return bed_->result(); }
 
  private:
-  ChannelRunner(traffic::Workload sub, int replay_stations,
-                const DdcrRunOptions& resolved, FabricEngine engine,
-                bool capture_bridges,
-                const std::vector<traffic::Message>* replay)
-      : resolved_(resolved),
-        workload_(std::move(sub)),
-        engine_(engine),
-        replay_(replay),
-        recorder_(resolved.flight_recorder_capacity) {
-    const int z = replay_ != nullptr ? replay_stations : workload_.z();
-    HRTDM_EXPECT(z >= 1, "fabric channel needs at least one station");
-    channel_ = std::make_unique<net::BroadcastChannel>(
-        simulator_, resolved_.phy, resolved_.collision_mode);
-    channel_->set_flight_recorder(&recorder_);
-    for (int s = 0; s < z; ++s) {
-      stations_.push_back(std::make_unique<DdcrStation>(
-          s, resolved_.ddcr,
-          resolved_.ddcr.static_indices[static_cast<std::size_t>(s)]));
-      stations_.back()->set_flight_recorder(&recorder_);
-      channel_->attach(*stations_.back());
-    }
-    std::vector<DdcrStation*> raw_stations;
-    raw_stations.reserve(stations_.size());
-    for (auto& station : stations_) {
-      raw_stations.push_back(station.get());
-    }
-    compiler_ =
-        std::make_unique<EpochCompiler>(*channel_, std::move(raw_stations));
-    if (epoch_compiler_enabled(resolved_.epoch_compiler)) {
-      channel_->set_span_compiler(compiler_.get());
-    }
-    channel_->add_observer(metrics_);
-    if (obs::EventTracer* tracer = effective_tracer(resolved_)) {
-      channel_tracer_ = std::make_unique<obs::ChannelTracer>(
-          *tracer, resolved_.trace_channel);
-      channel_->add_observer(*channel_tracer_);
-      for (auto& station : stations_) {
-        station->set_trace(tracer, resolved_.trace_channel);
-      }
-    }
-    if (resolved_.check_consistency) {
-      checker_ = std::make_unique<ConsistencyChecker>(stations_);
-      channel_->add_observer(*checker_);
-    }
-    if (resolved_.conformance_check) {
-      HRTDM_EXPECT(auditor_factory() != nullptr,
-                   "conformance_check requires the differential checker: "
-                   "link hrtdm_check and call "
-                   "check::install_conformance_auditor()");
-      auditor_ = auditor_factory()(workload_, resolved_);
-      channel_->add_observer(auditor_->observer());
-    }
-    if (capture_bridges) {
-      bridge_capture_ = std::make_unique<BridgeCapture>();
-      channel_->add_observer(*bridge_capture_);
-    }
-  }
-
-  std::uint64_t station_digest() const {
-    std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-    for (const auto& station : stations_) {
-      digest = (digest ^ station->protocol_digest()) * 0x100000001b3ULL;
-    }
-    return digest;
-  }
-
-  void arm_pump() {
-    const SimTime next = wheel_.next_time();
-    if (next == SimTime::infinity()) {
-      return;
-    }
-    // Front class: at equal timestamps the pump must beat slot-end events,
-    // exactly like the up-front arrival events it replaces (they carry the
-    // lowest sequence numbers in the run_ddcr world).
-    simulator_.schedule_front_at(
-        next, [this] { pump_fire(); }, "fabric-pump");
-  }
-
-  void pump_fire() {
-    wheel_.advance_until(
-        simulator_.now(), [this](SimTime at, std::int64_t payload) {
-          traffic::SourceStream& stream =
-              streams_->source(static_cast<int>(payload));
-          while (!stream.done() && stream.peek().arrival == at) {
-            const traffic::Message msg = stream.take();
-            stations_[static_cast<std::size_t>(msg.source)]->enqueue(msg);
-          }
-          if (!stream.done()) {
-            wheel_.schedule(stream.peek().arrival, payload);
-          }
-        });
-    arm_pump();
-  }
-
-  DdcrRunOptions resolved_;
-  traffic::Workload workload_;
-  FabricEngine engine_;
-  const std::vector<traffic::Message>* replay_;
-
-  // Same declaration (= destruction) order as run_ddcr()'s locals.
-  sim::Simulator simulator_;
-  std::unique_ptr<net::BroadcastChannel> channel_;
-  obs::FlightRecorder recorder_;
-  std::vector<std::unique_ptr<DdcrStation>> stations_;
-  std::unique_ptr<EpochCompiler> compiler_;
-  MetricsCollector metrics_;
-  std::unique_ptr<obs::ChannelTracer> channel_tracer_;
-  std::unique_ptr<ConsistencyChecker> checker_;
-  std::unique_ptr<RunAuditor> auditor_;
+  std::unique_ptr<DdcrTestbed> bed_;
   std::unique_ptr<BridgeCapture> bridge_capture_;
-
-  std::unique_ptr<traffic::WorkloadStream> streams_;
-  sim::TimingWheel wheel_;
-
-  std::int64_t generated_ = 0;
   std::int64_t bridge_captured_ = 0;
   std::int64_t bridge_injected_ = 0;
   std::int64_t pending_relays_ = 0;
-};
-
-/// Everything needed to construct one channel, staged serially up front.
-struct ChannelSetup {
-  traffic::Workload sub;
-  DdcrRunOptions resolved;
-  bool empty = false;
 };
 
 std::vector<ChannelSetup> stage_channels(const traffic::Workload& workload,
@@ -556,29 +287,18 @@ std::vector<ChannelSetup> stage_channels(const traffic::Workload& workload,
       static_cast<std::size_t>(options.channels));
   for (int ch = 0; ch < options.channels; ++ch) {
     ChannelSetup& setup = setups[static_cast<std::size_t>(ch)];
-    traffic::Workload sub = channel_workload(workload, plan, ch);
-    // Contiguous station-id remap, exactly as run_multi_channel stages it.
-    for (std::size_t s = 0; s < sub.sources.size(); ++s) {
-      const int new_id = static_cast<int>(s);
-      for (auto& cls : sub.sources[s].classes) {
-        cls.source = new_id;
-      }
-      sub.sources[s].id = new_id;
-    }
-    if (sub.sources.empty()) {
+    setup.sub = channel_workload(workload, plan, ch);
+    if (setup.sub.sources.empty()) {
       setup.empty = true;
       continue;
     }
-    const int z = sub.z();
-    DdcrRunOptions channel_options = options.run;
-    channel_options.ddcr.static_indices.clear();  // re-derive per channel
-    channel_options.seed = channel_seed(options.run.seed, ch);
-    channel_options.trace_channel = ch;
+    setup.options = options.run;
+    setup.options.ddcr.static_indices.clear();  // re-derive per channel
+    setup.options.seed = channel_seed(options.run.seed, ch);
+    setup.options.trace_channel = ch;
     if (options.audit_stride > 0 && ch % options.audit_stride == 0) {
-      channel_options.conformance_check = true;
+      setup.options.conformance_check = true;
     }
-    setup.resolved = resolve_options(channel_options, z);
-    setup.sub = std::move(sub);
   }
   return setups;
 }
@@ -634,7 +354,7 @@ void aggregate_result(FabricResult& result) {
 }
 
 void set_fabric_gauges(const StationSoA& soa) {
-  const StationSoA::Aggregate agg = soa.aggregate_all();
+  [[maybe_unused]] const StationSoA::Aggregate agg = soa.aggregate_all();
   HRTDM_GAUGE_SET("fabric.stations", static_cast<std::int64_t>(soa.size()));
   HRTDM_GAUGE_SET("fabric.backlog", agg.backlog);
   HRTDM_GAUGE_SET("fabric.synced", agg.synced);
@@ -661,7 +381,7 @@ void harvest(ChannelRunner& runner, int ch, const FabricOptions& options,
 /// Independent-channel path: construct, run and destroy each channel
 /// entirely inside its shard task (first-touch NUMA placement; peak memory
 /// is one live channel per shard, not one per channel).
-void run_unbridged(const std::vector<ChannelSetup>& setups,
+void run_unbridged(const std::vector<ChannelSetup>& setups, SimTime horizon,
                    const FabricOptions& options, FabricResult& result) {
   util::parallel_for_index(
       options.shards, options.channels, [&](std::int64_t ch) {
@@ -669,11 +389,9 @@ void run_unbridged(const std::vector<ChannelSetup>& setups,
         if (setup.empty) {
           return;
         }
-        ChannelRunner runner(setup.sub, setup.resolved, options.engine,
-                             /*capture_bridges=*/false);
-        runner.start();
-        runner.advance(setup.resolved.arrival_horizon);
-        runner.drain(setup.resolved.drain_cap);
+        ChannelRunner runner(setup, /*capture_bridges=*/false);
+        runner.advance(horizon);
+        runner.drain(options.run.drain_cap);
         runner.stop();
         harvest(runner, static_cast<int>(ch), options, result);
       });
@@ -682,9 +400,7 @@ void run_unbridged(const std::vector<ChannelSetup>& setups,
 /// Barrier path (bridges and/or sampler): every channel lives for the whole
 /// run and advances in lockstep quanta; bridge relays are drained serially
 /// at each barrier, so results are deterministic and shard-count invariant.
-void run_barriers(const std::vector<ChannelSetup>& setups,
-                  const std::vector<traffic::Message>* replay,
-                  int replay_stations, SimTime horizon,
+void run_barriers(const std::vector<ChannelSetup>& setups, SimTime horizon,
                   const FabricOptions& options, FabricResult& result) {
   util::Duration quantum = options.barrier_quantum;
   if (quantum.ns() == 0) {
@@ -718,17 +434,8 @@ void run_barriers(const std::vector<ChannelSetup>& setups,
         if (setup.empty) {
           return;
         }
-        const bool capture = captures_out[static_cast<std::size_t>(ch)] != 0;
-        auto& slot = runners[static_cast<std::size_t>(ch)];
-        if (replay != nullptr) {
-          slot = std::make_unique<ChannelRunner>(replay_stations,
-                                                 setup.resolved, replay,
-                                                 capture);
-        } else {
-          slot = std::make_unique<ChannelRunner>(setup.sub, setup.resolved,
-                                                 options.engine, capture);
-        }
-        slot->start();
+        runners[static_cast<std::size_t>(ch)] = std::make_unique<ChannelRunner>(
+            setup, captures_out[static_cast<std::size_t>(ch)] != 0);
       });
   for (const BridgeSpec& bridge : options.bridges) {
     ChannelRunner* dest = runners[static_cast<std::size_t>(bridge.to_channel)]
@@ -841,6 +548,23 @@ void run_barriers(const std::vector<ChannelSetup>& setups,
   }
 }
 
+/// Runs the staged channels (free-running, or in barrier mode when bridges
+/// or a sampler need it) and aggregates the fabric result.
+void run_channels(const std::vector<ChannelSetup>& setups, SimTime horizon,
+                  const FabricOptions& options, FabricResult& result) {
+  result.channels.resize(static_cast<std::size_t>(options.channels));
+  if (options.collect_channel_results) {
+    result.full.resize(static_cast<std::size_t>(options.channels));
+  }
+  if (options.bridges.empty() && options.sampler == nullptr) {
+    run_unbridged(setups, horizon, options, result);
+  } else {
+    run_barriers(setups, horizon, options, result);
+  }
+  aggregate_result(result);
+  set_fabric_gauges(result.soa);
+}
+
 }  // namespace
 
 // --- entry points ---------------------------------------------------------
@@ -861,20 +585,8 @@ FabricResult run_fabric(const traffic::Workload& workload,
     stations_per_channel.push_back(setup.empty ? 0 : setup.sub.z());
   }
   result.soa.build(stations_per_channel);
-  result.channels.resize(static_cast<std::size_t>(options.channels));
-  if (options.collect_channel_results) {
-    result.full.resize(static_cast<std::size_t>(options.channels));
-  }
 
-  if (options.bridges.empty() && options.sampler == nullptr) {
-    run_unbridged(setups, options, result);
-  } else {
-    run_barriers(setups, /*replay=*/nullptr, /*replay_stations=*/0,
-                 options.run.arrival_horizon, options, result);
-  }
-
-  aggregate_result(result);
-  set_fabric_gauges(result.soa);
+  run_channels(setups, options.run.arrival_horizon, options, result);
   return result;
 }
 
@@ -902,39 +614,18 @@ FabricResult run_fabric_replay(const std::vector<traffic::Message>& messages,
       static_cast<std::size_t>(options.channels), 0.0);
 
   // Every channel is an identical copy: same stations, same messages, same
-  // resolved options (seeds feed only generators, which replay skips).
-  std::vector<ChannelSetup> setups(static_cast<std::size_t>(options.channels));
-  DdcrRunOptions channel_options = options.run;
-  channel_options.ddcr.static_indices.clear();
-  const DdcrRunOptions resolved = resolve_options(channel_options, stations);
-  for (ChannelSetup& setup : setups) {
-    setup.resolved = resolved;
-  }
+  // options (seeds feed only generators, which replay skips).
+  ChannelSetup setup;
+  setup.options = options.run;
+  setup.options.ddcr.static_indices.clear();
+  setup.replay = &messages;
+  setup.replay_stations = stations;
+  const std::vector<ChannelSetup> setups(
+      static_cast<std::size_t>(options.channels), setup);
 
   result.soa.build(std::vector<int>(static_cast<std::size_t>(options.channels),
                                     stations));
-  result.channels.resize(static_cast<std::size_t>(options.channels));
-  if (options.collect_channel_results) {
-    result.full.resize(static_cast<std::size_t>(options.channels));
-  }
-
-  if (options.bridges.empty() && options.sampler == nullptr) {
-    util::parallel_for_index(
-        options.shards, options.channels, [&](std::int64_t ch) {
-          ChannelRunner runner(stations, resolved, &messages,
-                               /*capture_bridges=*/false);
-          runner.start();
-          runner.advance(horizon);
-          runner.drain(std::max(horizon, resolved.drain_cap));
-          runner.stop();
-          harvest(runner, static_cast<int>(ch), options, result);
-        });
-  } else {
-    run_barriers(setups, &messages, stations, horizon, options, result);
-  }
-
-  aggregate_result(result);
-  set_fabric_gauges(result.soa);
+  run_channels(setups, horizon, options, result);
   return result;
 }
 

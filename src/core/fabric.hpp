@@ -14,16 +14,12 @@
 //    DdcrStation objects. Cold protocol state (tree engines, counters,
 //    queues) stays in DdcrStation; each channel refreshes its SoA
 //    segment at channel completion and at shard barriers.
-//  - sim::TimingWheel + traffic::WorkloadStream (FabricEngine::
-//    kStreamWheel): per-source wakeups live in one O(1) wheel per
-//    channel and arrivals are generated on demand, replacing the
-//    materialize-everything / one-heap-event-per-message scheme
-//    (FabricEngine::kNaiveHeap, kept as the measured baseline). The two
-//    engines are digest-identical: the wheel pump re-schedules itself
-//    with Simulator::schedule_front_at so its events win exactly the
-//    timestamp ties the up-front arrival events would have won.
+//  - One channel runner: every channel is a core::DdcrTestbed, built,
+//    fed and drained exactly as run_ddcr() builds, feeds and drains it
+//    (materialized arrivals, one simulator event per message), so a
+//    fabric channel cannot drift from the single-channel engine.
 //  - Shard placement: channels run on util::ThreadPool workers; each
-//    channel's simulator, stations and arrival streams are constructed,
+//    channel's simulator, stations and arrivals are constructed,
 //    run and destroyed inside its shard task, so first-touch puts a
 //    channel's working set on its worker's NUMA node and it never
 //    migrates. SoA segments are cache-line padded per channel, so
@@ -34,12 +30,14 @@
 //    time T (quantum <= every bridge latency, so a frame captured in
 //    one quantum cannot be due on the peer before the next barrier),
 //    then captured frames are re-injected serially in bridge order:
-//    deterministic, exactly-once, thread-count independent.
+//    deterministic, exactly-once, thread-count independent. Barrier mode
+//    keeps every channel, with its materialized arrivals, alive for the
+//    whole run, so its memory grows with the channel count.
 //
 // Correctness is anchored the same way the epoch compiler's was: a
 // fabric with no bridges must produce bit-identical protocol_digest()
 // chains to run_multi_channel() on the same workload (serial and
-// parallel, either engine), and audit_stride samples channels for full
+// parallel), and audit_stride samples channels for full
 // check::ConformanceComparator audits. See docs/FABRIC.md.
 #pragma once
 
@@ -141,18 +139,6 @@ class StationSoA {
   std::size_t size_ = 0;
 };
 
-/// How a channel's arrival events reach its simulator.
-enum class FabricEngine {
-  /// Streaming WorkloadStream arrivals pumped through one TimingWheel
-  /// per channel: O(sources) live timers, no materialized messages.
-  kStreamWheel,
-  /// The run_ddcr() scheme: generate_traffic() materializes every
-  /// message and schedules one simulator-heap event each. Kept as the
-  /// measured baseline (bench/bench_fabric.cpp) and as an extra
-  /// equivalence axis for the digest pins.
-  kNaiveHeap,
-};
-
 /// A static inter-channel relay: every frame delivered on `from_channel`
 /// is re-enqueued at station `to_source` of `to_channel`, `latency`
 /// after its delivery completes (multi-hop relaying a la TDMH-MAC).
@@ -179,7 +165,6 @@ struct FabricOptions {
   /// Worker count for the shard pool; 1 = serial. Observable results
   /// are shard-count invariant.
   int shards = 1;
-  FabricEngine engine = FabricEngine::kStreamWheel;
   /// Every audit_stride-th channel (0, stride, 2*stride, ...) runs with
   /// conformance_check = true (full check::ConformanceComparator audit).
   /// 0 disables auditing. Requires hrtdm_check linked and the auditor
@@ -250,12 +235,12 @@ struct FabricResult {
 };
 
 /// Runs `workload` over a fabric of `options.channels` CSMA/DDCR
-/// segments (classes partitioned by plan_channels, stations remapped per
-/// channel exactly as run_multi_channel stages them). Without bridges or
-/// a sampler, channels are independent and the per-channel digests are
-/// bit-identical to run_multi_channel() under either engine and any
-/// shard count. With bridges/sampler the fabric runs in barrier mode
-/// (see BridgeSpec); results remain shard-count invariant.
+/// segments (classes partitioned by plan_channels, stations numbered per
+/// channel by channel_workload, exactly as run_multi_channel stages them).
+/// Without bridges or a sampler, channels are independent and the
+/// per-channel digests are bit-identical to run_multi_channel() under any
+/// shard count. With bridges/sampler the fabric runs in barrier mode (see
+/// BridgeSpec); results remain shard-count invariant.
 FabricResult run_fabric(const traffic::Workload& workload,
                         const FabricOptions& options);
 

@@ -73,11 +73,12 @@ traffic::Workload channel_workload(const traffic::Workload& workload,
   sub.name = workload.name + "#ch" + std::to_string(channel);
   for (const auto& src : workload.sources) {
     traffic::SourceSpec filtered;
-    filtered.id = src.id;
+    filtered.id = static_cast<int>(sub.sources.size());
     filtered.name = src.name;
     for (const auto& cls : src.classes) {
       if (std::binary_search(ids.begin(), ids.end(), cls.id)) {
         filtered.classes.push_back(cls);
+        filtered.classes.back().source = filtered.id;
       }
     }
     if (!filtered.classes.empty()) {
@@ -111,17 +112,7 @@ MultiChannelResult run_multi_channel(const traffic::Workload& workload,
   std::vector<traffic::Workload> subs;
   subs.reserve(static_cast<std::size_t>(channels));
   for (int ch = 0; ch < channels; ++ch) {
-    traffic::Workload sub = channel_workload(workload, result.plan, ch);
-    // Station ids must be contiguous from 0 for the per-channel network;
-    // remap while keeping the class ids (metrics stay workload-global).
-    for (std::size_t s = 0; s < sub.sources.size(); ++s) {
-      const int new_id = static_cast<int>(s);
-      for (auto& cls : sub.sources[s].classes) {
-        cls.source = new_id;
-      }
-      sub.sources[s].id = new_id;
-    }
-    subs.push_back(std::move(sub));
+    subs.push_back(channel_workload(workload, result.plan, ch));
   }
 
   result.per_channel.resize(static_cast<std::size_t>(channels));

@@ -33,9 +33,11 @@ struct ChannelPlan {
 /// on the currently lightest channel (LPT scheduling).
 ChannelPlan plan_channels(const traffic::Workload& workload, int channels);
 
-/// The sub-workload of one channel under a plan: sources keep their ids;
-/// sources with no class on the channel are dropped (they do not attach a
-/// station there).
+/// The sub-workload of one channel under a plan. Sources with no class on
+/// the channel are dropped (they do not attach a station there); the rest
+/// are renumbered 0..n-1 in workload order (src.id and cls.source), since
+/// a channel's station ids are contiguous. Class ids are kept, so metrics
+/// stay workload-global.
 traffic::Workload channel_workload(const traffic::Workload& workload,
                                    const ChannelPlan& plan, int channel);
 

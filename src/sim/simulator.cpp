@@ -28,8 +28,8 @@ void Simulator::release_slot(std::uint32_t index) {
   --live_events_;
 }
 
-EventHandle Simulator::schedule_impl(SimTime at, Callback fn,
-                                     const char* label, bool front) {
+EventHandle Simulator::schedule_at(SimTime at, Callback fn,
+                                   const char* label) {
   HRTDM_EXPECT(at >= now_, "cannot schedule into the past");
   HRTDM_EXPECT(static_cast<bool>(fn), "event callback must be callable");
   if (!watchers_.empty()) {
@@ -43,18 +43,8 @@ EventHandle Simulator::schedule_impl(SimTime at, Callback fn,
   event.fn = std::move(fn);
   event.label = label;
   ++live_events_;
-  queue_.push(QueueEntry{at, seq, index, front});
+  queue_.push(QueueEntry{at, seq, index});
   return EventHandle{index, seq};
-}
-
-EventHandle Simulator::schedule_at(SimTime at, Callback fn,
-                                   const char* label) {
-  return schedule_impl(at, std::move(fn), label, false);
-}
-
-EventHandle Simulator::schedule_front_at(SimTime at, Callback fn,
-                                         const char* label) {
-  return schedule_impl(at, std::move(fn), label, true);
 }
 
 EventHandle Simulator::schedule_after(Duration delay, Callback fn,

@@ -74,18 +74,6 @@ class Simulator {
   EventHandle schedule_at(SimTime at, Callback fn,
                           const char* label = nullptr);
 
-  /// Schedules `fn` at `at` in the *front* class: at equal timestamps a
-  /// front event fires before every normal event, regardless of scheduling
-  /// order (front events keep FIFO order among themselves). This exists for
-  /// mid-run feeders that must reproduce the tie order of events scheduled
-  /// before the run started — core::Fabric's streaming arrival pump
-  /// re-schedules itself during the run but must still beat same-timestamp
-  /// slot events, exactly like the up-front per-message arrival events it
-  /// replaces. Watcher notification and cancellation work as for
-  /// schedule_at.
-  EventHandle schedule_front_at(SimTime at, Callback fn,
-                                const char* label = nullptr);
-
   /// Schedules `fn` after `delay` (>= 0) from now.
   EventHandle schedule_after(Duration delay, Callback fn,
                              const char* label = nullptr);
@@ -133,18 +121,13 @@ class Simulator {
     SimTime at;
     std::uint64_t seq;  ///< FIFO tie-break at equal timestamps
     std::uint32_t index;
-    bool front;  ///< front-class events win ties against normal events
   };
   struct EntryOrder {
-    // std::priority_queue is a max-heap; invert for earliest-first, with
-    // front-class events ahead of normal ones at equal timestamps and FIFO
-    // tie-breaking on the sequence number within each class.
+    // std::priority_queue is a max-heap; invert for earliest-first with
+    // FIFO tie-breaking on the sequence number.
     bool operator()(const QueueEntry& a, const QueueEntry& b) const {
       if (a.at != b.at) {
         return a.at > b.at;
-      }
-      if (a.front != b.front) {
-        return b.front;  // b is front-class: a fires after it
       }
       return a.seq > b.seq;
     }
@@ -155,8 +138,6 @@ class Simulator {
     SimTime horizon;
   };
 
-  EventHandle schedule_impl(SimTime at, Callback fn, const char* label,
-                            bool front);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   void notify_watchers(SimTime at);

@@ -6,107 +6,136 @@
 
 namespace hrtdm::traffic {
 
-namespace {
-
-void check_class(const MessageClass& cls) {
-  HRTDM_EXPECT(cls.a >= 1, "arrival bound a must be >= 1");
-  HRTDM_EXPECT(cls.w > Duration::nanoseconds(0), "window w must be positive");
-  HRTDM_EXPECT(cls.d > Duration::nanoseconds(0), "deadline d must be positive");
+ArrivalStream::ArrivalStream(const MessageClass& cls, ArrivalKind kind,
+                             SimTime horizon, Rng rng)
+    : cls_(cls), kind_(kind), horizon_(horizon), rng_(rng) {
+  HRTDM_EXPECT(cls_.a >= 1, "arrival bound a must be >= 1");
+  HRTDM_EXPECT(cls_.w > Duration::nanoseconds(0), "window w must be positive");
+  HRTDM_EXPECT(cls_.d > Duration::nanoseconds(0),
+               "deadline d must be positive");
+  switch (kind_) {
+    case ArrivalKind::kSaturatingAdversary:
+      window_ = SimTime::zero();
+      break;
+    case ArrivalKind::kPeriodicJitter:
+      period_ = cls_.w / cls_.a;
+      HRTDM_EXPECT(period_ > Duration::nanoseconds(0), "period underflow");
+      max_extra_ = std::max<std::int64_t>(period_.ns() / 5, 0);
+      at_ = SimTime::zero();
+      break;
+    case ArrivalKind::kSporadic:
+      period_ = cls_.w / cls_.a;
+      at_ = SimTime::zero();
+      break;
+    case ArrivalKind::kBoundedPoisson:
+      rate_ = static_cast<double>(cls_.a) / cls_.w.to_seconds();
+      ring_.resize(static_cast<std::size_t>(cls_.a));
+      at_ = SimTime::zero() +
+            Duration::from_seconds(rng_.exponential(rate_));
+      break;
+  }
+  prime();
 }
 
-std::vector<SimTime> saturating(const MessageClass& cls, SimTime horizon) {
-  // `a` arrivals at the very start of every window. Separating the burst
-  // members by 1 ns keeps timestamps distinct (and the density bound intact:
-  // any window of length w still sees exactly a of them).
-  std::vector<SimTime> times;
-  for (SimTime window = SimTime::zero(); window < horizon;
-       window += cls.w) {
-    for (std::int64_t i = 0; i < cls.a; ++i) {
-      const SimTime at = window + Duration::nanoseconds(i);
-      if (at < horizon) {
-        times.push_back(at);
+SimTime ArrivalStream::peek() const {
+  HRTDM_EXPECT(has_next_, "peek() past the end of the stream");
+  return next_;
+}
+
+SimTime ArrivalStream::take() {
+  HRTDM_EXPECT(has_next_, "take() past the end of the stream");
+  const SimTime at = next_;
+  ++emitted_;
+  prime();
+  return at;
+}
+
+void ArrivalStream::prime() {
+  has_next_ = false;
+  switch (kind_) {
+    case ArrivalKind::kSaturatingAdversary:
+      // `a` arrivals at the very start of every window. Separating the
+      // burst members by 1 ns keeps timestamps distinct (and the density
+      // bound intact: any window of length w still sees exactly a of
+      // them). Burst members at/after the horizon are skipped, not a stop:
+      // the cursor scans the full burst before moving to the next window.
+      while (window_ < horizon_) {
+        while (burst_i_ < cls_.a) {
+          const SimTime at = window_ + Duration::nanoseconds(burst_i_);
+          ++burst_i_;
+          if (at < horizon_) {
+            next_ = at;
+            has_next_ = true;
+            return;
+          }
+        }
+        burst_i_ = 0;
+        window_ += cls_.w;
       }
-    }
+      return;
+    case ArrivalKind::kPeriodicJitter:
+      // Nominal spacing w/a with a non-negative random gap extension of up
+      // to 20% of the period, drawn once per emitted arrival, after the
+      // emission. Gap jitter (as opposed to per-arrival phase slip) can
+      // only stretch inter-arrival distances, so any window of length w
+      // still holds at most `a` arrivals.
+      if (at_ >= horizon_) {
+        return;
+      }
+      next_ = at_;
+      has_next_ = true;
+      at_ += period_ + Duration::nanoseconds(
+                           max_extra_ > 0 ? rng_.uniform_i64(0, max_extra_)
+                                          : 0);
+      return;
+    case ArrivalKind::kSporadic:
+      // Minimum inter-arrival w/a plus an exponential extension with mean
+      // 0.5 * w/a; strictly sparser than the saturating adversary.
+      if (at_ >= horizon_) {
+        return;
+      }
+      next_ = at_;
+      has_next_ = true;
+      {
+        const double extra_s =
+            rng_.exponential(2.0 / std::max(period_.to_seconds(), 1e-12));
+        at_ += period_ + Duration::from_seconds(extra_s);
+      }
+      return;
+    case ArrivalKind::kBoundedPoisson:
+      // Poisson at the nominal rate a/w, then thinned: a candidate that
+      // would be the (a+1)-th inside some window of length w is dropped.
+      // ring_[accepted_ % a] holds the (accepted_ - a)-th accepted time;
+      // the inter-arrival draw happens once per candidate, after the
+      // accept/drop decision.
+      while (at_ < horizon_) {
+        const bool violates =
+            accepted_ >= cls_.a &&
+            at_ - ring_[static_cast<std::size_t>(accepted_ % cls_.a)] <
+                cls_.w;
+        const SimTime at = at_;
+        at_ += Duration::from_seconds(rng_.exponential(rate_));
+        if (!violates) {
+          ring_[static_cast<std::size_t>(accepted_ % cls_.a)] = at;
+          ++accepted_;
+          next_ = at;
+          has_next_ = true;
+          return;
+        }
+      }
+      return;
   }
-  return times;
 }
-
-std::vector<SimTime> periodic_jitter(const MessageClass& cls, SimTime horizon,
-                                     Rng& rng) {
-  // Nominal spacing w/a with a non-negative random gap extension of up to
-  // 20% of the period. Gap jitter (as opposed to per-arrival phase slip)
-  // can only stretch inter-arrival distances, so any window of length w
-  // still holds at most `a` arrivals.
-  const Duration period = cls.w / cls.a;
-  HRTDM_EXPECT(period > Duration::nanoseconds(0), "period underflow");
-  const std::int64_t max_extra = std::max<std::int64_t>(period.ns() / 5, 0);
-  std::vector<SimTime> times;
-  SimTime at = SimTime::zero();
-  while (at < horizon) {
-    times.push_back(at);
-    at += period + Duration::nanoseconds(
-                       max_extra > 0 ? rng.uniform_i64(0, max_extra) : 0);
-  }
-  return times;
-}
-
-std::vector<SimTime> sporadic(const MessageClass& cls, SimTime horizon,
-                              Rng& rng) {
-  // Minimum inter-arrival w/a plus an exponential extension with mean
-  // 0.5 * w/a; strictly sparser than the saturating adversary.
-  const Duration min_gap = cls.w / cls.a;
-  std::vector<SimTime> times;
-  SimTime at = SimTime::zero();
-  while (at < horizon) {
-    times.push_back(at);
-    const double extra_s =
-        rng.exponential(2.0 / std::max(min_gap.to_seconds(), 1e-12));
-    at += min_gap + Duration::from_seconds(extra_s);
-  }
-  return times;
-}
-
-std::vector<SimTime> bounded_poisson(const MessageClass& cls, SimTime horizon,
-                                     Rng& rng) {
-  // Poisson at the nominal rate a/w, then thinned: an arrival that would be
-  // the (a+1)-th inside some window of length w is dropped.
-  const double rate = static_cast<double>(cls.a) / cls.w.to_seconds();
-  std::vector<SimTime> times;
-  SimTime at = SimTime::zero() + Duration::from_seconds(rng.exponential(rate));
-  while (at < horizon) {
-    const std::size_t n = times.size();
-    const bool violates =
-        n >= static_cast<std::size_t>(cls.a) &&
-        at - times[n - static_cast<std::size_t>(cls.a)] < cls.w;
-    if (!violates) {
-      times.push_back(at);
-    }
-    at += Duration::from_seconds(rng.exponential(rate));
-  }
-  return times;
-}
-
-}  // namespace
 
 std::vector<SimTime> generate_arrivals(const MessageClass& cls,
                                        ArrivalKind kind, SimTime horizon,
                                        Rng& rng) {
-  check_class(cls);
+  ArrivalStream stream(cls, kind, horizon, rng);
   std::vector<SimTime> times;
-  switch (kind) {
-    case ArrivalKind::kSaturatingAdversary:
-      times = saturating(cls, horizon);
-      break;
-    case ArrivalKind::kPeriodicJitter:
-      times = periodic_jitter(cls, horizon, rng);
-      break;
-    case ArrivalKind::kSporadic:
-      times = sporadic(cls, horizon, rng);
-      break;
-    case ArrivalKind::kBoundedPoisson:
-      times = bounded_poisson(cls, horizon, rng);
-      break;
+  while (!stream.done()) {
+    times.push_back(stream.take());
   }
+  rng = stream.rng();
   HRTDM_ENSURE(std::is_sorted(times.begin(), times.end()),
                "arrival times must be sorted");
   HRTDM_ENSURE(respects_density(times, cls.a, cls.w),

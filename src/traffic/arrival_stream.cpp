@@ -1,155 +1,8 @@
 #include "traffic/arrival_stream.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace hrtdm::traffic {
-
-ArrivalStream::ArrivalStream(const MessageClass& cls, ArrivalKind kind,
-                             SimTime horizon, Rng rng)
-    : cls_(cls), kind_(kind), horizon_(horizon), rng_(rng) {
-  HRTDM_EXPECT(cls_.a >= 1, "arrival bound a must be >= 1");
-  HRTDM_EXPECT(cls_.w > Duration::nanoseconds(0), "window w must be positive");
-  HRTDM_EXPECT(cls_.d > Duration::nanoseconds(0),
-               "deadline d must be positive");
-  switch (kind_) {
-    case ArrivalKind::kSaturatingAdversary:
-      window_ = SimTime::zero();
-      break;
-    case ArrivalKind::kPeriodicJitter:
-      period_ = cls_.w / cls_.a;
-      HRTDM_EXPECT(period_ > Duration::nanoseconds(0), "period underflow");
-      max_extra_ = std::max<std::int64_t>(period_.ns() / 5, 0);
-      at_ = SimTime::zero();
-      break;
-    case ArrivalKind::kSporadic:
-      period_ = cls_.w / cls_.a;
-      at_ = SimTime::zero();
-      break;
-    case ArrivalKind::kBoundedPoisson:
-      rate_ = static_cast<double>(cls_.a) / cls_.w.to_seconds();
-      ring_.resize(static_cast<std::size_t>(cls_.a));
-      at_ = SimTime::zero() +
-            Duration::from_seconds(rng_.exponential(rate_));
-      break;
-  }
-  prime();
-}
-
-SimTime ArrivalStream::peek() const {
-  HRTDM_EXPECT(has_next_, "peek() past the end of the stream");
-  return next_;
-}
-
-SimTime ArrivalStream::take() {
-  HRTDM_EXPECT(has_next_, "take() past the end of the stream");
-  const SimTime at = next_;
-  ++emitted_;
-  prime();
-  return at;
-}
-
-void ArrivalStream::prime() {
-  has_next_ = false;
-  switch (kind_) {
-    case ArrivalKind::kSaturatingAdversary:
-      // Mirrors saturating(): the inner loop skips (not breaks on) burst
-      // members at/after the horizon, so the cursor scans the full burst
-      // before moving to the next window.
-      while (window_ < horizon_) {
-        while (burst_i_ < cls_.a) {
-          const SimTime at = window_ + Duration::nanoseconds(burst_i_);
-          ++burst_i_;
-          if (at < horizon_) {
-            next_ = at;
-            has_next_ = true;
-            return;
-          }
-        }
-        burst_i_ = 0;
-        window_ += cls_.w;
-      }
-      return;
-    case ArrivalKind::kPeriodicJitter:
-      // Mirrors periodic_jitter(): emit, then draw the gap extension —
-      // one draw per emitted arrival, after the emission.
-      if (at_ >= horizon_) {
-        return;
-      }
-      next_ = at_;
-      has_next_ = true;
-      at_ += period_ + Duration::nanoseconds(
-                           max_extra_ > 0 ? rng_.uniform_i64(0, max_extra_)
-                                          : 0);
-      return;
-    case ArrivalKind::kSporadic:
-      if (at_ >= horizon_) {
-        return;
-      }
-      next_ = at_;
-      has_next_ = true;
-      {
-        const double extra_s =
-            rng_.exponential(2.0 / std::max(period_.to_seconds(), 1e-12));
-        at_ += period_ + Duration::from_seconds(extra_s);
-      }
-      return;
-    case ArrivalKind::kBoundedPoisson:
-      // Mirrors bounded_poisson(): ring_[accepted_ % a] holds the
-      // (accepted_ - a)-th accepted time, i.e. exactly the times[n - a]
-      // the materializing thinning check reads; the inter-arrival draw
-      // happens once per candidate, after the accept/drop decision.
-      while (at_ < horizon_) {
-        const bool violates =
-            accepted_ >= cls_.a &&
-            at_ - ring_[static_cast<std::size_t>(accepted_ % cls_.a)] <
-                cls_.w;
-        const SimTime at = at_;
-        at_ += Duration::from_seconds(rng_.exponential(rate_));
-        if (!violates) {
-          ring_[static_cast<std::size_t>(accepted_ % cls_.a)] = at;
-          ++accepted_;
-          next_ = at;
-          has_next_ = true;
-          return;
-        }
-      }
-      return;
-  }
-}
-
-std::int64_t ArrivalStream::count_arrivals(const MessageClass& cls,
-                                           ArrivalKind kind, SimTime horizon,
-                                           Rng rng) {
-  if (kind == ArrivalKind::kSaturatingAdversary) {
-    // Window k (start k*w < h) contributes clamp(h - k*w, 0, a) arrivals;
-    // only windows past (h - a) / w contribute partially, so everything
-    // before that is a single multiplication.
-    const std::int64_t h = horizon.ns();
-    if (h <= 0) {
-      return 0;
-    }
-    const std::int64_t w = cls.w.ns();
-    const std::int64_t windows = (h + w - 1) / w;
-    std::int64_t full = 0;
-    if (h >= cls.a) {
-      full = std::min(windows, (h - cls.a) / w + 1);
-    }
-    std::int64_t count = full * cls.a;
-    for (std::int64_t k = full; k < windows; ++k) {
-      count += std::max<std::int64_t>(0, h - k * w);
-    }
-    return count;
-  }
-  // Random kinds consume the RNG arrival by arrival, so counting means
-  // draining a copy — O(total arrivals) time but O(a) memory.
-  ArrivalStream stream(cls, kind, horizon, rng);
-  while (!stream.done()) {
-    stream.take();
-  }
-  return stream.emitted();
-}
 
 const Message& SourceStream::peek() const {
   HRTDM_EXPECT(has_head_, "peek() past the end of the stream");
@@ -209,12 +62,16 @@ WorkloadStream::WorkloadStream(const Workload& workload, ArrivalKind kind,
       // Same split discipline as generate_traffic(): one child RNG per
       // class, drawn in source-major class order.
       util::Rng class_rng = rng.split();
-      const std::int64_t count =
-          ArrivalStream::count_arrivals(cls, kind, horizon, class_rng);
+      // The next lane's uids start after this lane's last arrival: count
+      // them on a copy of the stream (O(a) memory, nothing materialized).
+      ArrivalStream counter(cls, kind, horizon, class_rng);
+      while (!counter.done()) {
+        counter.take();
+      }
       out.lanes_.push_back(SourceStream::Lane{
           ArrivalStream(cls, kind, horizon, class_rng), next_uid, cls.id,
           cls.source, cls.l_bits, cls.d});
-      next_uid += count;
+      next_uid += counter.emitted();
     }
     out.refresh();
   }

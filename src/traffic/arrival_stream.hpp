@@ -1,81 +1,25 @@
-// Streaming arrival generation.
+// Streamed per-source view of a workload's arrivals.
 //
-// generate_traffic() materialises every message of a run up front — fine
-// for one channel, but a fabric of thousands of channels would hold
-// gigabytes of per-message vectors that each channel consumes exactly
-// once, in order. ArrivalStream replays the arrival.cpp generator loops
-// one arrival at a time with O(1) state (O(a) for the bounded-Poisson
-// thinning ring), and WorkloadStream layers generate_traffic()'s exact
-// RNG-split discipline and uid assignment on top, merging a source's
-// class lanes on the fly. The streams are drop-in equivalent: the i-th
-// message a SourceStream emits is bit-identical (uid, arrival, deadline)
-// to the i-th element of generate_traffic()'s sorted per-source vector
-// for the same (workload, kind, horizon, seed) — core::Fabric's digest
-// pin against the materializing engine depends on this, so any change to
-// the arrival.cpp loops must be mirrored here (and vice versa).
-//
-// The one thing streaming gives up is generate_arrivals()'s whole-vector
-// postconditions (sortedness, respects_density): those stay asserted on
-// the materializing path, which the equivalence tests run side by side.
+// generate_traffic() materialises every message of a run up front.
+// WorkloadStream yields the same messages lazily: one ArrivalStream (the
+// arrival generator, traffic/arrival.hpp) per class, with
+// generate_traffic()'s exact RNG-split discipline and uid assignment, and
+// each source's class lanes merged on the fly. The i-th message a
+// SourceStream emits is bit-identical (uid, class, source, length,
+// arrival, deadline) to the i-th element of generate_traffic()'s sorted
+// per-source vector for the same (workload, kind, horizon, seed).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "traffic/arrival.hpp"
 #include "traffic/message.hpp"
 #include "traffic/workload.hpp"
 #include "util/rng.hpp"
 #include "util/simtime.hpp"
 
 namespace hrtdm::traffic {
-
-/// Lazily yields one class's arrival times, ascending — the same sequence
-/// generate_arrivals() returns for an equal-state `rng`.
-class ArrivalStream {
- public:
-  ArrivalStream(const MessageClass& cls, ArrivalKind kind, SimTime horizon,
-                Rng rng);
-
-  bool done() const { return !has_next_; }
-  /// Next arrival time; done() must be false.
-  SimTime peek() const;
-  /// Returns the next arrival time and advances past it.
-  SimTime take();
-  /// Number of arrivals taken so far (== the index of peek()'s arrival).
-  std::int64_t emitted() const { return emitted_; }
-
-  /// Total arrivals the stream will emit, without materializing them:
-  /// closed-form for the saturating adversary, an O(a)-memory counting
-  /// drain of an `rng` copy for the random kinds.
-  static std::int64_t count_arrivals(const MessageClass& cls,
-                                     ArrivalKind kind, SimTime horizon,
-                                     Rng rng);
-
- private:
-  /// Computes the next arrival into next_ (or marks the stream done),
-  /// advancing the generator cursor — each branch mirrors the
-  /// corresponding loop body in arrival.cpp, including RNG draw order.
-  void prime();
-
-  MessageClass cls_;
-  ArrivalKind kind_;
-  SimTime horizon_;
-  Rng rng_;
-  bool has_next_ = false;
-  SimTime next_;
-  std::int64_t emitted_ = 0;
-
-  // Saturating-adversary cursor.
-  SimTime window_;
-  std::int64_t burst_i_ = 0;
-  // Periodic-jitter / sporadic / Poisson cursor.
-  SimTime at_;
-  Duration period_;             ///< w/a: jitter base period / sporadic min gap
-  std::int64_t max_extra_ = 0;  ///< periodic jitter bound
-  double rate_ = 0.0;           ///< Poisson rate a/w
-  std::vector<SimTime> ring_;   ///< last `a` accepted times (thinning check)
-  std::int64_t accepted_ = 0;
-};
 
 /// One source's merged message stream: class lanes combined by
 /// (arrival, uid), messages carrying generate_traffic()'s exact uids.

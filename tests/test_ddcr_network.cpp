@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/feasibility.hpp"
+#include "check/conformance.hpp"
 #include "traffic/fc_adapter.hpp"
 #include "traffic/workload.hpp"
 #include "util/check.hpp"
@@ -159,6 +160,72 @@ TEST(DdcrNetwork, TestbedInjectValidatesArguments) {
   msg.arrival = SimTime::zero();
   msg.absolute_deadline = SimTime::from_ns(1000);
   EXPECT_THROW(bed.inject(5, msg), util::ContractViolation);
+}
+
+TEST(DdcrNetwork, TestbedHonoursCheckConsistency) {
+  // A testbed built from a station count attaches the consistency checker
+  // when asked to; its verdict is readable on the testbed and its result.
+  auto options = gigabit_options(traffic::quickstart(3));
+  options.check_consistency = true;
+  DdcrTestbed checked(3, options);
+  options.check_consistency = false;
+  DdcrTestbed unchecked(3, options);
+  for (DdcrTestbed* bed : {&checked, &unchecked}) {
+    for (int s = 0; s < 3; ++s) {
+      traffic::Message msg;
+      msg.uid = s;
+      msg.class_id = s;
+      msg.source = s;
+      msg.l_bits = 4'000;
+      msg.arrival = SimTime::from_ns(10'000);
+      msg.absolute_deadline = SimTime::from_ns(5'000'000);
+      bed->inject(s, msg);
+    }
+    bed->run(SimTime::from_ns(2'000'000));
+    EXPECT_TRUE(bed->consistency_ok());
+    // One replica hears a collision nobody else heard: the synced
+    // replicas disagree from the next slot on.
+    net::SlotObservation phantom;
+    phantom.kind = net::SlotKind::kCollision;
+    phantom.slot_end = bed->simulator().now();
+    phantom.slot_start = phantom.slot_end - options.phy.slot_x;
+    bed->station(1).observe(phantom);
+    bed->run(SimTime::from_ns(2'100'000));
+    EXPECT_FALSE(bed->digests_agree());
+    bed->stop();
+  }
+  EXPECT_FALSE(checked.consistency_ok());
+  EXPECT_FALSE(checked.result().consistency_ok);
+  EXPECT_TRUE(unchecked.consistency_ok());  // the check was off
+}
+
+TEST(DdcrNetwork, TestbedRejectsConformanceCheckWithoutWorkload) {
+  // A testbed built from a station count has no generating workload to
+  // audit against: asking for the audit must fail at construction, not
+  // silently skip it, and the message must say what to do instead.
+  ASSERT_TRUE(check::install_conformance_auditor());
+  const Workload wl = traffic::quickstart(2);
+  auto options = gigabit_options(wl);
+  options.conformance_check = true;
+  try {
+    DdcrTestbed bed(2, options);
+    ADD_FAILURE() << "conformance_check was accepted without a workload";
+  } catch (const util::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("DdcrTestbed(workload, options)"),
+              std::string::npos)
+        << e.what();
+  }
+  // Built from the workload, the same options are accepted and audited.
+  DdcrTestbed bed(wl, options);
+  bed.inject(traffic::generate_traffic(wl, options.arrivals,
+                                       options.arrival_horizon, options.seed));
+  bed.advance(options.arrival_horizon);
+  bed.drain(options.drain_cap);
+  bed.stop();
+  const DdcrRunResult result = bed.result();
+  EXPECT_TRUE(result.conformance.checked);
+  EXPECT_TRUE(result.conformance.ok) << result.conformance.summary();
+  EXPECT_EQ(result.protocol_digest, run_ddcr(wl, options).protocol_digest);
 }
 
 }  // namespace

@@ -33,8 +33,11 @@ struct Spec {
   std::int64_t deadline_rel_ns;
 };
 
+// ctest names each case after gtest's byte dump of its param, so a param
+// struct holds no padding (m_time is 64-bit for that): an indeterminate
+// padding byte would rename the test from one build to the next.
 struct TreeShape {
-  int m_time;
+  std::int64_t m_time;
   std::int64_t F;
 };
 
@@ -50,7 +53,7 @@ ReplayCase scenario_case(const std::vector<Spec>& specs, int stations,
   c.phy.slot_x = Duration::nanoseconds(100);
   c.phy.psi_bps = 1e9;
   c.phy.overhead_bits = 0;
-  c.ddcr.m_time = shape.m_time;
+  c.ddcr.m_time = static_cast<int>(shape.m_time);
   c.ddcr.F = shape.F;
   c.ddcr.m_static = 2;
   c.ddcr.q = 4;

@@ -1,8 +1,7 @@
 // core::Fabric conformance pins: a bridge-free fabric must be
 // bit-identical — protocol digest chain, delivered/misses/undelivered —
-// to run_multi_channel() on the same workload, for either arrival engine
-// (streaming wheel vs the materialized heap baseline), any shard count,
-// with the epoch compiler on or off, and in barrier mode. Plus the SoA
+// to run_multi_channel() on the same workload, for any shard count, with
+// the epoch compiler on or off, and in barrier mode. Plus the SoA
 // round-trip, bridge exactly-once delivery, and the replay entry the
 // Shrinker's fabric axis uses.
 #include <gtest/gtest.h>
@@ -54,28 +53,21 @@ void expect_matches_multi_channel(const traffic::Workload& wl,
 }
 
 TEST(Fabric, DigestPinsToMultiChannelBothEnginesAnyShards) {
-  // The tentpole equivalence pin: both fabric engines, serial and
-  // parallel shards, against the reference per-channel engine.
+  // The tentpole equivalence pin: serial and parallel shards against the
+  // reference per-channel engine.
   const auto wl = traffic::stock_exchange(8);
   const auto options = small_options(wl);
   const auto want = run_multi_channel(wl, 3, options);
   ASSERT_NE(want.protocol_digest, 0u);
   ASSERT_GT(want.generated, 0);
 
-  for (const FabricEngine engine :
-       {FabricEngine::kStreamWheel, FabricEngine::kNaiveHeap}) {
-    for (const int shards : {1, 2, 8}) {
-      SCOPED_TRACE(testing::Message()
-                   << (engine == FabricEngine::kStreamWheel ? "stream-wheel"
-                                                            : "naive-heap")
-                   << ", " << shards << " shards");
-      FabricOptions fopts;
-      fopts.run = options;
-      fopts.channels = 3;
-      fopts.shards = shards;
-      fopts.engine = engine;
-      expect_matches_multi_channel(wl, fopts, want);
-    }
+  for (const int shards : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    FabricOptions fopts;
+    fopts.run = options;
+    fopts.channels = 3;
+    fopts.shards = shards;
+    expect_matches_multi_channel(wl, fopts, want);
   }
 }
 
@@ -96,15 +88,11 @@ TEST(Fabric, DigestPinHoldsUnderRandomArrivals) {
   auto options = small_options(wl);
   options.arrivals = traffic::ArrivalKind::kBoundedPoisson;
   const auto want = run_multi_channel(wl, 2, options);
-  for (const FabricEngine engine :
-       {FabricEngine::kStreamWheel, FabricEngine::kNaiveHeap}) {
-    FabricOptions fopts;
-    fopts.run = options;
-    fopts.channels = 2;
-    fopts.shards = 2;
-    fopts.engine = engine;
-    expect_matches_multi_channel(wl, fopts, want);
-  }
+  FabricOptions fopts;
+  fopts.run = options;
+  fopts.channels = 2;
+  fopts.shards = 2;
+  expect_matches_multi_channel(wl, fopts, want);
 }
 
 TEST(Fabric, BarrierModeMatchesFreeRunning) {

@@ -56,12 +56,16 @@ TEST(ChannelWorkload, FiltersSourcesAndKeepsClassIds) {
   for (int ch = 0; ch < 2; ++ch) {
     const auto sub = channel_workload(wl, plan, ch);
     sub.validate();
-    for (const auto& src : sub.sources) {
+    for (std::size_t s = 0; s < sub.sources.size(); ++s) {
+      const auto& src = sub.sources[s];
       EXPECT_FALSE(src.classes.empty());
+      // Sources are renumbered to the channel's contiguous station ids.
+      EXPECT_EQ(src.id, static_cast<int>(s));
       for (const auto& cls : src.classes) {
         const auto& ids =
             plan.classes_per_channel[static_cast<std::size_t>(ch)];
         EXPECT_TRUE(std::binary_search(ids.begin(), ids.end(), cls.id));
+        EXPECT_EQ(cls.source, static_cast<int>(s));
       }
     }
   }

@@ -32,8 +32,10 @@ using traffic::Message;
 using util::Duration;
 using util::SimTime;
 
+// 64-bit m: no padding, so gtest's byte dump of the param — which ctest
+// bakes into the test name — is the same in every build.
 struct TreeShapeParam {
-  int m;
+  std::int64_t m;
   std::int64_t leaves;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "traffic/arrival.hpp"
+#include "traffic/arrival_stream.hpp"
 #include "traffic/fc_adapter.hpp"
 #include "traffic/workload.hpp"
 #include "util/check.hpp"
@@ -43,6 +44,37 @@ TEST_P(ArrivalKinds, DeterministicPerSeed) {
   util::Rng rng_b(7);
   EXPECT_EQ(generate_arrivals(cls, GetParam(), horizon, rng_a),
             generate_arrivals(cls, GetParam(), horizon, rng_b));
+}
+
+TEST_P(ArrivalKinds, WorkloadStreamMatchesGenerateTraffic) {
+  // The streamed per-source view yields exactly generate_traffic()'s
+  // messages, field for field and in the same order.
+  const SimTime horizon = SimTime::from_ns(60'000'000);
+  for (const Workload& wl : {stock_exchange(4), videoconference(3)}) {
+    for (const std::uint64_t seed : {3u, 17u}) {
+      SCOPED_TRACE(wl.name + ", seed " + std::to_string(seed));
+      const GeneratedTraffic want =
+          generate_traffic(wl, GetParam(), horizon, seed);
+      WorkloadStream stream(wl, GetParam(), horizon, seed);
+      EXPECT_EQ(stream.total_messages(), want.total_messages);
+      ASSERT_EQ(stream.num_sources(), wl.z());
+      for (int s = 0; s < stream.num_sources(); ++s) {
+        SourceStream& source = stream.source(s);
+        for (const Message& msg :
+             want.per_source[static_cast<std::size_t>(s)]) {
+          ASSERT_FALSE(source.done()) << "source " << s;
+          const Message got = source.take();
+          EXPECT_EQ(got.uid, msg.uid);
+          EXPECT_EQ(got.class_id, msg.class_id);
+          EXPECT_EQ(got.source, msg.source);
+          EXPECT_EQ(got.l_bits, msg.l_bits);
+          EXPECT_EQ(got.arrival, msg.arrival);
+          EXPECT_EQ(got.absolute_deadline, msg.absolute_deadline);
+        }
+        EXPECT_TRUE(source.done()) << "source " << s;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -134,9 +134,7 @@ DdcrTestbed::DdcrTestbed(int stations, const DdcrRunOptions& options,
   // forensics. Recording never feeds back into protocol state.
   channel_->set_flight_recorder(&recorder_);
   for (int s = 0; s < stations; ++s) {
-    stations_.push_back(std::make_unique<DdcrStation>(
-        s, options_.ddcr,
-        options_.ddcr.static_indices[static_cast<std::size_t>(s)]));
+    stations_.push_back(std::make_unique<DdcrStation>(s, options_.ddcr));
     stations_.back()->set_flight_recorder(&recorder_);
     channel_->attach(*stations_.back());
   }

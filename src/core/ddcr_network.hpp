@@ -198,6 +198,10 @@ class DdcrTestbed {
               const DdcrRunOptions& options);
   /// Out of line: the ChannelTracer member is only forward-declared here.
   ~DdcrTestbed();
+  /// The stations view options_.ddcr and the channel, compiler and
+  /// observers point into the testbed, so it stays where it was built.
+  DdcrTestbed(const DdcrTestbed&) = delete;
+  DdcrTestbed& operator=(const DdcrTestbed&) = delete;
 
   sim::Simulator& simulator() { return simulator_; }
   net::BroadcastChannel& channel() { return *channel_; }
@@ -208,7 +212,8 @@ class DdcrTestbed {
   /// (tests use it to assert the bail-out taxonomy is exhaustive).
   EpochCompiler* epoch_compiler() { return compiler_.get(); }
   int station_count() const { return static_cast<int>(stations_.size()); }
-  /// The options with defaults filled in (static indices allocated).
+  /// The options with defaults filled in (static indices allocated); every
+  /// station views options().ddcr.
   const DdcrRunOptions& options() const { return options_; }
 
   /// Injects a message at the given arrival time (scheduled, not direct).
@@ -273,7 +278,7 @@ class DdcrTestbed {
   void start_once();
 
   sim::Simulator simulator_;
-  DdcrRunOptions options_;
+  DdcrRunOptions options_;  ///< declared before stations_, which view it
   obs::FlightRecorder recorder_;  ///< declared before channel_ (detach order)
   std::unique_ptr<net::BroadcastChannel> channel_;
   std::vector<std::unique_ptr<DdcrStation>> stations_;

@@ -82,14 +82,15 @@ StationSnapshot DdcrStation::snapshot() const {
   return snap;
 }
 
-DdcrStation::DdcrStation(int id, const DdcrConfig& config,
-                         std::vector<std::int64_t> static_indices)
+DdcrStation::DdcrStation(int id, const DdcrConfig& config)
     : id_(id),
       config_(config),
-      my_indices_(std::move(static_indices)),
       time_engine_(config.m_time, config.F, config.infer_last_child),
       static_engine_(config.m_static, config.q, config.infer_last_child) {
   HRTDM_EXPECT(id >= 0, "station id must be non-negative");
+  HRTDM_EXPECT(static_cast<std::size_t>(id) < config.static_indices.size(),
+               "config.static_indices has no entry for this station id");
+  my_indices_ = config.static_indices[static_cast<std::size_t>(id)];
   HRTDM_EXPECT(!my_indices_.empty(), "a source needs >= 1 static index");
   HRTDM_EXPECT(std::is_sorted(my_indices_.begin(), my_indices_.end()),
                "static indices must be ranked increasing");

@@ -19,7 +19,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "core/ddcr_config.hpp"
 #include "core/edf_queue.hpp"
@@ -82,9 +82,13 @@ class DdcrStation final : public net::Station {
     std::int64_t churn_joins = 0;         ///< bring_online() re-entries
   };
 
-  /// `static_indices` is this source's ranked subset of [0, q).
-  DdcrStation(int id, const DdcrConfig& config,
-              std::vector<std::int64_t> static_indices);
+  /// The station keeps a reference to `config`, which must outlive it:
+  /// every station of a channel views the one config its owner resolved.
+  /// Its own indices are config.static_indices[id], a ranked subset of
+  /// [0, q).
+  DdcrStation(int id, const DdcrConfig& config);
+  /// A temporary config would dangle.
+  DdcrStation(int id, const DdcrConfig&& config) = delete;
 
   /// Delivers a message to the local queue (LA runs on arrival).
   void enqueue(const Message& msg);
@@ -142,6 +146,10 @@ class DdcrStation final : public net::Station {
   const EdfQueue& queue() const { return queue_; }
   SimTime reft() const { return reft_; }
   const Counters& counters() const { return counters_; }
+  /// The shared, read-only channel config this station views.
+  const DdcrConfig& config() const { return config_; }
+  /// This source's static indices: a view into config().static_indices.
+  std::span<const std::int64_t> static_indices() const { return my_indices_; }
   /// Digest over the replicated protocol state only (identical across all
   /// stations at every slot boundary).
   std::uint64_t protocol_digest() const;
@@ -220,8 +228,8 @@ class DdcrStation final : public net::Station {
                   std::int64_t a1 = 0, std::int64_t a2 = 0);
 
   int id_;
-  DdcrConfig config_;
-  std::vector<std::int64_t> my_indices_;
+  const DdcrConfig& config_;
+  std::span<const std::int64_t> my_indices_;
 
   EdfQueue queue_;
   Mode mode_ = Mode::kCsmaCd;

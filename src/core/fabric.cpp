@@ -571,11 +571,10 @@ void run_channels(const std::vector<ChannelSetup>& setups, SimTime horizon,
 
 FabricResult run_fabric(const traffic::Workload& workload,
                         const FabricOptions& options) {
-  workload.validate();
   validate_common(options);
 
   FabricResult result;
-  result.plan = plan_channels(workload, options.channels);
+  result.plan = plan_channels(workload, options.channels);  // validates
   const std::vector<ChannelSetup> setups =
       stage_channels(workload, result.plan, options);
 
@@ -612,6 +611,8 @@ FabricResult run_fabric_replay(const std::vector<traffic::Message>& messages,
       static_cast<std::size_t>(options.channels));
   result.plan.load_per_channel.assign(
       static_cast<std::size_t>(options.channels), 0.0);
+  result.plan.sources_per_channel.resize(
+      static_cast<std::size_t>(options.channels));
 
   // Every channel is an identical copy: same stations, same messages, same
   // options (seeds feed only generators, which replay skips).

@@ -28,12 +28,18 @@ ChannelPlan plan_channels(const traffic::Workload& workload, int channels) {
   struct ClassLoad {
     int id;
     double bits_per_second;
+    int source;  ///< position of the owning source in workload.sources
   };
   std::vector<ClassLoad> loads;
-  for (const auto& cls : workload.all_classes()) {
-    loads.push_back({cls.id, static_cast<double>(cls.a) *
-                                 static_cast<double>(cls.l_bits) /
-                                 cls.w.to_seconds()});
+  for (int s = 0; s < workload.z(); ++s) {
+    for (const auto& cls : workload.sources[static_cast<std::size_t>(s)]
+                               .classes) {
+      loads.push_back({cls.id,
+                       static_cast<double>(cls.a) *
+                           static_cast<double>(cls.l_bits) /
+                           cls.w.to_seconds(),
+                       s});
+    }
   }
   // Longest-processing-time greedy: heaviest class onto lightest channel.
   std::sort(loads.begin(), loads.end(),
@@ -48,6 +54,7 @@ ChannelPlan plan_channels(const traffic::Workload& workload, int channels) {
   plan.channels = channels;
   plan.classes_per_channel.resize(static_cast<std::size_t>(channels));
   plan.load_per_channel.assign(static_cast<std::size_t>(channels), 0.0);
+  plan.sources_per_channel.resize(static_cast<std::size_t>(channels));
   for (const ClassLoad& cls : loads) {
     const auto lightest = static_cast<std::size_t>(
         std::min_element(plan.load_per_channel.begin(),
@@ -55,9 +62,15 @@ ChannelPlan plan_channels(const traffic::Workload& workload, int channels) {
         plan.load_per_channel.begin());
     plan.classes_per_channel[lightest].push_back(cls.id);
     plan.load_per_channel[lightest] += cls.bits_per_second;
+    plan.sources_per_channel[lightest].push_back(cls.source);
   }
   for (auto& ids : plan.classes_per_channel) {
     std::sort(ids.begin(), ids.end());
+  }
+  for (auto& positions : plan.sources_per_channel) {
+    std::sort(positions.begin(), positions.end());
+    positions.erase(std::unique(positions.begin(), positions.end()),
+                    positions.end());
   }
   return plan;
 }
@@ -66,12 +79,27 @@ traffic::Workload channel_workload(const traffic::Workload& workload,
                                    const ChannelPlan& plan, int channel) {
   HRTDM_EXPECT(channel >= 0 && channel < plan.channels,
                "channel index out of range");
+  HRTDM_EXPECT(plan.classes_per_channel.size() ==
+                       static_cast<std::size_t>(plan.channels) &&
+                   plan.sources_per_channel.size() ==
+                       static_cast<std::size_t>(plan.channels),
+               "the plan does not cover its channels: build it with "
+               "plan_channels");
   const auto& ids =
       plan.classes_per_channel[static_cast<std::size_t>(channel)];
+  const auto& positions =
+      plan.sources_per_channel[static_cast<std::size_t>(channel)];
 
   traffic::Workload sub;
   sub.name = workload.name + "#ch" + std::to_string(channel);
-  for (const auto& src : workload.sources) {
+  sub.sources.reserve(positions.size());
+  int previous = -1;
+  for (const int pos : positions) {
+    HRTDM_EXPECT(pos > previous && pos < workload.z(),
+                 "the plan's source positions must ascend within the "
+                 "workload: build the plan from this workload");
+    previous = pos;
+    const auto& src = workload.sources[static_cast<std::size_t>(pos)];
     traffic::SourceSpec filtered;
     filtered.id = static_cast<int>(sub.sources.size());
     filtered.name = src.name;
@@ -81,9 +109,10 @@ traffic::Workload channel_workload(const traffic::Workload& workload,
         filtered.classes.back().source = filtered.id;
       }
     }
-    if (!filtered.classes.empty()) {
-      sub.sources.push_back(std::move(filtered));
-    }
+    HRTDM_EXPECT(!filtered.classes.empty(),
+                 "the plan lists a source with no class on this channel: "
+                 "build the plan from this workload");
+    sub.sources.push_back(std::move(filtered));
   }
   return sub;
 }

@@ -24,6 +24,9 @@ struct ChannelPlan {
   std::vector<std::vector<int>> classes_per_channel;
   /// Offered load (bits/s) per channel under the plan.
   std::vector<double> load_per_channel;
+  /// sources_per_channel[i] = ascending positions in workload.sources of
+  /// the sources with at least one class on channel i.
+  std::vector<std::vector<int>> sources_per_channel;
 
   /// Largest/smallest channel load ratio (1.0 = perfectly balanced).
   double imbalance() const;
@@ -37,7 +40,9 @@ ChannelPlan plan_channels(const traffic::Workload& workload, int channels);
 /// the channel are dropped (they do not attach a station there); the rest
 /// are renumbered 0..n-1 in workload order (src.id and cls.source), since
 /// a channel's station ids are contiguous. Class ids are kept, so metrics
-/// stay workload-global.
+/// stay workload-global. Only the channel's plan.sources_per_channel
+/// entries are visited, so staging every channel is linear in the
+/// workload.
 traffic::Workload channel_workload(const traffic::Workload& workload,
                                    const ChannelPlan& plan, int channel);
 

@@ -89,10 +89,10 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   sim::Simulator simulator;
   net::BroadcastChannel channel(simulator, options.phy,
                                 net::CollisionMode::kDestructive);
+  // The stations view `config`, declared above them so it outlives them.
   std::vector<std::unique_ptr<DdcrStation>> stations;
   for (int s = 0; s < options.stations; ++s) {
-    stations.push_back(std::make_unique<DdcrStation>(
-        s, config, config.static_indices[static_cast<std::size_t>(s)]));
+    stations.push_back(std::make_unique<DdcrStation>(s, config));
     channel.attach(*stations.back());
   }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "analysis/feasibility.hpp"
 #include "check/conformance.hpp"
 #include "traffic/fc_adapter.hpp"
@@ -197,6 +199,31 @@ TEST(DdcrNetwork, TestbedHonoursCheckConsistency) {
   EXPECT_FALSE(checked.consistency_ok());
   EXPECT_FALSE(checked.result().consistency_ok);
   EXPECT_TRUE(unchecked.consistency_ok());  // the check was off
+}
+
+TEST(DdcrNetwork, StationsViewOneSharedConfig) {
+  // The static-index table is one constant per channel: every station
+  // reads the testbed's resolved config and views its own row of it, so
+  // station memory stays O(z) per channel instead of O(z^2).
+  static_assert(!std::is_constructible_v<DdcrStation, int, DdcrConfig>,
+                "a temporary config must not bind: the station would "
+                "dangle");
+  constexpr int kStations = 1000;
+  auto options = gigabit_options(traffic::quickstart(2));
+  options.ddcr.q = 1024;
+  DdcrTestbed bed(kStations, options);
+  const DdcrConfig& shared = bed.options().ddcr;
+  ASSERT_EQ(shared.static_indices.size(),
+            static_cast<std::size_t>(kStations));
+  for (int i = 0; i < kStations; ++i) {
+    const DdcrStation& station = bed.station(i);
+    ASSERT_EQ(&station.config(), &shared) << "station " << i;
+    ASSERT_EQ(station.static_indices().data(),
+              shared.static_indices[static_cast<std::size_t>(i)].data())
+        << "station " << i;
+    ASSERT_EQ(station.static_indices().size(),
+              shared.static_indices[static_cast<std::size_t>(i)].size());
+  }
 }
 
 TEST(DdcrNetwork, TestbedRejectsConformanceCheckWithoutWorkload) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "traffic/workload.hpp"
 #include "util/check.hpp"
@@ -70,6 +74,115 @@ TEST(ChannelWorkload, FiltersSourcesAndKeepsClassIds) {
     }
   }
   EXPECT_THROW(channel_workload(wl, plan, 2), util::ContractViolation);
+}
+
+/// The full-scan staging channel_workload replaced: every source of the
+/// workload, filtered to the channel's classes.
+traffic::Workload full_scan_channel_workload(const traffic::Workload& wl,
+                                             const ChannelPlan& plan,
+                                             int channel) {
+  const auto& ids =
+      plan.classes_per_channel[static_cast<std::size_t>(channel)];
+  traffic::Workload sub;
+  sub.name = wl.name + "#ch" + std::to_string(channel);
+  for (const auto& src : wl.sources) {
+    traffic::SourceSpec filtered;
+    filtered.id = static_cast<int>(sub.sources.size());
+    filtered.name = src.name;
+    for (const auto& cls : src.classes) {
+      if (std::binary_search(ids.begin(), ids.end(), cls.id)) {
+        filtered.classes.push_back(cls);
+        filtered.classes.back().source = filtered.id;
+      }
+    }
+    if (!filtered.classes.empty()) {
+      sub.sources.push_back(std::move(filtered));
+    }
+  }
+  return sub;
+}
+
+TEST(ChannelWorkload, SourceIndexMatchesFullScan) {
+  // Multi-class sources; the last two plans split some source's classes
+  // over several channels, the first two keep each source on one.
+  const std::pair<traffic::Workload, int> cases[] = {
+      {traffic::stock_exchange(6), 3},
+      {traffic::quickstart(4), 4},
+      {traffic::stock_exchange(6), 4},
+      {traffic::quickstart(4), 3}};
+  int split_sources = 0;
+  for (const auto& [wl, channels] : cases) {
+    SCOPED_TRACE(wl.name + " over " + std::to_string(channels));
+    const auto plan = plan_channels(wl, channels);
+    ASSERT_EQ(plan.sources_per_channel.size(),
+              static_cast<std::size_t>(channels));
+    std::vector<int> channels_of_source(wl.sources.size(), 0);
+    for (const auto& positions : plan.sources_per_channel) {
+      for (const int pos : positions) {
+        ++channels_of_source[static_cast<std::size_t>(pos)];
+      }
+    }
+    split_sources += static_cast<int>(
+        std::count_if(channels_of_source.begin(), channels_of_source.end(),
+                      [](int n) { return n > 1; }));
+    for (int ch = 0; ch < channels; ++ch) {
+      const auto sub = channel_workload(wl, plan, ch);
+      const auto ref = full_scan_channel_workload(wl, plan, ch);
+      EXPECT_EQ(sub.name, ref.name);
+      ASSERT_EQ(sub.sources.size(), ref.sources.size()) << "channel " << ch;
+      for (std::size_t s = 0; s < ref.sources.size(); ++s) {
+        const auto& got = sub.sources[s];
+        const auto& want = ref.sources[s];
+        EXPECT_EQ(got.id, want.id);
+        EXPECT_EQ(got.name, want.name);
+        ASSERT_EQ(got.classes.size(), want.classes.size());
+        for (std::size_t c = 0; c < want.classes.size(); ++c) {
+          EXPECT_EQ(got.classes[c].id, want.classes[c].id);
+          EXPECT_EQ(got.classes[c].name, want.classes[c].name);
+          EXPECT_EQ(got.classes[c].source, want.classes[c].source);
+          EXPECT_EQ(got.classes[c].l_bits, want.classes[c].l_bits);
+          EXPECT_EQ(got.classes[c].d, want.classes[c].d);
+          EXPECT_EQ(got.classes[c].a, want.classes[c].a);
+          EXPECT_EQ(got.classes[c].w, want.classes[c].w);
+        }
+      }
+    }
+  }
+  EXPECT_GT(split_sources, 0);
+}
+
+TEST(ChannelWorkload, RejectsASourceIndexThatDoesNotFitTheWorkload) {
+  const auto wl = traffic::stock_exchange(6);
+  const auto plan = plan_channels(wl, 3);
+  const auto& listed = plan.sources_per_channel[0];
+  ASSERT_FALSE(listed.empty());
+
+  auto out_of_range = plan;
+  out_of_range.sources_per_channel[0].push_back(wl.z());
+  EXPECT_THROW(channel_workload(wl, out_of_range, 0), util::ContractViolation);
+
+  auto repeated = plan;
+  repeated.sources_per_channel[0].push_back(listed.back());
+  EXPECT_THROW(channel_workload(wl, repeated, 0), util::ContractViolation);
+
+  // A source with no class on channel 0, listed there anyway.
+  int stranger = -1;
+  for (int s = 0; s < wl.z() && stranger < 0; ++s) {
+    if (!std::binary_search(listed.begin(), listed.end(), s)) {
+      stranger = s;
+    }
+  }
+  ASSERT_GE(stranger, 0) << "every source has a class on channel 0";
+  auto foreign = plan;
+  auto& positions = foreign.sources_per_channel[0];
+  positions.insert(std::lower_bound(positions.begin(), positions.end(),
+                                    stranger),
+                   stranger);
+  EXPECT_THROW(channel_workload(wl, foreign, 0), util::ContractViolation);
+
+  auto unindexed = plan;
+  unindexed.sources_per_channel.clear();
+  EXPECT_THROW(channel_workload(wl, unindexed, 0), util::ContractViolation);
 }
 
 TEST(MultiChannel, AggregatesMatchPerChannelRuns) {

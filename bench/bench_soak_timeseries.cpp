@@ -15,6 +15,7 @@
 // invariant (components must sum to the observed latency exactly).
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,7 @@ core::DdcrRunOptions soak_options(const SoakConfig& soak) {
 traffic::Message make_message(const SoakConfig& soak, int source, int round,
                               std::int64_t uid) {
   // Four deadline classes spread across the TTs horizon so the per-class
-  // latency histograms (latency.class_<k>) populate distinct series.
+  // latency histograms (ClassLatencyHistograms) populate distinct series.
   static constexpr std::int64_t kDeadlineNs[] = {6'000, 8'000, 12'000,
                                                  15'000};
   traffic::Message msg;
@@ -90,6 +91,38 @@ traffic::Message make_message(const SoakConfig& soak, int source, int round,
       msg.arrival + Duration::nanoseconds(kDeadlineNs[msg.class_id]);
   return msg;
 }
+
+#if !defined(HRTDM_OBS_OFF)
+/// Per-deadline-class latency histograms ("latency.class_<k>") for the
+/// Sampler's quantile series. The library records one class-independent
+/// latency.delivery_ns histogram, so this soak registers its own per-class
+/// family, each class on its first delivery.
+class ClassLatencyHistograms final : public net::ChannelObserver {
+ public:
+  void on_slot(const net::SlotRecord& record) override {
+    if (record.kind != net::SlotKind::kSuccess || !record.frame.has_value()) {
+      return;
+    }
+    obs::Histogram*& hist = hists_[record.frame->class_id];
+    if (hist == nullptr) {
+      hist = &obs::Registry::global().histogram(
+          "latency.class_" + std::to_string(record.frame->class_id));
+    }
+    hist->observe((record.end - record.frame->enqueue_time).ns());
+  }
+
+  /// Idle gaps hold only silence.
+  void on_idle_gap(std::int64_t slots, SimTime first_start,
+                   Duration slot_x) override {
+    (void)slots;
+    (void)first_start;
+    (void)slot_x;
+  }
+
+ private:
+  std::map<int, obs::Histogram*> hists_;
+};
+#endif
 
 }  // namespace
 
@@ -115,6 +148,10 @@ int main(int argc, char** argv) {
       "soak: drift + churn + Gilbert-Elliott, sampled time-series").c_str());
 
   core::DdcrTestbed bed(soak.stations, options);
+#if !defined(HRTDM_OBS_OFF)
+  ClassLatencyHistograms class_latency;
+  bed.channel().add_observer(class_latency);
+#endif
 
   // Hostile axes: two drifted clocks that can cross the x/2 mis-sampling
   // threshold, plus memoryless churn over the first two thirds of the

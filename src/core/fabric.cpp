@@ -245,15 +245,17 @@ class ChannelRunner {
   int station_count() const { return bed_->station_count(); }
   bool audited() const { return bed_->options().conformance_check; }
 
-  /// Lean summary; call after stop().
+  /// Lean summary: reads the collector's running tallies instead of
+  /// summarizing its log, so its cost does not grow with deliveries or
+  /// classes. Call after stop().
   FabricChannelSummary summarize() {
     FabricChannelSummary s;
     s.stations = bed_->station_count();
     s.generated = bed_->injected();
-    const MetricsSummary m = bed_->metrics().summarize();
-    s.delivered = m.delivered;
-    s.misses = m.misses;
-    s.worst_latency_s = m.worst_latency_s;
+    const MetricsCollector& metrics = bed_->metrics();
+    s.delivered = static_cast<std::int64_t>(metrics.log().size());
+    s.misses = metrics.misses();
+    s.worst_latency_s = metrics.worst_latency_s();
     s.undelivered = bed_->queued();
     s.utilization = bed_->channel().utilization();
     const net::ChannelStats& stats = bed_->channel().stats();

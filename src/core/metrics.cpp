@@ -1,8 +1,8 @@
 #include "core/metrics.hpp"
 
 #include <algorithm>
-#include <string>
 
+#include "obs/registry.hpp"
 #include "util/check.hpp"
 
 namespace hrtdm::core {
@@ -26,17 +26,15 @@ void MetricsCollector::on_slot(const net::SlotRecord& record) {
       tx.tx_start = record.start;
       tx.completed = record.end;
       tx.in_burst = record.in_burst;
-#if !defined(HRTDM_OBS_OFF)
-      // Per-deadline-class latency distribution for the soak Sampler's
-      // quantile time series (docs/OBSERVABILITY.md); registered lazily the
-      // first time a class delivers.
-      obs::Histogram*& hist = class_hist_[tx.class_id];
-      if (hist == nullptr) {
-        hist = &obs::Registry::global().histogram(
-            "latency.class_" + std::to_string(tx.class_id));
+      const util::Duration latency = tx.completed - tx.arrival;
+      // One histogram whatever the class count (docs/OBSERVABILITY.md).
+      HRTDM_OBSERVE("latency.delivery_ns", latency.ns());
+      if (tx.completed > tx.deadline) {
+        ++misses_;
       }
-      hist->observe((tx.completed - tx.arrival).ns());
-#endif
+      if (log_.empty() || latency > worst_latency_) {
+        worst_latency_ = latency;
+      }
       log_.push_back(tx);
       return;
     }
@@ -161,7 +159,6 @@ MetricsSummary MetricsCollector::summarize() const {
     cls.class_id = tx.class_id;
     ++cls.delivered;
     if (tx.completed > tx.deadline) {
-      ++summary.misses;
       ++cls.misses;
     }
     class_latency[tx.class_id].add(latency);
@@ -172,9 +169,10 @@ MetricsSummary MetricsCollector::summarize() const {
     cls.p99_latency_s = samples.percentile(99.0);
     cls.worst_latency_s = samples.max();
   }
+  summary.misses = misses_;
+  summary.worst_latency_s = worst_latency_s();
   if (latencies.count() > 0) {
     summary.mean_latency_s = latencies.mean();
-    summary.worst_latency_s = latencies.max();
     summary.p99_latency_s = latencies.percentile(99.0);
   }
   // Jain's index over per-source delivery counts:

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "net/channel.hpp"
-#include "obs/registry.hpp"
 #include "util/simtime.hpp"
 #include "util/stats.hpp"
 
@@ -75,6 +74,10 @@ class MetricsCollector final : public net::ChannelObserver {
 
   const std::vector<TxRecord>& log() const { return log_; }
 
+  /// Running totals, O(1) to read; summarize() reports the same values.
+  std::int64_t misses() const { return misses_; }
+  double worst_latency_s() const { return worst_latency_.to_seconds(); }
+
   /// Aggregates the transmission log (O(n log n), dominated by the
   /// inversion count).
   MetricsSummary summarize() const;
@@ -83,10 +86,8 @@ class MetricsCollector final : public net::ChannelObserver {
   std::vector<TxRecord> log_;
   std::int64_t silence_slots_ = 0;
   std::int64_t collision_slots_ = 0;
-  /// Registry-owned per-deadline-class latency histograms
-  /// ("latency.class_<k>", polled by obs::Sampler during soaks); cached
-  /// here because the macro static caches only work for literal names.
-  std::map<int, obs::Histogram*> class_hist_;
+  std::int64_t misses_ = 0;  ///< deliveries with completed > deadline
+  util::Duration worst_latency_;  ///< zero until the first delivery
 };
 
 /// Counts deadline inversions over a completion-ordered transmission log.

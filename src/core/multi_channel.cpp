@@ -1,8 +1,10 @@
 #include "core/multi_channel.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <map>
+#include <queue>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -55,14 +57,20 @@ ChannelPlan plan_channels(const traffic::Workload& workload, int channels) {
   plan.classes_per_channel.resize(static_cast<std::size_t>(channels));
   plan.load_per_channel.assign(static_cast<std::size_t>(channels), 0.0);
   plan.sources_per_channel.resize(static_cast<std::size_t>(channels));
+  // Min-heap of (load, channel): the top is the lightest channel, ties to
+  // the lowest index, the same pick as a first-minimum linear scan.
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> lightest;
+  for (std::size_t ch = 0; ch < plan.load_per_channel.size(); ++ch) {
+    lightest.emplace(0.0, ch);
+  }
   for (const ClassLoad& cls : loads) {
-    const auto lightest = static_cast<std::size_t>(
-        std::min_element(plan.load_per_channel.begin(),
-                         plan.load_per_channel.end()) -
-        plan.load_per_channel.begin());
-    plan.classes_per_channel[lightest].push_back(cls.id);
-    plan.load_per_channel[lightest] += cls.bits_per_second;
-    plan.sources_per_channel[lightest].push_back(cls.source);
+    const std::size_t ch = lightest.top().second;
+    lightest.pop();
+    plan.classes_per_channel[ch].push_back(cls.id);
+    plan.load_per_channel[ch] += cls.bits_per_second;
+    plan.sources_per_channel[ch].push_back(cls.source);
+    lightest.emplace(plan.load_per_channel[ch], ch);
   }
   for (auto& ids : plan.classes_per_channel) {
     std::sort(ids.begin(), ids.end());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "util/check.hpp"
 
@@ -18,15 +17,16 @@ std::vector<MessageClass> Workload::all_classes() const {
 
 void Workload::validate() const {
   HRTDM_EXPECT(!sources.empty(), "workload needs at least one source");
-  std::set<int> source_ids;
-  std::set<int> class_ids;
+  std::vector<int> source_ids;
+  std::vector<int> class_ids;
+  source_ids.reserve(sources.size());
   for (const auto& src : sources) {
     HRTDM_EXPECT(src.id >= 0, "source ids must be non-negative");
-    HRTDM_EXPECT(source_ids.insert(src.id).second, "duplicate source id");
+    source_ids.push_back(src.id);
     for (const auto& cls : src.classes) {
       HRTDM_EXPECT(cls.source == src.id,
                    "class source must match its owning source");
-      HRTDM_EXPECT(class_ids.insert(cls.id).second, "duplicate class id");
+      class_ids.push_back(cls.id);
       HRTDM_EXPECT(cls.l_bits > 0, "class length must be positive");
       HRTDM_EXPECT(cls.d > Duration::nanoseconds(0),
                    "class deadline must be positive");
@@ -35,6 +35,16 @@ void Workload::validate() const {
                    "class window must be positive");
     }
   }
+  // Sort-and-scan duplicate checks: linear-logarithmic in a contiguous
+  // vector, where a node-based set costs an allocation per id.
+  std::sort(source_ids.begin(), source_ids.end());
+  HRTDM_EXPECT(std::adjacent_find(source_ids.begin(), source_ids.end()) ==
+                   source_ids.end(),
+               "duplicate source id");
+  std::sort(class_ids.begin(), class_ids.end());
+  HRTDM_EXPECT(std::adjacent_find(class_ids.begin(), class_ids.end()) ==
+                   class_ids.end(),
+               "duplicate class id");
 }
 
 Duration Workload::max_deadline() const {

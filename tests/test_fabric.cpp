@@ -167,6 +167,29 @@ TEST(Fabric, SoaSegmentsMatchFinalStationState) {
   }
 }
 
+TEST(Fabric, ChannelSummaryMatchesFullResult) {
+  // The lean channel summary reads the metrics collector's running tallies;
+  // they must equal the full per-channel result exactly, misses included.
+  // A 1 us deadline is shorter than any frame: that class always misses.
+  auto wl = traffic::stock_exchange(8);
+  wl.sources[0].classes[0].d = util::Duration::microseconds(1);
+  FabricOptions fopts;
+  fopts.run = small_options(wl);
+  fopts.channels = 2;
+  fopts.shards = 2;
+  fopts.collect_channel_results = true;
+  const FabricResult got = run_fabric(wl, fopts);
+  ASSERT_GT(got.misses, 0);
+  ASSERT_EQ(got.full.size(), got.channels.size());
+  for (std::size_t ch = 0; ch < got.channels.size(); ++ch) {
+    SCOPED_TRACE(testing::Message() << "channel " << ch);
+    const MetricsSummary& want = got.full[ch].metrics;
+    EXPECT_EQ(got.channels[ch].delivered, want.delivered);
+    EXPECT_EQ(got.channels[ch].misses, want.misses);
+    EXPECT_EQ(got.channels[ch].worst_latency_s, want.worst_latency_s);
+  }
+}
+
 TEST(StationSoA, SnapshotRoundTripAndAggregates) {
   StationSoA soa;
   soa.build({2, 3});

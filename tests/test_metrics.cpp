@@ -1,10 +1,14 @@
 // MetricsCollector: slot accounting, per-class summaries (incl. p99),
-// Jain's fairness index, and the drop-late option.
+// Jain's fairness index, the running tallies, the class-independent
+// latency histogram and the drop-late option.
 #include "core/metrics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/ddcr_network.hpp"
+#include "obs/registry.hpp"
 #include "traffic/workload.hpp"
 #include "util/check.hpp"
 
@@ -50,6 +54,68 @@ TEST(Metrics, SlotAndDeliveryAccounting) {
   EXPECT_EQ(summary.misses, 1);
   EXPECT_NEAR(summary.worst_latency_s, 400e-9, 1e-15);
   EXPECT_NEAR(summary.mean_latency_s, 300e-9, 1e-15);
+}
+
+/// Registry histograms whose name starts with "latency.", and the count of
+/// latency.delivery_ns (0 while it is not registered).
+std::pair<std::size_t, std::int64_t> latency_histograms() {
+  std::size_t names = 0;
+  std::int64_t delivery_count = 0;
+  for (const auto& h : obs::Registry::global().snapshot().histograms) {
+    if (h.name.rfind("latency.", 0) == 0) {
+      ++names;
+    }
+    if (h.name == "latency.delivery_ns") {
+      delivery_count = h.count;
+    }
+  }
+  return {names, delivery_count};
+}
+
+TEST(Metrics, LatencyHistogramsDoNotGrowWithClasses) {
+  // A fabric run holds one class per station, so registry names must not
+  // scale with the class count: 1000 classes add at most one name.
+  const auto [names_before, count_before] = latency_histograms();
+  MetricsCollector metrics;
+  for (int k = 0; k < 1000; ++k) {
+    metrics.on_slot(success_record(k, /*class=*/k, /*source=*/0,
+                                   /*arrival=*/0, k * 100, k * 100 + 50,
+                                   /*deadline=*/10'000'000));
+  }
+  const auto [names_after, count_after] = latency_histograms();
+  EXPECT_LE(names_after, names_before + 1);
+#if !defined(HRTDM_OBS_OFF)
+  EXPECT_EQ(count_after, count_before + 1000);
+#else
+  EXPECT_EQ(count_after, count_before);  // the macro compiles to nothing
+#endif
+  EXPECT_EQ(metrics.log().size(), 1000u);
+}
+
+TEST(Metrics, RunningTalliesMatchSummarize) {
+  // The O(1) tallies the fabric reads and the full summary must agree bit
+  // for bit, including on an empty collector.
+  MetricsCollector empty;
+  EXPECT_EQ(empty.misses(), 0);
+  EXPECT_EQ(empty.worst_latency_s(), 0.0);
+  EXPECT_EQ(empty.misses(), empty.summarize().misses);
+  EXPECT_EQ(empty.worst_latency_s(), empty.summarize().worst_latency_s);
+
+  // Latencies 200, 1287 (late), 200 (completes on its deadline) and 1100
+  // (late) ns.
+  MetricsCollector metrics;
+  metrics.on_slot(success_record(1, 0, 0, 0, 100, 200, 1'000));
+  metrics.on_slot(success_record(2, 1, 1, 50, 200, 1'337, 900));
+  metrics.on_slot(success_record(3, 2, 0, 1'200, 1'337, 1'400, 1'400));
+  metrics.on_slot(plain_record(net::SlotKind::kCollision));
+  metrics.on_slot(success_record(4, 1, 1, 900, 1'400, 2'000, 1'000));
+  const MetricsSummary summary = metrics.summarize();
+  EXPECT_EQ(metrics.misses(), 2);
+  EXPECT_EQ(metrics.misses(), summary.misses);
+  // Bit-exact: both are the largest (completed - arrival) in seconds.
+  EXPECT_EQ(metrics.worst_latency_s(), summary.worst_latency_s);
+  EXPECT_EQ(metrics.worst_latency_s(),
+            util::Duration::nanoseconds(1'287).to_seconds());
 }
 
 TEST(Metrics, PerClassSummariesIncludePercentiles) {

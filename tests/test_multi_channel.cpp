@@ -54,6 +54,97 @@ TEST(ChannelPlan, DeterministicAcrossCalls) {
   EXPECT_EQ(a.classes_per_channel, b.classes_per_channel);
 }
 
+/// Reference LPT plan: classes, heaviest first, each onto the first
+/// channel of least load found by a linear scan.
+ChannelPlan linear_scan_plan(const traffic::Workload& wl, int channels) {
+  struct ClassLoad {
+    int id;
+    double bits_per_second;
+    int source;
+  };
+  std::vector<ClassLoad> loads;
+  for (int s = 0; s < wl.z(); ++s) {
+    for (const auto& cls : wl.sources[static_cast<std::size_t>(s)].classes) {
+      loads.push_back({cls.id,
+                       static_cast<double>(cls.a) *
+                           static_cast<double>(cls.l_bits) /
+                           cls.w.to_seconds(),
+                       s});
+    }
+  }
+  std::sort(loads.begin(), loads.end(),
+            [](const ClassLoad& a, const ClassLoad& b) {
+              if (a.bits_per_second != b.bits_per_second) {
+                return a.bits_per_second > b.bits_per_second;
+              }
+              return a.id < b.id;
+            });
+  ChannelPlan plan;
+  plan.channels = channels;
+  plan.classes_per_channel.resize(static_cast<std::size_t>(channels));
+  plan.load_per_channel.assign(static_cast<std::size_t>(channels), 0.0);
+  plan.sources_per_channel.resize(static_cast<std::size_t>(channels));
+  for (const ClassLoad& cls : loads) {
+    const auto lightest = static_cast<std::size_t>(
+        std::min_element(plan.load_per_channel.begin(),
+                         plan.load_per_channel.end()) -
+        plan.load_per_channel.begin());
+    plan.classes_per_channel[lightest].push_back(cls.id);
+    plan.load_per_channel[lightest] += cls.bits_per_second;
+    plan.sources_per_channel[lightest].push_back(cls.source);
+  }
+  for (auto& ids : plan.classes_per_channel) {
+    std::sort(ids.begin(), ids.end());
+  }
+  for (auto& positions : plan.sources_per_channel) {
+    std::sort(positions.begin(), positions.end());
+    positions.erase(std::unique(positions.begin(), positions.end()),
+                    positions.end());
+  }
+  return plan;
+}
+
+/// `sources` sources with one identical class each: every load ties.
+traffic::Workload uniform_workload(int sources) {
+  traffic::Workload wl;
+  wl.name = "uniform";
+  for (int s = 0; s < sources; ++s) {
+    traffic::SourceSpec src;
+    src.id = s;
+    src.name = "u" + std::to_string(s);
+    traffic::MessageClass cls;
+    cls.id = s;
+    cls.name = src.name;
+    cls.source = s;
+    cls.l_bits = 1'000;
+    cls.d = util::Duration::microseconds(100);
+    cls.a = 1;
+    cls.w = util::Duration::microseconds(200);
+    src.classes.push_back(cls);
+    wl.sources.push_back(std::move(src));
+  }
+  return wl;
+}
+
+TEST(ChannelPlan, HeapMatchesLinearScan) {
+  // The min-heap must pick exactly the channel the linear scan picked,
+  // ties to the lowest index, or every fabric digest would move.
+  const traffic::Workload workloads[] = {uniform_workload(640),
+                                         traffic::stock_exchange(6),
+                                         traffic::quickstart(4)};
+  for (const auto& wl : workloads) {
+    for (const int channels : {1, 3, 64}) {
+      SCOPED_TRACE(wl.name + " over " + std::to_string(channels));
+      const ChannelPlan got = plan_channels(wl, channels);
+      const ChannelPlan want = linear_scan_plan(wl, channels);
+      EXPECT_EQ(got.channels, want.channels);
+      EXPECT_EQ(got.classes_per_channel, want.classes_per_channel);
+      EXPECT_EQ(got.load_per_channel, want.load_per_channel);
+      EXPECT_EQ(got.sources_per_channel, want.sources_per_channel);
+    }
+  }
+}
+
 TEST(ChannelWorkload, FiltersSourcesAndKeepsClassIds) {
   const auto wl = traffic::videoconference(4);
   const auto plan = plan_channels(wl, 2);

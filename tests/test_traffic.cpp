@@ -176,6 +176,21 @@ TEST(Workload, ValidateRejectsBadMappings) {
   Workload dup = quickstart(2);
   dup.sources[1].classes[0].id = dup.sources[0].classes[0].id;
   EXPECT_THROW(dup.validate(), util::ContractViolation);
+
+  // Two sources sharing an id (their classes follow the id, so only the
+  // duplicate check can object).
+  Workload dup_source = quickstart(3);
+  dup_source.sources[2].id = 0;
+  for (auto& cls : dup_source.sources[2].classes) {
+    cls.source = 0;
+  }
+  EXPECT_THROW(dup_source.validate(), util::ContractViolation);
+
+  // One class id on two different sources, neither of them the first.
+  Workload shared_class = quickstart(3);
+  shared_class.sources[2].classes[1].id =
+      shared_class.sources[1].classes[0].id;
+  EXPECT_THROW(shared_class.validate(), util::ContractViolation);
 }
 
 TEST(FcAdapter, RoundTripsClassesAndUnits) {

@@ -21,6 +21,7 @@
 
 #include "bench/harness.hpp"
 #include "core/ddcr_network.hpp"
+#include "fault/campaign.hpp"
 #include "fault/churn_plan.hpp"
 #include "fault/drift_plan.hpp"
 #include "fault/fault_injector.hpp"
@@ -53,22 +54,12 @@ struct SoakConfig {
 };
 
 core::DdcrRunOptions soak_options(const SoakConfig& soak) {
-  core::DdcrRunOptions options;
-  // Campaign-style PHY/DDCR shape (fault::CampaignOptions): rejoin-capable
-  // by construction, one slot per 100 ns, horizon F*c = 16 us.
-  options.phy.slot_x = Duration::nanoseconds(100);
-  options.phy.psi_bps = 1e9;
-  options.phy.overhead_bits = 0;
+  // The fault harnesses' instance: rejoin-capable by construction, one
+  // slot per 100 ns, horizon F*c = 16 us.
+  core::DdcrRunOptions options = fault::small_rejoinable_options();
   // Bursty loss: ~2% of contention slots flip good->bad, bad bursts last
   // ~5 slots and destroy 40% of successes while they do.
   options.phy.gilbert_elliott(0.02, 0.2, 0.0, 0.4);
-  options.ddcr.m_time = 2;
-  options.ddcr.F = 16;
-  options.ddcr.m_static = 2;
-  options.ddcr.q = 16;
-  options.ddcr.class_width_c = Duration::microseconds(1);
-  options.ddcr.alpha = Duration::nanoseconds(0);
-  options.ddcr.max_empty_tts = 2;  // bounded silence streaks: rejoin-capable
   options.require_rejoinable = true;
   options.churn_events = soak.churn_events;
   options.flight_recorder_capacity = soak.recorder_capacity;
@@ -165,20 +156,7 @@ int main(int argc, char** argv) {
       soak.churn_events, /*seed=*/11);
   fault::FaultInjector injector(fault::FaultPlan{}, churn, drift,
                                 /*seed=*/13);
-  injector.set_crash_hook([&bed](int id) {
-    if (bed.station(id).online()) {
-      bed.station(id).reset_for_rejoin();
-    }
-  });
-  injector.set_churn_hook([&bed](int id, fault::ChurnKind kind) {
-    if (kind == fault::ChurnKind::kLeave) {
-      bed.station(id).go_offline();
-    } else {
-      bed.station(id).bring_online();
-    }
-  });
-  injector.set_sync_probe([&bed](int id) { return !bed.station(id).synced(); });
-  injector.install(bed.channel());
+  injector.install(bed);
 
   std::int64_t next_uid = 1;
   SimTime last_arrival;

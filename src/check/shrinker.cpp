@@ -78,22 +78,7 @@ core::ConformanceReport replay_case(const ReplayCase& c) {
   std::optional<fault::FaultInjector> injector;
   if (c.hostile()) {
     injector.emplace(c.fault_plan, c.churn, c.drift, c.fault_seed);
-    injector->set_crash_hook([&testbed](int id) {
-      core::DdcrStation& station = testbed.station(id);
-      if (station.online()) {
-        station.reset_for_rejoin();
-      }
-    });
-    injector->set_churn_hook([&testbed](int id, fault::ChurnKind kind) {
-      if (kind == fault::ChurnKind::kLeave) {
-        testbed.station(id).go_offline();
-      } else {
-        testbed.station(id).bring_online();
-      }
-    });
-    injector->set_sync_probe(
-        [&testbed](int id) { return !testbed.station(id).synced(); });
-    injector->install(testbed.channel());
+    injector->install(testbed);
   }
   for (const traffic::Message& msg : c.messages) {
     testbed.inject(msg.source, msg);

@@ -204,14 +204,10 @@ void DdcrTestbed::advance(SimTime horizon) {
 }
 
 void DdcrTestbed::drain(SimTime cap) {
-  start_once();
   // Successes flushed out of an active compiled span leave the sender's
   // queue only at span hand-off; drained() subtracts them so "still
   // queued" matches the slot-by-slot world at every chunk boundary.
-  sim::run_chunked(
-      simulator_, options_.phy.slot_x * 1024, cap,
-      [this] { return !drained(); },
-      [this] { return channel_->next_compiled_delivery(); });
+  run_while(1024, cap, [this] { return !drained(); });
 }
 
 void DdcrTestbed::stop() { channel_->stop(); }
@@ -229,19 +225,14 @@ void DdcrTestbed::run(SimTime horizon) {
 }
 
 void DdcrTestbed::run_until_delivered(std::int64_t count, SimTime cap) {
-  start_once();
   channel_->revalidate_idle_gap();
-  const util::Duration step = options_.phy.slot_x * 256;
-  sim::run_chunked(
-      simulator_, step, cap,
-      [this, count] {
-        // Deliveries inside a compiled span reach the metrics log lazily;
-        // flush up to now() so the count is what the slot-by-slot loop
-        // would have shown at this chunk boundary.
-        channel_->flush_idle_accounting();
-        return static_cast<std::int64_t>(metrics_.log().size()) < count;
-      },
-      [this] { return channel_->next_compiled_delivery(); });
+  run_while(256, cap, [this, count] {
+    // Deliveries inside a compiled span reach the metrics log lazily;
+    // flush up to now() so the count is what the slot-by-slot loop would
+    // have shown at this chunk boundary.
+    channel_->flush_idle_accounting();
+    return static_cast<std::int64_t>(metrics_.log().size()) < count;
+  });
   channel_->materialize_stations();
 }
 
@@ -254,6 +245,11 @@ bool DdcrTestbed::digests_agree() const {
                      [reference](const auto& station) {
                        return station->protocol_digest() == reference;
                      });
+}
+
+bool DdcrTestbed::all_synced() const {
+  return std::all_of(stations_.begin(), stations_.end(),
+                     [](const auto& station) { return station->synced(); });
 }
 
 bool DdcrTestbed::consistency_ok() const {

@@ -44,7 +44,8 @@ struct DdcrRunOptions {
   /// configurations under which the quiet-period certificate is unsound
   /// (rejoin would livelock) are rejected at network construction with an
   /// actionable message instead of failing deep inside reset_for_rejoin().
-  /// Fault campaigns (fault::run_campaign) set this implicitly.
+  /// The fault harnesses (fault::run_campaign, fault::run_stabilization)
+  /// always set it.
   bool require_rejoinable = false;
   /// Number of scripted churn events (fault::ChurnPlan) the harness intends
   /// to drive through this network's stations. The core layer never sees
@@ -184,8 +185,8 @@ class ConsistencyChecker;
 /// One CSMA/DDCR channel: simulator, channel, stations, epoch compiler,
 /// metrics, tracer and the optional consistency checker and conformance
 /// auditor, with externally controlled message injection. run_ddcr, the
-/// fabric's channels, the tests and the sim-vs-analysis benches all run
-/// on it.
+/// fabric's channels, the fault harnesses, the tests and the
+/// sim-vs-analysis benches all run on it.
 class DdcrTestbed {
  public:
   /// A network of `stations` stations fed only by inject(). Rejects
@@ -229,6 +230,20 @@ class DdcrTestbed {
   /// mutate stations between calls want run() instead.
   void advance(SimTime horizon);
 
+  /// The one chunked loop behind drain(), run_until_delivered() and the
+  /// fault harnesses' phases: starts the channel (first call only), then
+  /// runs `chunk_slots`-slot chunks while `more()` holds and now() < cap.
+  /// `more()` is sampled at every chunk boundary the plain polling loop
+  /// would sample (sim::run_chunked), including the ones at which a
+  /// compiled span's lazily flushed deliveries become visible.
+  template <typename More>
+  void run_while(std::int64_t chunk_slots, SimTime cap, More&& more) {
+    start_once();
+    sim::run_chunked(simulator_, options_.phy.slot_x * chunk_slots, cap,
+                     static_cast<More&&>(more),
+                     [this] { return channel_->next_compiled_delivery(); });
+  }
+
   /// Keeps the channel running in 1024-slot chunks until every queue is
   /// empty or `cap` is reached.
   void drain(SimTime cap);
@@ -247,6 +262,9 @@ class DdcrTestbed {
 
   /// True iff all stations' protocol digests currently agree.
   bool digests_agree() const;
+
+  /// True iff no station is resyncing or offline.
+  bool all_synced() const;
 
   /// Verdict of the check_consistency checker: false once the synced
   /// replicas disagreed after some slot. True when the check is off.

@@ -1,7 +1,6 @@
 #include "core/fabric.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -11,113 +10,6 @@
 #include "util/thread_pool.hpp"
 
 namespace hrtdm::core {
-
-// --- StationSoA -----------------------------------------------------------
-
-namespace {
-
-std::size_t pad_up(std::size_t n) {
-  return (n + StationSoA::kPadEntries - 1) & ~(StationSoA::kPadEntries - 1);
-}
-
-}  // namespace
-
-void StationSoA::build(const std::vector<int>& stations_per_channel) {
-  base_.clear();
-  count_.clear();
-  size_ = 0;
-  std::size_t padded = 0;
-  for (const int n : stations_per_channel) {
-    HRTDM_EXPECT(n >= 0, "negative station count in SoA layout");
-    base_.push_back(padded);
-    count_.push_back(static_cast<std::size_t>(n));
-    size_ += static_cast<std::size_t>(n);
-    padded += pad_up(static_cast<std::size_t>(n));
-  }
-  head_deadline_ns_.assign(padded, 0);
-  reft_ns_.assign(padded, 0);
-  id_.assign(padded, -1);
-  backlog_.assign(padded, 0);
-  flags_.assign(padded, 0);
-}
-
-void StationSoA::store(std::size_t slot, std::int32_t id,
-                       DdcrStation::Mode mode, bool synced, bool online,
-                       std::size_t queue_depth, bool has_head,
-                       std::int64_t head_deadline_ns, std::int64_t reft_ns) {
-  id_[slot] = id;
-  head_deadline_ns_[slot] = head_deadline_ns;
-  reft_ns_[slot] = reft_ns;
-  backlog_[slot] = static_cast<std::int32_t>(queue_depth);
-  flags_[slot] = static_cast<std::uint8_t>(
-      (synced ? 1 : 0) | (online ? 2 : 0) | (has_head ? 4 : 0) |
-      (static_cast<std::uint8_t>(mode) << 3));
-}
-
-void StationSoA::load(std::size_t slot, const DdcrStation& station) {
-  const std::optional<Message> head = station.queue().head();
-  store(slot, station.id(), station.mode(), station.synced(),
-        station.online(), station.queue().size(), head.has_value(),
-        head ? head->absolute_deadline.ns() : 0, station.reft().ns());
-}
-
-void StationSoA::load(std::size_t slot, const StationSnapshot& snap) {
-  DdcrStation::Mode mode = DdcrStation::Mode::kCsmaCd;
-  for (const DdcrStation::Mode m :
-       {DdcrStation::Mode::kCsmaCd, DdcrStation::Mode::kTimeSearch,
-        DdcrStation::Mode::kStaticSearch, DdcrStation::Mode::kResync,
-        DdcrStation::Mode::kOffline}) {
-    if (std::strcmp(snap.mode, DdcrStation::mode_name(m)) == 0) {
-      mode = m;
-      break;
-    }
-  }
-  // The snapshot has no separate online flag; it is a pure function of the
-  // mode, exactly as in DdcrStation::online().
-  store(slot, snap.id, mode, snap.synced, mode != DdcrStation::Mode::kOffline,
-        snap.queue_depth, snap.has_head, snap.head_deadline_ns, snap.reft_ns);
-}
-
-StationSnapshot StationSoA::hot_snapshot(std::size_t slot) const {
-  StationSnapshot snap;
-  snap.id = id_[slot];
-  snap.mode = DdcrStation::mode_name(mode(slot));
-  snap.synced = synced(slot);
-  snap.queue_depth = static_cast<std::size_t>(backlog_[slot]);
-  snap.has_head = has_head(slot);
-  snap.head_deadline_ns = head_deadline_ns_[slot];
-  snap.reft_ns = reft_ns_[slot];
-  return snap;
-}
-
-StationSoA::Aggregate StationSoA::aggregate(int channel) const {
-  Aggregate agg;
-  const std::size_t lo = base(channel);
-  const std::size_t hi = lo + count(channel);
-  for (std::size_t slot = lo; slot < hi; ++slot) {
-    agg.backlog += backlog_[slot];
-    const std::uint8_t f = flags_[slot];
-    agg.synced += f & 1;
-    agg.online += (f >> 1) & 1;
-    if ((f & 4) != 0 && head_deadline_ns_[slot] < agg.min_head_deadline_ns) {
-      agg.min_head_deadline_ns = head_deadline_ns_[slot];
-    }
-  }
-  return agg;
-}
-
-StationSoA::Aggregate StationSoA::aggregate_all() const {
-  Aggregate agg;
-  for (int ch = 0; ch < channels(); ++ch) {
-    const Aggregate part = aggregate(ch);
-    agg.backlog += part.backlog;
-    agg.synced += part.synced;
-    agg.online += part.online;
-    agg.min_head_deadline_ns =
-        std::min(agg.min_head_deadline_ns, part.min_head_deadline_ns);
-  }
-  return agg;
-}
 
 // --- per-channel runner ---------------------------------------------------
 
@@ -168,11 +60,19 @@ struct ChannelSetup {
   bool empty = false;
 };
 
+/// One channel's station counts behind the four fabric.* gauges.
+struct GaugeSums {
+  std::int64_t stations = 0;
+  std::int64_t backlog = 0;  ///< queued messages
+  std::int64_t synced = 0;
+  std::int64_t online = 0;
+};
+
 /// One live fabric channel: a DdcrTestbed (the run_ddcr object graph and
 /// result assembly) steerable from outside so the barrier loop can advance
 /// every channel in lockstep, plus what only the fabric needs: bridge
 /// capture, relay injection and their counters, the lean summary and the
-/// SoA refresh.
+/// gauge sums.
 class ChannelRunner {
  public:
   /// Arrivals are injected exactly as run_ddcr() injects them (replay
@@ -236,10 +136,18 @@ class ChannelRunner {
     return out;
   }
 
-  void refresh_soa(StationSoA& soa, std::size_t base) {
+  /// Reads the stations as they stand: at a barrier they may lag the
+  /// channel clock by an in-flight compiled span, which the fabric does
+  /// not dissolve for observability (docs/FABRIC.md).
+  GaugeSums gauge_sums() {
+    GaugeSums sums;
+    sums.stations = bed_->station_count();
+    sums.backlog = bed_->queued();
     for (int s = 0; s < bed_->station_count(); ++s) {
-      soa.load(base + static_cast<std::size_t>(s), bed_->station(s));
+      sums.synced += bed_->station(s).synced() ? 1 : 0;
+      sums.online += bed_->station(s).online() ? 1 : 0;
     }
+    return sums;
   }
 
   int station_count() const { return bed_->station_count(); }
@@ -355,18 +263,26 @@ void aggregate_result(FabricResult& result) {
       live_channels > 0 ? utilization_sum / live_channels : 0.0;
 }
 
-void set_fabric_gauges(const StationSoA& soa) {
-  [[maybe_unused]] const StationSoA::Aggregate agg = soa.aggregate_all();
-  HRTDM_GAUGE_SET("fabric.stations", static_cast<std::int64_t>(soa.size()));
-  HRTDM_GAUGE_SET("fabric.backlog", agg.backlog);
-  HRTDM_GAUGE_SET("fabric.synced", agg.synced);
-  HRTDM_GAUGE_SET("fabric.online", agg.online);
+/// Sets the four fabric.* gauges to the sums over the channels' last
+/// gauge_sums() (all zero for a channel not yet harvested or sampled).
+void set_fabric_gauges(const std::vector<GaugeSums>& gauges) {
+  [[maybe_unused]] GaugeSums total;
+  for (const GaugeSums& ch : gauges) {
+    total.stations += ch.stations;
+    total.backlog += ch.backlog;
+    total.synced += ch.synced;
+    total.online += ch.online;
+  }
+  HRTDM_GAUGE_SET("fabric.stations", total.stations);
+  HRTDM_GAUGE_SET("fabric.backlog", total.backlog);
+  HRTDM_GAUGE_SET("fabric.synced", total.synced);
+  HRTDM_GAUGE_SET("fabric.online", total.online);
 }
 
-/// Finishes one stopped runner: SoA refresh, summary, optional full result.
+/// Finishes one stopped runner: gauge sums, summary, optional full result.
 void harvest(ChannelRunner& runner, int ch, const FabricOptions& options,
-             FabricResult& result) {
-  runner.refresh_soa(result.soa, result.soa.base(ch));
+             FabricResult& result, std::vector<GaugeSums>& gauges) {
+  gauges[static_cast<std::size_t>(ch)] = runner.gauge_sums();
   FabricChannelSummary s = runner.summarize();
   if (runner.audited() || options.collect_channel_results) {
     DdcrRunResult full = runner.full_result();
@@ -384,7 +300,8 @@ void harvest(ChannelRunner& runner, int ch, const FabricOptions& options,
 /// entirely inside its shard task (first-touch NUMA placement; peak memory
 /// is one live channel per shard, not one per channel).
 void run_unbridged(const std::vector<ChannelSetup>& setups, SimTime horizon,
-                   const FabricOptions& options, FabricResult& result) {
+                   const FabricOptions& options, FabricResult& result,
+                   std::vector<GaugeSums>& gauges) {
   util::parallel_for_index(
       options.shards, options.channels, [&](std::int64_t ch) {
         const ChannelSetup& setup = setups[static_cast<std::size_t>(ch)];
@@ -395,7 +312,7 @@ void run_unbridged(const std::vector<ChannelSetup>& setups, SimTime horizon,
         runner.advance(horizon);
         runner.drain(options.run.drain_cap);
         runner.stop();
-        harvest(runner, static_cast<int>(ch), options, result);
+        harvest(runner, static_cast<int>(ch), options, result, gauges);
       });
 }
 
@@ -403,7 +320,8 @@ void run_unbridged(const std::vector<ChannelSetup>& setups, SimTime horizon,
 /// run and advances in lockstep quanta; bridge relays are drained serially
 /// at each barrier, so results are deterministic and shard-count invariant.
 void run_barriers(const std::vector<ChannelSetup>& setups, SimTime horizon,
-                  const FabricOptions& options, FabricResult& result) {
+                  const FabricOptions& options, FabricResult& result,
+                  std::vector<GaugeSums>& gauges) {
   util::Duration quantum = options.barrier_quantum;
   if (quantum.ns() == 0) {
     if (options.bridges.empty()) {
@@ -510,11 +428,11 @@ void run_barriers(const std::vector<ChannelSetup>& setups, SimTime horizon,
     if (options.sampler != nullptr) {
       for (int ch = 0; ch < options.channels; ++ch) {
         if (runners[static_cast<std::size_t>(ch)] != nullptr) {
-          runners[static_cast<std::size_t>(ch)]->refresh_soa(
-              result.soa, result.soa.base(ch));
+          gauges[static_cast<std::size_t>(ch)] =
+              runners[static_cast<std::size_t>(ch)]->gauge_sums();
         }
       }
-      set_fabric_gauges(result.soa);
+      set_fabric_gauges(gauges);
       options.sampler->poll(t.ns());
     }
 
@@ -541,11 +459,11 @@ void run_barriers(const std::vector<ChannelSetup>& setups, SimTime horizon,
                              }
                              runner->stop();
                              harvest(*runner, static_cast<int>(ch), options,
-                                     result);
+                                     result, gauges);
                              runner.reset();
                            });
   if (options.sampler != nullptr) {
-    set_fabric_gauges(result.soa);
+    set_fabric_gauges(gauges);
     options.sampler->sample(t.ns());
   }
 }
@@ -558,13 +476,14 @@ void run_channels(const std::vector<ChannelSetup>& setups, SimTime horizon,
   if (options.collect_channel_results) {
     result.full.resize(static_cast<std::size_t>(options.channels));
   }
+  std::vector<GaugeSums> gauges(static_cast<std::size_t>(options.channels));
   if (options.bridges.empty() && options.sampler == nullptr) {
-    run_unbridged(setups, horizon, options, result);
+    run_unbridged(setups, horizon, options, result, gauges);
   } else {
-    run_barriers(setups, horizon, options, result);
+    run_barriers(setups, horizon, options, result, gauges);
   }
   aggregate_result(result);
-  set_fabric_gauges(result.soa);
+  set_fabric_gauges(gauges);
 }
 
 }  // namespace
@@ -579,14 +498,6 @@ FabricResult run_fabric(const traffic::Workload& workload,
   result.plan = plan_channels(workload, options.channels);  // validates
   const std::vector<ChannelSetup> setups =
       stage_channels(workload, result.plan, options);
-
-  std::vector<int> stations_per_channel;
-  stations_per_channel.reserve(setups.size());
-  for (const ChannelSetup& setup : setups) {
-    stations_per_channel.push_back(setup.empty ? 0 : setup.sub.z());
-  }
-  result.soa.build(stations_per_channel);
-
   run_channels(setups, options.run.arrival_horizon, options, result);
   return result;
 }
@@ -625,9 +536,6 @@ FabricResult run_fabric_replay(const std::vector<traffic::Message>& messages,
   setup.replay_stations = stations;
   const std::vector<ChannelSetup> setups(
       static_cast<std::size_t>(options.channels), setup);
-
-  result.soa.build(std::vector<int>(static_cast<std::size_t>(options.channels),
-                                    stations));
   run_channels(setups, horizon, options, result);
   return result;
 }

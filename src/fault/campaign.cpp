@@ -1,12 +1,11 @@
 #include "fault/campaign.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "check/conformance.hpp"
-#include "core/metrics.hpp"
 #include "obs/registry.hpp"
-#include "traffic/message.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -16,6 +15,21 @@ namespace hrtdm::fault {
 using core::DdcrStation;
 using util::Duration;
 using util::SimTime;
+
+core::DdcrRunOptions small_rejoinable_options() {
+  core::DdcrRunOptions options;
+  options.phy.slot_x = Duration::nanoseconds(100);
+  options.phy.psi_bps = 1e9;
+  options.phy.overhead_bits = 0;
+  options.ddcr.m_time = 2;
+  options.ddcr.F = 16;
+  options.ddcr.m_static = 2;
+  options.ddcr.q = 16;
+  options.ddcr.class_width_c = Duration::microseconds(1);
+  options.ddcr.alpha = Duration::nanoseconds(0);
+  options.ddcr.max_empty_tts = 2;  // bounded silence streaks: rejoin-capable
+  return options;
+}
 
 void SafetyChecker::on_slot(const net::SlotRecord& record) {
   if (any_ && record.start < last_end_) {
@@ -36,12 +50,64 @@ void SafetyChecker::on_slot(const net::SlotRecord& record) {
   last_end_ = std::max(last_end_, record.end);
 }
 
+bool consistent(const core::DdcrTestbed& bed) {
+  return bed.all_synced() && bed.digests_agree();
+}
+
 void ReconvergenceProbe::on_slot(const net::SlotRecord& record) {
   (void)record;
   const std::int64_t index = observations_++;
-  if (!consistent_()) {
+  if (!consistent(bed_)) {
     last_divergent_ = index;
   }
+}
+
+void inject_burst(core::DdcrTestbed& bed, SimTime at,
+                  Duration relative_deadline, std::int64_t first_uid,
+                  std::int64_t uid_stride,
+                  std::vector<traffic::Message>& injected) {
+  for (int s = 0; s < bed.station_count(); ++s) {
+    traffic::Message msg;
+    msg.uid = first_uid + static_cast<std::int64_t>(s) * uid_stride;
+    msg.class_id = s;
+    msg.source = s;
+    msg.l_bits = kHarnessMessageBits;
+    msg.arrival = at;
+    msg.absolute_deadline = at + relative_deadline;
+    bed.inject(s, msg);
+    injected.push_back(msg);
+  }
+}
+
+int self_heal(core::DdcrTestbed& bed, SimTime cap, int max_rounds,
+              Duration relative_deadline,
+              std::vector<traffic::Message>& injected) {
+  const auto unsettled = [&bed] {
+    return !bed.drained() || !bed.all_synced();
+  };
+  bed.run_while(kHarnessChunkSlots, cap, unsettled);
+
+  // Residual divergence (a stale reft or a carried compressed-time
+  // reference) is protocol-legal until the next epoch resets it; force
+  // epochs — a z-way burst of in-horizon messages — until every replica
+  // digest agrees. A round can itself trigger a watchdog quarantine on a
+  // replica whose stale divergence only now surfaces; the following round
+  // picks the rejoined station up.
+  const Duration slot_x = bed.options().phy.slot_x;
+  int rounds = 0;
+  std::int64_t round_uid = 2'000'000;
+  while (bed.simulator().now() < cap && !(bed.drained() && consistent(bed)) &&
+         rounds < max_rounds) {
+    ++rounds;
+    inject_burst(bed, bed.simulator().now() + slot_x * 2, relative_deadline,
+                 round_uid, 1, injected);
+    round_uid += bed.station_count();
+    // Always step at least once: the burst arrivals lie in the future, so
+    // an entry check on the queues would see them empty and skip the round.
+    bed.advance(bed.simulator().now() + slot_x * kHarnessChunkSlots);
+    bed.run_while(kHarnessChunkSlots, cap, unsettled);
+  }
+  return rounds;
 }
 
 std::uint64_t axis_seed(std::uint64_t base_seed, CampaignAxis axis) {
@@ -57,44 +123,10 @@ std::uint64_t axis_seed(std::uint64_t base_seed, CampaignAxis axis) {
   return seed;
 }
 
-CampaignOptions::CampaignOptions() {
-  phy.slot_x = Duration::nanoseconds(100);
-  phy.psi_bps = 1e9;
-  phy.overhead_bits = 0;
-  ddcr.m_time = 2;
-  ddcr.F = 16;
-  ddcr.m_static = 2;
-  ddcr.q = 16;
-  ddcr.class_width_c = Duration::microseconds(1);
-  ddcr.alpha = Duration::nanoseconds(0);
-  ddcr.max_empty_tts = 2;  // bounded silence streaks: rejoin-capable
-}
-
 CampaignResult run_campaign(const CampaignOptions& options) {
   HRTDM_EXPECT(options.stations >= 2,
                "a fault campaign needs >= 2 stations to contend");
   HRTDM_EXPECT(options.messages_per_station >= 1, "campaign needs traffic");
-  core::DdcrConfig config = options.ddcr;
-  if (config.static_indices.empty()) {
-    config.static_indices =
-        core::DdcrConfig::one_index_per_source(options.stations, config.q);
-  }
-  config.validate(options.stations);
-  // Crash directives and watchdog quarantines re-enter through the
-  // quiet-period certificate; reject configurations that livelock it.
-  config.validate_rejoinable();
-  HRTDM_EXPECT(config.alpha + options.relative_deadline < config.horizon(),
-               "campaign deadlines must fit the scheduling horizon cF");
-
-  sim::Simulator simulator;
-  net::BroadcastChannel channel(simulator, options.phy,
-                                net::CollisionMode::kDestructive);
-  // The stations view `config`, declared above them so it outlives them.
-  std::vector<std::unique_ptr<DdcrStation>> stations;
-  for (int s = 0; s < options.stations; ++s) {
-    stations.push_back(std::make_unique<DdcrStation>(s, config));
-    channel.attach(*stations.back());
-  }
 
   // Derive independent streams for the plan shape and the in-run draws.
   // The churn and drift axes take their seeds from axis_seed(), a separate
@@ -123,101 +155,41 @@ CampaignResult run_campaign(const CampaignOptions& options) {
                                options.drift_rate_ppm,
                                axis_seed(options.seed, CampaignAxis::kDrift));
   }
+
+  // Crash directives and watchdog quarantines re-enter through the
+  // quiet-period certificate: the testbed rejects configurations that
+  // livelock it.
+  core::DdcrRunOptions run;
+  run.phy = options.phy;
+  run.ddcr = options.ddcr;
+  run.require_rejoinable = true;
+  run.churn_events = static_cast<std::int64_t>(churn.events.size());
+  core::DdcrTestbed bed(options.stations, run);
+  const core::DdcrConfig& config = bed.options().ddcr;
+  HRTDM_EXPECT(config.alpha + options.relative_deadline < config.horizon(),
+               "campaign deadlines must fit the scheduling horizon cF");
+
+  // Installed before the checkers, so crash and churn directives have
+  // acted by the time the probe judges a slot.
   FaultInjector injector(plan, churn, drift, mix.next());
-  injector.set_crash_hook([&stations](int id) {
-    DdcrStation* station = stations[static_cast<std::size_t>(id)].get();
-    if (!station->online()) {
-      return;  // a powered-off station cannot crash
-    }
-    station->reset_for_rejoin();
-  });
-  injector.set_churn_hook([&stations](int id, ChurnKind kind) {
-    DdcrStation* station = stations[static_cast<std::size_t>(id)].get();
-    if (kind == ChurnKind::kLeave) {
-      station->go_offline();
-    } else {
-      station->bring_online();
-    }
-  });
-  // The resync rule: a drifted station's clock is re-anchored while it sits
-  // in a listen-only state (watchdog quarantine, crash recovery or churn
-  // rejoin).
-  injector.set_sync_probe([&stations](int id) {
-    return !stations[static_cast<std::size_t>(id)]->synced();
-  });
-  injector.install(channel);
+  injector.install(bed);
 
-  core::MetricsCollector metrics;
   SafetyChecker safety;
-  auto consistent = [&stations] {
-    bool have_reference = false;
-    std::uint64_t reference = 0;
-    for (const auto& station : stations) {
-      if (!station->synced()) {
-        return false;  // a quarantined/crashed replica is not converged
-      }
-      const std::uint64_t digest = station->protocol_digest();
-      if (!have_reference) {
-        reference = digest;
-        have_reference = true;
-      } else if (digest != reference) {
-        return false;
-      }
-    }
-    return true;
-  };
-  ReconvergenceProbe probe(consistent);
-  channel.add_observer(metrics);
-  channel.add_observer(safety);
-  channel.add_observer(probe);
+  ReconvergenceProbe probe(bed);
+  bed.channel().add_observer(safety);
+  bed.channel().add_observer(probe);
   check::ConformanceRecorder recorder;
-  std::vector<traffic::Message> injected;
   if (options.conformance_check) {
-    channel.add_observer(recorder);
+    bed.channel().add_observer(recorder);
   }
 
-  // Phase 1 traffic: shared arrival instants force z-way collisions, and a
-  // shared relative deadline forces same-class ties, so every burst
-  // exercises TTs + STs while the fault plan fires.
-  std::int64_t generated = 0;
+  // Phase 1 traffic: `messages_per_station` z-way bursts.
+  std::vector<traffic::Message> injected;
   for (int k = 0; k < options.messages_per_station; ++k) {
-    const SimTime arrival = SimTime() + options.arrival_spacing * (k + 1);
-    for (int s = 0; s < options.stations; ++s) {
-      traffic::Message msg;
-      msg.uid = 1'000'000 + static_cast<std::int64_t>(s) * 10'000 + k;
-      msg.class_id = s;
-      msg.source = s;
-      msg.l_bits = 100;
-      msg.arrival = arrival;
-      msg.absolute_deadline = arrival + options.relative_deadline;
-      DdcrStation* station = stations[static_cast<std::size_t>(s)].get();
-      simulator.schedule_at(
-          arrival, [station, msg] { station->enqueue(msg); }, "arrival");
-      if (options.conformance_check) {
-        injected.push_back(msg);
-      }
-      ++generated;
-    }
+    inject_burst(bed, SimTime() + options.arrival_spacing * (k + 1),
+                 options.relative_deadline, 1'000'000 + k, 10'000, injected);
   }
 
-  auto queued = [&stations] {
-    std::int64_t total = 0;
-    for (const auto& station : stations) {
-      total += static_cast<std::int64_t>(station->queue().size());
-    }
-    return total;
-  };
-  auto all_synced = [&stations] {
-    for (const auto& station : stations) {
-      if (!station->synced()) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  channel.start();
-  const Duration step = options.phy.slot_x * 64;
   const SimTime hard_cap =
       SimTime() + options.phy.slot_x * options.recovery_slots_cap;
 
@@ -225,68 +197,25 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   // observation index, so the plan always exhausts). A drift-only campaign
   // has no scripted window at all — drift is persistent, not scheduled —
   // so the phase must also cover the arrival span, or nothing would ever
-  // force the clock past t = 0 (phase 2 samples queued() before any
+  // force the clock past t = 0 (phase 2 samples the queues before any
   // arrival event has enqueued a message).
   const SimTime last_arrival =
       SimTime() + options.arrival_spacing * options.messages_per_station;
-  sim::run_chunked(simulator, step, hard_cap,
-                   [&injector, &channel, &simulator, last_arrival] {
-                     return !injector.exhausted(
-                                channel.observations_delivered()) ||
-                            simulator.now() < last_arrival;
-                   });
-
-  // Phase 2: self-heal — drain the backlog and give crashed or quarantined
-  // stations the quiet streak their rejoin certificate needs.
-  sim::run_chunked(simulator, step, hard_cap, [&queued, &all_synced] {
-    return queued() > 0 || !all_synced();
+  bed.run_while(kHarnessChunkSlots, hard_cap, [&injector, &bed, last_arrival] {
+    return !injector.exhausted(bed.channel().observations_delivered()) ||
+           bed.simulator().now() < last_arrival;
   });
 
-  // Phase 3: reconvergence epochs. Residual divergence (a stale reft or a
-  // carried compressed-time reference) is protocol-legal until the next
-  // epoch resets it; force epochs — a z-way burst of in-horizon messages —
-  // until every replica digest agrees. A round can itself trigger a
-  // watchdog quarantine on a replica whose stale divergence only now
-  // surfaces; the following round picks the rejoined station up.
-  int rounds = 0;
-  std::int64_t round_uid = 2'000'000;
-  while (simulator.now() < hard_cap &&
-         !(queued() == 0 && all_synced() && consistent())) {
-    if (rounds >= options.max_recovery_rounds) {
-      break;
-    }
-    ++rounds;
-    const SimTime burst_at = simulator.now() + options.phy.slot_x * 2;
-    for (int s = 0; s < options.stations; ++s) {
-      traffic::Message msg;
-      msg.uid = round_uid++;
-      msg.class_id = s;
-      msg.source = s;
-      msg.l_bits = 100;
-      msg.arrival = burst_at;
-      msg.absolute_deadline = burst_at + options.relative_deadline;
-      DdcrStation* station = stations[static_cast<std::size_t>(s)].get();
-      simulator.schedule_at(
-          burst_at, [station, msg] { station->enqueue(msg); }, "arrival");
-      if (options.conformance_check) {
-        injected.push_back(msg);
-      }
-      ++generated;
-    }
-    // Always step at least once: the burst arrivals lie in the future, so
-    // an entry check on queued() would see empty queues and skip the round.
-    simulator.run_until(simulator.now() + step);
-    sim::run_chunked(simulator, step, hard_cap, [&queued, &all_synced] {
-      return queued() > 0 || !all_synced();
-    });
-  }
-  channel.stop();
+  // Phases 2 and 3: self-heal and reconvergence epochs.
+  const int rounds = self_heal(bed, hard_cap, options.max_recovery_rounds,
+                               options.relative_deadline, injected);
+  bed.stop();
 
   CampaignResult result;
   result.safety_ok = safety.ok();
   result.safety_violations = safety.violations();
-  result.drained = queued() == 0;
-  result.reconverged = result.drained && all_synced() && consistent();
+  result.drained = bed.drained();
+  result.reconverged = result.drained && consistent(bed);
   // Scripted axes only: drift has no window (it heals via the resync rule
   // rather than expiring), so reconvergence is measured from the last
   // fault or churn directive.
@@ -298,21 +227,22 @@ CampaignResult run_campaign(const CampaignOptions& options) {
           : last_divergent - result.last_fault_observation;
   result.recovery_rounds_used = rounds;
   result.faults = injector.stats();
-  for (const auto& station : stations) {
-    result.desyncs_detected += station->counters().desyncs_detected;
-    result.quarantines += station->counters().quarantines;
-    result.rejoins += station->counters().rejoins;
+  for (int s = 0; s < bed.station_count(); ++s) {
+    const DdcrStation::Counters& counters = bed.station(s).counters();
+    result.desyncs_detected += counters.desyncs_detected;
+    result.quarantines += counters.quarantines;
+    result.rejoins += counters.rejoins;
   }
-  result.generated = generated;
-  result.delivered = static_cast<std::int64_t>(metrics.log().size());
-  result.misses = metrics.summarize().misses;
+  result.generated = bed.injected();
+  result.delivered = static_cast<std::int64_t>(bed.metrics().log().size());
+  result.misses = bed.metrics().misses();
   if (options.conformance_check) {
     // Full differential checking is only sound while no fault directive has
     // acted: clip the recorded stream at the first fault. The prefix saw no
     // noise, no crashes and no receive lies, so the placement-model bounds
     // and the EDF sweep apply without exemption.
     check::ConformanceInput input;
-    input.messages = injected;
+    input.messages = std::move(injected);
     input.phy = options.phy;
     input.collision_mode = net::CollisionMode::kDestructive;
     input.ddcr = config;

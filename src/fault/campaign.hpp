@@ -1,9 +1,9 @@
 // Randomized fault-campaign harness (docs/FAULTS.md).
 //
-// One campaign = one seeded run of a full CSMA/DDCR network under a random
-// mixture of crash, symmetric-noise and asymmetric receive faults, followed
-// by a self-healing phase, checking the two invariants that must survive
-// *any* fault pattern:
+// One campaign = one seeded run of a full CSMA/DDCR network (a
+// core::DdcrTestbed) under a random mixture of crash, symmetric-noise and
+// asymmetric receive faults, followed by a self-healing phase, checking
+// the two invariants that must survive *any* fault pattern:
 //
 //  safety        — channel-level mutual exclusion: delivered transmissions
 //                  never overlap in time (verified from the ground-truth
@@ -13,18 +13,32 @@
 //                  protocol digests agree, and every queued message drains.
 //
 // Shared by tests/test_fault_campaign.cpp (50+ seeded campaigns) and the
-// asymmetric-fault-rate sweep in bench_fault_tolerance.
+// asymmetric-fault-rate sweep in bench_fault_tolerance. The checkers, the
+// burst injection and the self-heal below are also the stabilization
+// harness's (fault/stabilization.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/ddcr_network.hpp"
 #include "fault/fault_injector.hpp"
 #include "net/channel.hpp"
+#include "traffic/message.hpp"
 
 namespace hrtdm::fault {
+
+/// The small, fast, rejoin-capable instance the fault harnesses, the
+/// watchdog demos and the hostile soak run on: 100 ns slots at 1 Gbit/s
+/// with no framing overhead, binary trees over F = q = 16, c = 1 us,
+/// alpha = 0, and bounded silence streaks (max_empty_tts = 2), so the
+/// quiet-period rejoin certificate is sound.
+core::DdcrRunOptions small_rejoinable_options();
+
+/// Payload of every harness message (bursts, scramble frames, garbage).
+inline constexpr std::int64_t kHarnessMessageBits = 100;
+/// Chunk size of every harness phase, in slots.
+inline constexpr std::int64_t kHarnessChunkSlots = 64;
 
 /// Ground-truth mutual-exclusion checker: slot records must be
 /// time-ordered and non-overlapping, and every success must carry exactly
@@ -42,13 +56,16 @@ class SafetyChecker final : public net::ChannelObserver {
   bool any_ = false;
 };
 
-/// Per-observation reconvergence probe: evaluates a caller-supplied
-/// consistency predicate after every delivery and remembers the last
-/// observation index at which it was false.
+/// The harnesses' reconvergence predicate: every station synced (none
+/// quarantined, crashed or offline) and every protocol digest equal.
+bool consistent(const core::DdcrTestbed& bed);
+
+/// Per-observation reconvergence probe: evaluates consistent(bed) after
+/// every delivery and remembers the last observation index at which it
+/// was false.
 class ReconvergenceProbe final : public net::ChannelObserver {
  public:
-  explicit ReconvergenceProbe(std::function<bool()> consistent)
-      : consistent_(std::move(consistent)) {}
+  explicit ReconvergenceProbe(const core::DdcrTestbed& bed) : bed_(bed) {}
 
   void on_slot(const net::SlotRecord& record) override;
 
@@ -57,10 +74,30 @@ class ReconvergenceProbe final : public net::ChannelObserver {
   std::int64_t last_divergent_observation() const { return last_divergent_; }
 
  private:
-  std::function<bool()> consistent_;
+  const core::DdcrTestbed& bed_;
   std::int64_t observations_ = 0;
   std::int64_t last_divergent_ = -1;
 };
+
+/// Injects one message per station, all arriving at `at` with deadline
+/// `at + relative_deadline`: station s sends uid `first_uid + s *
+/// uid_stride` in class s. Shared arrival instants force a z-way collision
+/// and shared deadlines same-class ties, so every burst exercises TTs and
+/// STs. Each message is also appended to `injected`.
+void inject_burst(core::DdcrTestbed& bed, util::SimTime at,
+                  util::Duration relative_deadline, std::int64_t first_uid,
+                  std::int64_t uid_stride,
+                  std::vector<traffic::Message>& injected);
+
+/// The self-heal both harnesses end with, in 64-slot chunks up to `cap`.
+/// First it drains the backlog and gives crashed or quarantined stations
+/// the quiet streak their rejoin certificate needs. Then it forces up to
+/// `max_rounds` reconvergence bursts until every queue is empty and
+/// consistent(bed) holds. Returns the rounds used; the burst messages are
+/// appended to `injected`.
+int self_heal(core::DdcrTestbed& bed, util::SimTime cap, int max_rounds,
+              util::Duration relative_deadline,
+              std::vector<traffic::Message>& injected);
 
 /// The extended fault axes derive their RNG streams by channel_seed()-style
 /// SplitMix64 splitting: axis k's seed is the (k+1)-th draw of a SplitMix64
@@ -80,10 +117,10 @@ struct CampaignOptions {
   int stations = 4;
   std::uint64_t seed = 1;
 
-  /// Base PHY/protocol parameters. Defaults are a small, fast instance;
-  /// ddcr must be rejoin-capable (checked at construction).
-  net::PhyConfig phy;
-  core::DdcrConfig ddcr;
+  /// Base PHY/protocol parameters; ddcr must be rejoin-capable (checked at
+  /// construction).
+  net::PhyConfig phy = small_rejoinable_options().phy;
+  core::DdcrConfig ddcr = small_rejoinable_options().ddcr;
 
   /// Phase-1 traffic: every station enqueues `messages_per_station`
   /// messages at shared arrival instants (worst case: z-way collisions and
@@ -128,8 +165,6 @@ struct CampaignOptions {
   /// comparison are sound. The faulted suffix remains covered by the
   /// campaign's own safety / reconvergence invariants.
   bool conformance_check = false;
-
-  CampaignOptions();
 };
 
 struct CampaignResult {

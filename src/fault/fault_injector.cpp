@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/ddcr_network.hpp"
 #include "obs/registry.hpp"
 #include "util/check.hpp"
 
@@ -22,11 +23,12 @@ FaultInjector::FaultInjector(FaultPlan plan, ChurnPlan churn, DriftPlan drift,
   }
 }
 
-void FaultInjector::install(net::BroadcastChannel& channel) {
-  slot_x_ = channel.phy().slot_x;
-  recorder_ = channel.flight_recorder();
-  channel.set_interceptor(this);
-  channel.add_observer(*this);
+void FaultInjector::install(core::DdcrTestbed& bed) {
+  bed_ = &bed;
+  slot_x_ = bed.options().phy.slot_x;
+  recorder_ = &bed.flight_recorder();
+  bed.channel().set_interceptor(this);
+  bed.channel().add_observer(*this);
 }
 
 std::int64_t FaultInjector::clean_prefix_end() const {
@@ -140,30 +142,30 @@ void FaultInjector::on_slot(const net::SlotRecord& record) {
     crash_fired_[i] = true;
     ++stats_.crashes_fired;
     HRTDM_COUNT("fault.crashes_fired");
-    HRTDM_EXPECT(static_cast<bool>(crash_hook_),
-                 "a crash directive fired but no crash hook is set");
-    crash_hook_(plan_.crashes[i].station);
+    core::DdcrStation& station = bed_->station(plan_.crashes[i].station);
+    if (station.online()) {  // a powered-off station cannot crash
+      station.reset_for_rejoin();
+    }
   }
   while (churn_next_ < churn_.events.size() &&
          churn_.events[churn_next_].at_observation <= index) {
     const ChurnEvent& e = churn_.events[churn_next_++];
-    HRTDM_EXPECT(static_cast<bool>(churn_hook_),
-                 "a churn directive fired but no churn hook is set");
     if (e.kind == ChurnKind::kLeave) {
       ++stats_.churn_leaves;
       HRTDM_COUNT("fault.churn_leaves");
+      bed_->station(e.station).go_offline();
     } else {
       ++stats_.churn_joins;
       HRTDM_COUNT("fault.churn_joins");
+      bed_->station(e.station).bring_online();
     }
-    churn_hook_(e.station, e.kind);
   }
   // The resync rule: while a drifted station sits in the listen-only
-  // resync state (watchdog quarantine or churn rejoin), its clock is
-  // re-anchored against the channel it is listening to — phase returns to
-  // zero, the residual frequency error stays.
+  // resync state (watchdog quarantine, crash recovery or churn rejoin),
+  // its clock is re-anchored against the channel it is listening to —
+  // phase returns to zero, the residual frequency error stays.
   for (DriftedStation& d : drifted_) {
-    const bool resyncing = sync_probe_ && sync_probe_(d.station);
+    const bool resyncing = !bed_->station(d.station).synced();
     if (resyncing) {
       d.clock.resync(record.end);
       if (!d.resyncing) {

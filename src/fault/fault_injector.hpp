@@ -1,12 +1,13 @@
-// Executes fault, churn and drift plans against a live BroadcastChannel.
+// Executes fault, churn and drift plans against a live DdcrTestbed channel.
 //
 // The injector sits on both channel hooks: as the SlotInterceptor it
 // destroys scripted transmissions (symmetric windows), rewrites chosen
 // stations' observations (asymmetric windows) and mis-samples drifted
 // stations' receive paths; as a ChannelObserver it counts delivered
 // observations and fires crash and churn directives at their slot boundary
-// through caller-supplied hooks (the injector knows station *ids*, the
-// harness knows the DdcrStation objects).
+// on the testbed's stations: a crash sends an online station through the
+// quiet-period rejoin (a powered-off station cannot crash), a leave takes
+// it offline and a join brings it back.
 //
 // All randomness comes from one seeded stream drawn in a deterministic
 // order (symmetric draw per window per slot, then asymmetric draws in
@@ -17,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "fault/churn_plan.hpp"
 #include "fault/drift_plan.hpp"
@@ -26,33 +26,24 @@
 #include "sim/drift_clock.hpp"
 #include "util/rng.hpp"
 
+namespace hrtdm::core {
+class DdcrTestbed;
+}  // namespace hrtdm::core
+
 namespace hrtdm::fault {
 
 class FaultInjector final : public net::SlotInterceptor,
                             public net::ChannelObserver {
  public:
-  /// Invoked with the station id of a crash directive, at the boundary of
-  /// the observation it is scripted for (after the station observed it).
-  using CrashHook = std::function<void(int station)>;
-  /// Invoked with a churn directive at its observation boundary.
-  using ChurnHook = std::function<void(int station, ChurnKind kind)>;
-  /// Polled once per slot per drifted station: returns true while the
-  /// station is resynchronising (quarantined by the watchdog or rejoining
-  /// after churn). While true the station's drift clock is re-anchored —
-  /// the resync rule: rejoin corrects phase, the residual rate remains.
-  using SyncProbe = std::function<bool(int station)>;
-
   FaultInjector(FaultPlan plan, std::uint64_t seed);
   FaultInjector(FaultPlan plan, ChurnPlan churn, DriftPlan drift,
                 std::uint64_t seed);
 
-  /// Installs this injector on the channel (interceptor + observer) —
-  /// call before channel.start(); the injector must outlive the channel.
-  void install(net::BroadcastChannel& channel);
-
-  void set_crash_hook(CrashHook hook) { crash_hook_ = std::move(hook); }
-  void set_churn_hook(ChurnHook hook) { churn_hook_ = std::move(hook); }
-  void set_sync_probe(SyncProbe probe) { sync_probe_ = std::move(probe); }
+  /// Installs this injector on the testbed's channel (interceptor +
+  /// observer) — call before the channel starts; the injector must
+  /// outlive the channel's last slot. Crash and churn directives act on
+  /// the testbed's stations.
+  void install(core::DdcrTestbed& bed);
 
   struct Stats {
     std::int64_t crashes_fired = 0;
@@ -108,14 +99,12 @@ class FaultInjector final : public net::SlotInterceptor,
   FaultPlan plan_;
   ChurnPlan churn_;
   DriftPlan drift_;
-  obs::FlightRecorder* recorder_ = nullptr;  ///< the channel's, at install()
+  core::DdcrTestbed* bed_ = nullptr;          ///< set at install()
+  obs::FlightRecorder* recorder_ = nullptr;  ///< the testbed's, at install()
   util::Rng rng_;
-  CrashHook crash_hook_;
-  ChurnHook churn_hook_;
-  SyncProbe sync_probe_;
   std::vector<bool> crash_fired_;
   std::vector<DriftedStation> drifted_;
-  util::Duration slot_x_;  ///< set at install() from the channel's phy
+  util::Duration slot_x_;  ///< set at install() from the testbed's phy
   std::size_t churn_next_ = 0;
   std::int64_t observations_seen_ = 0;
   std::int64_t first_drift_effect_ = -1;

@@ -1,12 +1,10 @@
 #include "fault/stabilization.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "analysis/xi.hpp"
 #include "check/conformance.hpp"
-#include "fault/campaign.hpp"
 #include "net/channel.hpp"
 #include "obs/registry.hpp"
 #include "traffic/message.hpp"
@@ -19,27 +17,6 @@ namespace hrtdm::fault {
 using core::DdcrStation;
 using util::Duration;
 using util::SimTime;
-
-namespace {
-
-/// Payload size used by the scramble frames, the garbage queue entries and
-/// the verification workload (matches the campaign harness traffic).
-constexpr std::int64_t kMsgBits = 100;
-
-}  // namespace
-
-StabilizationOptions::StabilizationOptions() {
-  phy.slot_x = Duration::nanoseconds(100);
-  phy.psi_bps = 1e9;
-  phy.overhead_bits = 0;
-  ddcr.m_time = 2;
-  ddcr.F = 16;
-  ddcr.m_static = 2;
-  ddcr.q = 16;
-  ddcr.class_width_c = Duration::microseconds(1);
-  ddcr.alpha = Duration::nanoseconds(0);
-  ddcr.max_empty_tts = 2;  // bounded silence streaks: rejoin-capable
-}
 
 std::int64_t stabilization_bound_observations(
     const StabilizationOptions& options) {
@@ -60,8 +37,8 @@ std::int64_t stabilization_bound_observations(
   const std::int64_t xi_static =
       analysis::XiExactTable(config.m_static, static_cast<int>(n_static))
           .xi(std::min<std::int64_t>(z, config.q));
-  const std::int64_t tx_slots =
-      std::max<std::int64_t>(1, options.phy.tx_time(kMsgBits).ceil_div(x));
+  const std::int64_t tx_slots = std::max<std::int64_t>(
+      1, options.phy.tx_time(kHarnessMessageBits).ceil_div(x));
   const std::int64_t per_epoch =
       1 + (xi_time + 1) + z * (xi_static + 1) + z * tx_slots;
 
@@ -102,52 +79,24 @@ StabilizationResult run_stabilization(const StabilizationOptions& options) {
                "scramble strengths cannot be negative");
   HRTDM_EXPECT(options.verify_messages_per_station >= 1,
                "the clean-suffix verdict needs a verification workload");
-  core::DdcrConfig config = options.ddcr;
-  if (config.static_indices.empty()) {
-    config.static_indices =
-        core::DdcrConfig::one_index_per_source(options.stations, config.q);
-  }
-  config.validate(options.stations);
-  // Scrambled replicas recover through watchdog quarantines; the
-  // quiet-period certificate must be live-lock free.
-  config.validate_rejoinable();
+  // Scrambled replicas recover through watchdog quarantines: the testbed
+  // rejects configurations whose quiet-period certificate livelocks.
+  core::DdcrRunOptions run;
+  run.phy = options.phy;
+  run.ddcr = options.ddcr;
+  run.require_rejoinable = true;
+  core::DdcrTestbed bed(options.stations, run);
+  const core::DdcrConfig& config = bed.options().ddcr;
   HRTDM_EXPECT(config.alpha + options.relative_deadline < config.horizon(),
                "verification deadlines must fit the scheduling horizon cF");
 
-  sim::Simulator simulator;
-  net::BroadcastChannel channel(simulator, options.phy,
-                                net::CollisionMode::kDestructive);
-  // The stations view `config`, declared above them so it outlives them.
-  std::vector<std::unique_ptr<DdcrStation>> stations;
-  for (int s = 0; s < options.stations; ++s) {
-    stations.push_back(std::make_unique<DdcrStation>(s, config));
-    channel.attach(*stations.back());
-  }
-
   SafetyChecker safety;
-  auto consistent = [&stations] {
-    bool have_reference = false;
-    std::uint64_t reference = 0;
-    for (const auto& station : stations) {
-      if (!station->synced()) {
-        return false;
-      }
-      const std::uint64_t digest = station->protocol_digest();
-      if (!have_reference) {
-        reference = digest;
-        have_reference = true;
-      } else if (digest != reference) {
-        return false;
-      }
-    }
-    return true;
-  };
-  ReconvergenceProbe probe(consistent);
+  ReconvergenceProbe probe(bed);
   check::ConformanceRecorder recorder;
-  channel.add_observer(safety);
-  channel.add_observer(probe);
+  bed.channel().add_observer(safety);
+  bed.channel().add_observer(probe);
   if (options.conformance_check) {
-    channel.add_observer(recorder);
+    bed.channel().add_observer(recorder);
   }
 
   StabilizationResult result;
@@ -170,7 +119,7 @@ StabilizationResult run_stabilization(const StabilizationOptions& options) {
   std::int64_t fabricated_uid = 90'000'000;
   std::int64_t garbage_uid = 95'000'000;
   for (int s = 0; s < options.stations; ++s) {
-    DdcrStation* station = stations[static_cast<std::size_t>(s)].get();
+    DdcrStation& station = bed.station(s);
     util::Rng rng(scramble_mix.next());
     const std::int64_t n_obs =
         rng.uniform_i64(0, options.max_scramble_observations);
@@ -194,15 +143,16 @@ StabilizationResult run_stabilization(const StabilizationOptions& options) {
             options.stations);
         frame.msg_uid = fabricated_uid++;
         frame.class_id = 0;
-        frame.l_bits = kMsgBits;
+        frame.l_bits = kHarnessMessageBits;
         frame.enqueue_time = t;
         frame.absolute_deadline =
             t + Duration::nanoseconds(
                     rng.uniform_i64(1, config.horizon().ns() - 1));
         obs.frame = frame;
-        obs.slot_end = t + std::max(options.phy.tx_time(kMsgBits), x);
+        obs.slot_end =
+            t + std::max(options.phy.tx_time(kHarnessMessageBits), x);
       }
-      station->observe(obs);
+      station.observe(obs);
       t = obs.slot_end;
       ++result.scrambled_observations;
     }
@@ -213,124 +163,68 @@ StabilizationResult run_stabilization(const StabilizationOptions& options) {
       msg.uid = garbage_uid++;
       msg.class_id = s;
       msg.source = s;
-      msg.l_bits = kMsgBits;
+      msg.l_bits = kHarnessMessageBits;
       msg.arrival = SimTime();
       msg.absolute_deadline =
           SimTime() +
           Duration::nanoseconds(rng.uniform_i64(1, 2 * config.horizon().ns()));
-      station->enqueue(msg);
+      station.enqueue(msg);
       ++result.garbage_messages;
     }
     if (rng.bernoulli(0.25)) {
-      station->reset_for_rejoin();  // corrupted epoch counter / mid-resync
+      station.reset_for_rejoin();  // corrupted epoch counter / mid-resync
     }
   }
 
   // --- Phase B: recover --------------------------------------------------
   // No injector, no scripted faults: from here the run is clean, and the
-  // network must converge on its own. Structure mirrors the campaign
-  // harness's self-heal phases: drain the (garbage) backlog and give
-  // quarantined replicas their quiet certificate, then force reconvergence
-  // epochs until every protocol digest agrees.
-  auto queued = [&stations] {
-    std::int64_t total = 0;
-    for (const auto& station : stations) {
-      total += static_cast<std::int64_t>(station->queue().size());
-    }
-    return total;
-  };
-  auto all_synced = [&stations] {
-    for (const auto& station : stations) {
-      if (!station->synced()) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  channel.start();
-  const Duration step = x * 64;
+  // network must converge on its own through the campaign harness's
+  // self-heal.
   const SimTime hard_cap = SimTime() + x * options.recovery_slots_cap;
-
-  sim::run_chunked(simulator, step, hard_cap, [&queued, &all_synced] {
-    return queued() > 0 || !all_synced();
-  });
-
-  int rounds = 0;
-  std::int64_t round_uid = 2'000'000;
-  std::int64_t generated = 0;
-  while (simulator.now() < hard_cap &&
-         !(queued() == 0 && all_synced() && consistent())) {
-    if (rounds >= options.max_recovery_rounds) {
-      break;
-    }
-    ++rounds;
-    const SimTime burst_at = simulator.now() + x * 2;
-    for (int s = 0; s < options.stations; ++s) {
-      traffic::Message msg;
-      msg.uid = round_uid++;
-      msg.class_id = s;
-      msg.source = s;
-      msg.l_bits = kMsgBits;
-      msg.arrival = burst_at;
-      msg.absolute_deadline = burst_at + options.relative_deadline;
-      DdcrStation* station = stations[static_cast<std::size_t>(s)].get();
-      simulator.schedule_at(
-          burst_at, [station, msg] { station->enqueue(msg); }, "arrival");
-      ++generated;
-    }
-    simulator.run_until(simulator.now() + step);
-    sim::run_chunked(simulator, step, hard_cap, [&queued, &all_synced] {
-      return queued() > 0 || !all_synced();
-    });
-  }
-  result.recovery_rounds_used = rounds;
-  result.reconverged = queued() == 0 && all_synced() && consistent();
+  std::vector<traffic::Message> recovery_bursts;
+  result.recovery_rounds_used =
+      self_heal(bed, hard_cap, options.max_recovery_rounds,
+                options.relative_deadline, recovery_bursts);
+  result.reconverged = bed.drained() && consistent(bed);
 
   // --- Phase C: verify the clean suffix ----------------------------------
   // The quiet boundary: queues drained, every station synced, digests
   // equal. Everything delivered from here on is fresh verification traffic,
   // so the suffix must pass the *full* differential conformance check —
   // placement-model bounds, EDF-oracle sweep and all.
-  const std::int64_t suffix_begin = channel.observations_delivered();
-  std::int64_t boundary_watchdog = 0;
-  for (const auto& station : stations) {
-    boundary_watchdog += station->counters().desyncs_detected +
-                         station->counters().quarantines +
-                         station->counters().rejoins;
-  }
+  const std::int64_t suffix_begin = bed.channel().observations_delivered();
+  const auto watchdog_events = [&bed] {
+    std::int64_t events = 0;
+    for (int s = 0; s < bed.station_count(); ++s) {
+      const DdcrStation::Counters& counters = bed.station(s).counters();
+      events += counters.desyncs_detected + counters.quarantines +
+                counters.rejoins;
+    }
+    return events;
+  };
+  const std::int64_t boundary_watchdog = watchdog_events();
   std::vector<traffic::Message> verify_messages;
   if (result.reconverged) {
-    const SimTime base = simulator.now() + x * 2;
+    const SimTime base = bed.simulator().now() + x * 2;
     for (int k = 0; k < options.verify_messages_per_station; ++k) {
-      const SimTime arrival = base + options.arrival_spacing * k;
-      for (int s = 0; s < options.stations; ++s) {
-        traffic::Message msg;
-        msg.uid = 97'000'000 + static_cast<std::int64_t>(s) * 10'000 + k;
-        msg.class_id = s;
-        msg.source = s;
-        msg.l_bits = kMsgBits;
-        msg.arrival = arrival;
-        msg.absolute_deadline = arrival + options.relative_deadline;
-        DdcrStation* station = stations[static_cast<std::size_t>(s)].get();
-        simulator.schedule_at(
-            arrival, [station, msg] { station->enqueue(msg); }, "arrival");
-        verify_messages.push_back(msg);
-      }
+      inject_burst(bed, base + options.arrival_spacing * k,
+                   options.relative_deadline, 97'000'000 + k, 10'000,
+                   verify_messages);
     }
-    simulator.run_until(simulator.now() + step);
-    sim::run_chunked(simulator, step, hard_cap, [&queued, &all_synced] {
-      return queued() > 0 || !all_synced();
+    bed.advance(bed.simulator().now() + x * kHarnessChunkSlots);
+    bed.run_while(kHarnessChunkSlots, hard_cap, [&bed] {
+      return !bed.drained() || !bed.all_synced();
     });
   }
-  channel.stop();
+  bed.stop();
 
   result.safety_ok = safety.ok();
   result.safety_violations = safety.violations();
-  for (const auto& station : stations) {
-    result.desyncs_detected += station->counters().desyncs_detected;
-    result.quarantines += station->counters().quarantines;
-    result.rejoins += station->counters().rejoins;
+  for (int s = 0; s < bed.station_count(); ++s) {
+    const DdcrStation::Counters& counters = bed.station(s).counters();
+    result.desyncs_detected += counters.desyncs_detected;
+    result.quarantines += counters.quarantines;
+    result.rejoins += counters.rejoins;
   }
   const std::int64_t last_divergent = probe.last_divergent_observation();
   result.convergence_observations = last_divergent + 1;
@@ -341,12 +235,6 @@ StabilizationResult run_stabilization(const StabilizationOptions& options) {
       result.convergence_observations <= result.bound_observations;
 
   if (options.conformance_check && result.reconverged) {
-    std::int64_t end_watchdog = 0;
-    for (const auto& station : stations) {
-      end_watchdog += station->counters().desyncs_detected +
-                      station->counters().quarantines +
-                      station->counters().rejoins;
-    }
     check::ConformanceInput input;
     input.messages = verify_messages;
     input.phy = options.phy;
@@ -356,13 +244,12 @@ StabilizationResult run_stabilization(const StabilizationOptions& options) {
     input.clean_suffix_begin = suffix_begin;
     // The placement-model bounds require replica agreement over the judged
     // window: clean iff no watchdog event fired after the boundary.
-    input.replicas_clean = end_watchdog == boundary_watchdog;
+    input.replicas_clean = watchdog_events() == boundary_watchdog;
     result.conformance = check::ConformanceComparator{}.check(input, recorder);
     result.suffix_checked = result.conformance.checked;
     result.suffix_ok = result.conformance.ok;
   }
 
-  (void)generated;
   HRTDM_COUNT("fault.stabilization_runs");
   if (result.passed()) {
     HRTDM_COUNT("fault.stabilization_passed");

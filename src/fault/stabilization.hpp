@@ -25,6 +25,7 @@
 
 #include "core/ddcr_config.hpp"
 #include "core/ddcr_network.hpp"
+#include "fault/campaign.hpp"
 #include "net/phy.hpp"
 #include "util/simtime.hpp"
 
@@ -34,10 +35,9 @@ struct StabilizationOptions {
   int stations = 4;
   std::uint64_t seed = 1;
 
-  /// Base PHY/protocol parameters; ddcr must be rejoin-capable. Defaults
-  /// match the campaign harness's small fast instance.
-  net::PhyConfig phy;
-  core::DdcrConfig ddcr;
+  /// Base PHY/protocol parameters; ddcr must be rejoin-capable.
+  net::PhyConfig phy = small_rejoinable_options().phy;
+  core::DdcrConfig ddcr = small_rejoinable_options().ddcr;
 
   /// Scramble strength: per station, up to this many fabricated channel
   /// observations are replayed into the state machine (driving it to an
@@ -58,8 +58,6 @@ struct StabilizationOptions {
   /// clean-suffix conformance check.
   int verify_messages_per_station = 6;
   bool conformance_check = true;
-
-  StabilizationOptions();
 };
 
 struct StabilizationResult {

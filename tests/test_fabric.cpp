@@ -1,17 +1,20 @@
 // core::Fabric conformance pins: a bridge-free fabric must be
 // bit-identical — protocol digest chain, delivered/misses/undelivered —
 // to run_multi_channel() on the same workload, for any shard count, with
-// the epoch compiler on or off, and in barrier mode. Plus the SoA
-// round-trip, bridge exactly-once delivery, and the replay entry the
+// the epoch compiler on or off, and in barrier mode. Plus the fabric.*
+// gauge sums, bridge exactly-once delivery, and the replay entry the
 // Shrinker's fabric axis uses.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "check/conformance.hpp"
 #include "core/fabric.hpp"
 #include "core/multi_channel.hpp"
+#include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "traffic/workload.hpp"
 #include "util/check.hpp"
@@ -142,28 +145,50 @@ TEST(Fabric, AuditedChannelsPassConformance) {
   EXPECT_EQ(got.protocol_digest, want.protocol_digest);
 }
 
-TEST(Fabric, SoaSegmentsMatchFinalStationState) {
+TEST(Fabric, GaugesMatchChannelResults) {
+  // The four fabric.* gauges are sums of per-channel station counts taken
+  // as each channel is harvested: they must equal the same sums over the
+  // end-of-run station snapshots, free-running and in barrier mode. With
+  // observability compiled out, nothing may be registered at all.
   const auto wl = traffic::stock_exchange(8);
-  FabricOptions fopts;
-  fopts.run = small_options(wl);
-  fopts.channels = 3;
-  fopts.collect_channel_results = true;
-  const FabricResult got = run_fabric(wl, fopts);
-  ASSERT_EQ(got.soa.channels(), 3);
-  for (int ch = 0; ch < 3; ++ch) {
-    const auto& snaps = got.full[static_cast<std::size_t>(ch)].snapshots;
-    ASSERT_EQ(got.soa.count(ch), snaps.size());
-    for (std::size_t s = 0; s < snaps.size(); ++s) {
-      const std::size_t slot = got.soa.base(ch) + s;
-      const StationSnapshot hot = got.soa.hot_snapshot(slot);
-      EXPECT_EQ(hot.id, snaps[s].id);
-      EXPECT_STREQ(hot.mode, snaps[s].mode);
-      EXPECT_EQ(hot.synced, snaps[s].synced);
-      EXPECT_EQ(hot.queue_depth, snaps[s].queue_depth);
-      EXPECT_EQ(hot.has_head, snaps[s].has_head);
-      EXPECT_EQ(hot.head_deadline_ns, snaps[s].head_deadline_ns);
-      EXPECT_EQ(hot.reft_ns, snaps[s].reft_ns);
+  obs::Sampler::Options sopts;
+  sopts.cadence_ns = 1'000'000;
+  sopts.prefixes = {"fabric."};
+  obs::Sampler sampler(sopts);
+  for (obs::Sampler* mode : {static_cast<obs::Sampler*>(nullptr), &sampler}) {
+    SCOPED_TRACE(mode == nullptr ? "free-running" : "barrier mode");
+    FabricOptions fopts;
+    fopts.run = small_options(wl);
+    fopts.channels = 3;
+    fopts.collect_channel_results = true;
+    fopts.sampler = mode;
+    const FabricResult got = run_fabric(wl, fopts);
+    std::map<std::string, std::int64_t> want;
+    for (const DdcrRunResult& full : got.full) {
+      for (const StationSnapshot& snap : full.snapshots) {
+        ++want["fabric.stations"];
+        want["fabric.backlog"] += static_cast<std::int64_t>(snap.queue_depth);
+        want["fabric.synced"] += snap.synced ? 1 : 0;
+        want["fabric.online"] +=
+            std::strcmp(snap.mode, DdcrStation::mode_name(
+                                       DdcrStation::Mode::kOffline)) != 0
+                ? 1
+                : 0;
+      }
     }
+    EXPECT_EQ(want["fabric.stations"], got.stations);
+    std::map<std::string, std::int64_t> gauges;
+    for (const obs::GaugeSnapshot& gauge :
+         obs::Registry::global().snapshot().gauges) {
+      if (gauge.name.rfind("fabric.", 0) == 0) {
+        gauges[gauge.name] = gauge.value;
+      }
+    }
+#if defined(HRTDM_OBS_OFF)
+    EXPECT_TRUE(gauges.empty());
+#else
+    EXPECT_EQ(gauges, want);
+#endif
   }
 }
 
@@ -188,58 +213,6 @@ TEST(Fabric, ChannelSummaryMatchesFullResult) {
     EXPECT_EQ(got.channels[ch].misses, want.misses);
     EXPECT_EQ(got.channels[ch].worst_latency_s, want.worst_latency_s);
   }
-}
-
-TEST(StationSoA, SnapshotRoundTripAndAggregates) {
-  StationSoA soa;
-  soa.build({2, 3});
-  EXPECT_EQ(soa.channels(), 2);
-  EXPECT_EQ(soa.size(), 5u);
-  EXPECT_EQ(soa.count(0), 2u);
-  EXPECT_EQ(soa.count(1), 3u);
-  // Padding keeps adjacent channels' segments on separate cache lines.
-  EXPECT_GE(soa.base(1), StationSoA::kPadEntries);
-  EXPECT_EQ(soa.base(1) % StationSoA::kPadEntries, 0u);
-
-  StationSnapshot snap;
-  snap.id = 7;
-  snap.mode = DdcrStation::mode_name(DdcrStation::Mode::kTimeSearch);
-  snap.synced = true;
-  snap.queue_depth = 4;
-  snap.has_head = true;
-  snap.head_deadline_ns = 123'456;
-  snap.reft_ns = 100'000;
-  soa.load(soa.base(1) + 1, snap);
-
-  const StationSnapshot back = soa.hot_snapshot(soa.base(1) + 1);
-  EXPECT_EQ(back.id, 7);
-  EXPECT_STREQ(back.mode, snap.mode);
-  EXPECT_TRUE(back.synced);
-  EXPECT_EQ(back.queue_depth, 4u);
-  EXPECT_TRUE(back.has_head);
-  EXPECT_EQ(back.head_deadline_ns, 123'456);
-  EXPECT_EQ(back.reft_ns, 100'000);
-  EXPECT_EQ(soa.mode(soa.base(1) + 1), DdcrStation::Mode::kTimeSearch);
-  EXPECT_TRUE(soa.online(soa.base(1) + 1));
-
-  StationSnapshot offline;
-  offline.id = 1;
-  offline.mode = DdcrStation::mode_name(DdcrStation::Mode::kOffline);
-  offline.synced = false;
-  soa.load(soa.base(0), offline);
-  EXPECT_FALSE(soa.online(soa.base(0)));
-
-  const StationSoA::Aggregate ch1 = soa.aggregate(1);
-  EXPECT_EQ(ch1.backlog, 4);
-  EXPECT_EQ(ch1.synced, 1);
-  EXPECT_EQ(ch1.online, 1);  // unrefreshed slots read as offline
-  EXPECT_EQ(ch1.min_head_deadline_ns, 123'456);
-  const StationSoA::Aggregate all = soa.aggregate_all();
-  EXPECT_EQ(all.backlog, 4);
-  EXPECT_EQ(all.online, 1);  // only the refreshed kTimeSearch slot
-  EXPECT_EQ(all.min_head_deadline_ns, 123'456);
-  // Channel 0 has no queued head: the sentinel survives the scan.
-  EXPECT_EQ(soa.aggregate(0).min_head_deadline_ns, INT64_MAX);
 }
 
 TEST(Fabric, BridgeRelaysExactlyOnce) {

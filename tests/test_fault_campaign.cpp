@@ -18,13 +18,13 @@
 #include "core/ddcr_network.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault_injector.hpp"
+#include "outcome_fold.hpp"
 #include "traffic/message.hpp"
 #include "util/check.hpp"
 
 namespace hrtdm::fault {
 namespace {
 
-using core::DdcrRunOptions;
 using core::DdcrTestbed;
 using traffic::Message;
 using util::Duration;
@@ -148,6 +148,82 @@ TEST(FaultCampaign, ParallelCampaignsMatchSerialLoop) {
   }
 }
 
+// The tests above check invariants and same-seed determinism, which a
+// refactor that moves outcomes while keeping them legal would pass. These
+// pins fold every CampaignResult field, one value per configuration.
+std::uint64_t fold(const CampaignResult& r) {
+  const FaultInjector::Stats& f = r.faults;
+  return pins::OutcomeFold()
+      .add(r.safety_ok)
+      .add(r.safety_violations)
+      .add(r.drained)
+      .add(r.reconverged)
+      .add(r.last_fault_observation)
+      .add(r.reconvergence_observations)
+      .add(r.recovery_rounds_used)
+      .add(f.crashes_fired)
+      .add(f.symmetric_corruptions)
+      .add(f.asymmetric_corruptions)
+      .add(f.asymmetric_misses)
+      .add(f.churn_leaves)
+      .add(f.churn_joins)
+      .add(f.drift_missamples)
+      .add(f.drift_resyncs)
+      .add(r.desyncs_detected)
+      .add(r.quarantines)
+      .add(r.rejoins)
+      .add(r.generated)
+      .add(r.delivered)
+      .add(r.misses)
+      .add(r.conformance)
+      .value();
+}
+
+TEST(FaultCampaign, OutcomesArePinned) {
+  // Rows: the default mix, Poisson churn, adversarial churn and two
+  // drifted stations (the churn and drift suites' shapes); columns: seeds
+  // 1-8. Every campaign runs the clean-prefix conformance check.
+  constexpr std::uint64_t kPins[4][8] = {
+      {0xe16cce0b3ebeba0b, 0xc3ec93bbf8df00eb, 0xc3fc20101e2da645,
+       0xb305b90371660ce2, 0x101821351a16aa12, 0x32ef66a11b55e1e0,
+       0xd158ae20efe8d30e, 0xc7dc034d9a58239d},
+      {0xe9fbe4f4e7dce47f, 0x5222794ed04f8416, 0x0b1c33b063555b37,
+       0x11678afc6eea25d2, 0x29b1fc919d2a04ea, 0x821a65241e3f4783,
+       0xbbe3b4262b6931fa, 0xfc7b2d97f22a520c},
+      {0x35726a45c32efac0, 0xd807552679448123, 0x98ef20d36e0e6af0,
+       0x151a2bb954fc17f6, 0x341cd663ad0df0af, 0xf21c1d02d1aae10e,
+       0xaa4d19f1ac64957a, 0xa923992048fed841},
+      {0x7fbb39be46e065e8, 0x3bd0288d506a9542, 0x014309ca46295438,
+       0x82804e3a63531472, 0x86bac7ce9587c292, 0xba94197620734981,
+       0x7b48731e14a96b90, 0x01aefe983bc67946},
+  };
+  for (int mix = 0; mix < 4; ++mix) {
+    for (int seed = 1; seed <= 8; ++seed) {
+      CampaignOptions options;
+      options.seed = static_cast<std::uint64_t>(seed);
+      options.conformance_check = true;
+      if (mix == 1) {
+        options.churn_events = 6;
+      } else if (mix == 2) {
+        options.stations = 5;
+        options.churn_events = 1;
+        options.churn_adversarial = true;
+      } else if (mix == 3) {
+        options.crashes = 0;
+        options.symmetric_bursts = 0;
+        options.asymmetric_bursts = 0;
+        options.drifted_stations = 2;
+        options.drift_phase_bound = Duration::nanoseconds(60);
+        options.drift_rate_ppm = 1000.0;
+      }
+      const std::uint64_t got = fold(run_campaign(options));
+      EXPECT_EQ(got, kPins[mix][seed - 1])
+          << "mix " << mix << " seed " << seed << ": got 0x" << std::hex
+          << got;
+    }
+  }
+}
+
 TEST(FaultCampaign, RejectsRejoinImpossibleConfiguration) {
   // Satellite: a config whose quiet-period certificate is unsound must be
   // rejected at construction with an actionable error, not livelock later.
@@ -186,21 +262,6 @@ TEST(FaultPlanSuite, ValidatesDirectives) {
 // impossible from inside that phantom epoch: its deadline class lies outside
 // the probed subtree.
 
-DdcrRunOptions demo_options() {
-  DdcrRunOptions options;
-  options.phy.slot_x = Duration::nanoseconds(100);
-  options.phy.psi_bps = 1e9;
-  options.phy.overhead_bits = 0;
-  options.ddcr.m_time = 2;
-  options.ddcr.F = 16;
-  options.ddcr.m_static = 2;
-  options.ddcr.q = 16;
-  options.ddcr.class_width_c = Duration::microseconds(1);
-  options.ddcr.alpha = Duration::nanoseconds(0);
-  options.ddcr.max_empty_tts = 2;
-  return options;
-}
-
 Message demo_msg(std::int64_t uid, int source, std::int64_t arrival_ns,
                  std::int64_t deadline_rel_ns) {
   Message msg;
@@ -231,11 +292,11 @@ void inject_demo_traffic(DdcrTestbed& bed) {
 }
 
 TEST(Watchdog, WithoutItAnAsymmetricFaultSilentlyDiverges) {
-  auto options = demo_options();
+  auto options = small_rejoinable_options();
   options.ddcr.enable_divergence_watchdog = false;
   DdcrTestbed bed(2, options);
   FaultInjector injector(demo_plan(), 1);
-  injector.install(bed.channel());
+  injector.install(bed);
   inject_demo_traffic(bed);
 
   bed.run_until_delivered(6, SimTime::from_ns(1'000'000));
@@ -252,10 +313,10 @@ TEST(Watchdog, WithoutItAnAsymmetricFaultSilentlyDiverges) {
 }
 
 TEST(Watchdog, DetectsTheDivergenceAndRecoversViaQuarantine) {
-  auto options = demo_options();  // watchdog on by default
+  auto options = small_rejoinable_options();  // watchdog on by default
   DdcrTestbed bed(2, options);
   FaultInjector injector(demo_plan(), 1);
-  injector.install(bed.channel());
+  injector.install(bed);
   inject_demo_traffic(bed);
 
   bed.run_until_delivered(6, SimTime::from_ns(1'000'000));
@@ -287,14 +348,14 @@ TEST(Watchdog, MissedCarrierSenseIsAlsoCaught) {
   // during a static search it shares with the talkers: its engine prunes a
   // subtree everyone else saw resolve, and a later success lands outside
   // its (now diverged) probe interval.
-  auto options = demo_options();
+  auto options = small_rejoinable_options();
   DdcrTestbed bed(3, options);
   FaultPlan plan;
   // A window of missed receives for station 0 while an epoch resolves a
   // three-way same-class tie.
   plan.asymmetric.push_back({6, 10, 0, AsymmetricKind::kMissReceive, 1.0});
   FaultInjector injector(plan, 1);
-  injector.install(bed.channel());
+  injector.install(bed);
   for (int s = 0; s < 3; ++s) {
     bed.inject(s, demo_msg(s, s, 500, 12'000));
   }

@@ -297,8 +297,7 @@ TEST(Rejoin, CrashDuringPacketBurstReleasesTheChannel) {
   fault::FaultPlan plan;
   plan.crashes.push_back({7, 0});
   fault::FaultInjector injector(std::move(plan), 1);
-  injector.set_crash_hook([&bed](int id) { bed.station(id).reset_for_rejoin(); });
-  injector.install(bed.channel());
+  injector.install(bed);
 
   // Run to just past the slot boundary following the crash (coarser runs
   // would overshoot the short quiet-period rejoin): the burst is cut after

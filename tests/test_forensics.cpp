@@ -242,21 +242,7 @@ TEST(ForensicsIntegration, HostileCampaignMissesAllDecomposeExactly) {
       kStations, /*window_observations=*/kStations * kRounds / 2, 4,
       /*seed=*/9);
   fault::FaultInjector injector(fault::FaultPlan{}, churn, drift, 13);
-  injector.set_crash_hook([&bed](int id) {
-    if (bed.station(id).online()) {
-      bed.station(id).reset_for_rejoin();
-    }
-  });
-  injector.set_churn_hook([&bed](int id, fault::ChurnKind kind) {
-    if (kind == fault::ChurnKind::kLeave) {
-      bed.station(id).go_offline();
-    } else {
-      bed.station(id).bring_online();
-    }
-  });
-  injector.set_sync_probe(
-      [&bed](int id) { return !bed.station(id).synced(); });
-  injector.install(bed.channel());
+  injector.install(bed);
 
   std::int64_t uid = 1;
   for (int round = 0; round < kRounds; ++round) {

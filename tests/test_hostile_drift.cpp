@@ -21,7 +21,6 @@
 namespace hrtdm::fault {
 namespace {
 
-using core::DdcrRunOptions;
 using core::DdcrTestbed;
 using sim::DriftClock;
 using traffic::Message;
@@ -109,21 +108,6 @@ TEST(DriftPlanSuite, UniformGeneratorIsDeterministicAndBounded) {
 // phantom epoch nobody else is in, and the watchdog's rules (an impossible
 // success, or the bounded lone-leaf retry streak) must quarantine it.
 
-DdcrRunOptions demo_options() {
-  DdcrRunOptions options;
-  options.phy.slot_x = Duration::nanoseconds(100);
-  options.phy.psi_bps = 1e9;
-  options.phy.overhead_bits = 0;
-  options.ddcr.m_time = 2;
-  options.ddcr.F = 16;
-  options.ddcr.m_static = 2;
-  options.ddcr.q = 16;
-  options.ddcr.class_width_c = Duration::microseconds(1);
-  options.ddcr.alpha = Duration::nanoseconds(0);
-  options.ddcr.max_empty_tts = 2;
-  return options;
-}
-
 Message demo_msg(std::int64_t uid, int source, std::int64_t arrival_ns,
                  std::int64_t deadline_rel_ns) {
   Message msg;
@@ -154,15 +138,13 @@ struct GridOutcome {
 };
 
 GridOutcome run_grid_point(std::int64_t phase_ns) {
-  auto options = demo_options();
+  auto options = small_rejoinable_options();
   DdcrTestbed bed(2, options);
   DriftPlan drift;
   drift.specs.push_back(
       {0, Duration::nanoseconds(phase_ns), 0.0, Duration()});
   FaultInjector injector(FaultPlan{}, ChurnPlan{}, drift, 1);
-  injector.set_sync_probe(
-      [&bed](int id) { return !bed.station(id).synced(); });
-  injector.install(bed.channel());
+  injector.install(bed);
   // Contending traffic on BOTH sides: the drifted station must itself hold
   // messages so that, above threshold, its garbled own successes drive the
   // bounded lone-leaf retry streak (watchdog rule C) deterministically.
@@ -230,15 +212,13 @@ TEST(DriftGrid, RateDrivenDriftCrossesTheThresholdMidRun) {
   // back each time the watchdog quarantines the victim. The victim streams
   // its own messages too: its garbled successes feed the lone-leaf retry
   // streak that makes detection deterministic.
-  auto options = demo_options();
+  auto options = small_rejoinable_options();
   DdcrTestbed bed(2, options);
   DriftPlan drift;
   drift.specs.push_back(
       {0, Duration(), 50'000.0, Duration::nanoseconds(80)});
   FaultInjector injector(FaultPlan{}, ChurnPlan{}, drift, 1);
-  injector.set_sync_probe(
-      [&bed](int id) { return !bed.station(id).synced(); });
-  injector.install(bed.channel());
+  injector.install(bed);
   for (int i = 0; i < 40; ++i) {
     bed.inject(0, demo_msg(10 + i, 0, 500 + 400 * i, 20'000));
     bed.inject(1, demo_msg(50 + i, 1, 500 + 400 * i, 20'000));

@@ -11,6 +11,7 @@
 #include "check/conformance.hpp"
 #include "fault/campaign.hpp"
 #include "fault/stabilization.hpp"
+#include "outcome_fold.hpp"
 #include "util/check.hpp"
 
 namespace hrtdm::fault {
@@ -129,6 +130,61 @@ TEST(Stabilization, ConvergenceIsMeasuredInFramesToo) {
       options.ddcr.horizon().ceil_div(options.phy.slot_x);
   EXPECT_EQ(result.convergence_frames,
             (result.convergence_observations + frame_slots - 1) / frame_slots);
+}
+
+// Every StabilizationResult field folded into one value per configuration:
+// the invariant tests above would pass a refactor that moved outcomes
+// while keeping them legal.
+std::uint64_t fold(const StabilizationResult& r) {
+  return pins::OutcomeFold()
+      .add(r.reconverged)
+      .add(r.convergence_observations)
+      .add(r.convergence_frames)
+      .add(r.bound_observations)
+      .add(r.within_bound)
+      .add(r.recovery_rounds_used)
+      .add(r.scrambled_observations)
+      .add(r.garbage_messages)
+      .add(r.desyncs_detected)
+      .add(r.quarantines)
+      .add(r.rejoins)
+      .add(r.safety_ok)
+      .add(r.safety_violations)
+      .add(r.suffix_checked)
+      .add(r.suffix_ok)
+      .add(r.conformance)
+      .value();
+}
+
+TEST(Stabilization, OutcomesArePinned) {
+  // Index: arity m in {2, 3, 4}, stations z in {3, 4}, seeds 1-4.
+  constexpr std::uint64_t kPins[3][2][4] = {
+      {{0xcc03f5fe6fa7b9c7, 0x056f8fd503309567,
+        0x98b7b7635996caf2, 0xc9a185df9a76a69c},
+       {0x9b02c80c58e60af4, 0x37fe885a326a04ef,
+        0x1e51124dcc89aba9, 0x3649ec5909de7b9e}},
+      {{0xe14b64a8fd4dfce3, 0xb4693dabebd4d609,
+        0x55624cb154555c4e, 0x11041fe87d21c1ee},
+       {0x12438f3ec599682a, 0x26724bea7b6ac5f5,
+        0x3f9d3c760358fa6a, 0x76326fa523105c0d}},
+      {{0x5beced036b6085f6, 0x744713cd7f4716e7,
+        0x734dcddf6d463d2a, 0x387909d8168d281c},
+       {0xe70b24c95decd1dd, 0xa06e97406c864722,
+        0x9645ee2d7b4fdb72, 0x6546c4f738745d25}},
+  };
+  for (int m = 2; m <= 4; ++m) {
+    for (int z = 3; z <= 4; ++z) {
+      for (int seed = 1; seed <= 4; ++seed) {
+        StabilizationOptions options = options_for_m(m);
+        options.stations = z;
+        options.seed = static_cast<std::uint64_t>(seed);
+        const std::uint64_t got = fold(run_stabilization(options));
+        EXPECT_EQ(got, kPins[m - 2][z - 3][seed - 1])
+            << "m " << m << " z " << z << " seed " << seed << ": got 0x"
+            << std::hex << got;
+      }
+    }
+  }
 }
 
 TEST(Stabilization, RejectsRejoinImpossibleConfiguration) {

@@ -160,6 +160,7 @@ void DdcrStation::reset_for_rejoin() {
   // Validates that the configuration makes the quiet-period certificate
   // sound (bounded in-epoch silence streaks).
   (void)config_.resync_silence_threshold();
+  ++local_events_;
   trace_instant("resync-enter");
   HRTDM_FR_RECORD(recorder_, obs::FrKind::kQuarantine, trace_now_.ns(), id_);
   time_engine_.abort();
@@ -224,6 +225,7 @@ bool DdcrStation::impossible_sts_success(const Frame& frame) const {
 }
 
 bool DdcrStation::note_desync() {
+  ++local_events_;
   ++counters_.desyncs_detected;
   HRTDM_COUNT("ddcr.desyncs_detected");
   trace_instant("desync-detected");
@@ -419,6 +421,9 @@ void DdcrStation::finish_sts(SimTime now) {
 }
 
 void DdcrStation::observe(const SlotObservation& obs) {
+  if (!obs.broadcast) {
+    ++local_events_;  // heard by this replica alone, or not as the others
+  }
   if (mode_ == Mode::kOffline) {
     return;  // not listening: off the medium entirely
   }

@@ -248,6 +248,12 @@ class DdcrStation final : public net::Station {
   SimTime carried_reft_;             ///< compressed reft carried across
                                      ///< cap-closed epochs
   std::int64_t resync_silences_ = 0; ///< quiet streak heard while resyncing
+  /// Receiver-local events so far: observations not marked broadcast,
+  /// resets (crash, quarantine, churn) and watchdog detections — the only
+  /// ways this replica can leave lock-step with the others. Monotone; the
+  /// epoch compiler reruns its full replica digest compare only once the
+  /// sum over the channel's stations has moved.
+  std::int64_t local_events_ = 0;
   Counters counters_;
 
   // --- observability only (never part of protocol_digest()) ---

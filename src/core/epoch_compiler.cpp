@@ -248,8 +248,9 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   if (ref == nullptr) {
     return false;
   }
-  // The digest-equality gate below implies every synced station shares
-  // ref's mode, so one mode check suffices (a resyncing ref fails it too).
+  // The digest-equality gate below (run in full, or vouched for by the
+  // replica ledger) implies every synced station shares ref's mode, so one
+  // mode check suffices (a resyncing ref fails it too).
   // A decline here is NOT a compile attempt: the stations are simply not
   // mid-epoch, so there was nothing to compile in the first place.
   if (ref->mode_ != Mode::kTimeSearch && ref->mode_ != Mode::kStaticSearch) {
@@ -271,8 +272,21 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     // poll_intent prunes by wall time: polls are not pure.
     return bail(obs::FrBail::kFault, start);
   }
+  // Replica ledger: replicas that agreed at the last full compare and have
+  // since consumed only broadcast observations (plus hand-offs, which
+  // install one state everywhere) still agree, so the full compare only
+  // reruns once some station's local-event tally has moved.
+  std::int64_t local_events = 0;
+  for (const DdcrStation* s : stations_) {
+    local_events += s->local_events_;
+  }
+  const bool recheck = local_events != verified_local_events_;
+  std::uint64_t digest = 0;
+  if (recheck) {
+    ++replica_checks_;
+    digest = ref->protocol_digest();
+  }
   per_.clear();
-  const std::uint64_t digest = ref->protocol_digest();
   for (DdcrStation* s : stations_) {
     if (s->mode_ == Mode::kOffline) {
       continue;  // inert: neither polls nor observes
@@ -281,7 +295,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
       // A resyncing station counts silent slots per observation.
       return bail(obs::FrBail::kResync, start);
     }
-    if (s->protocol_digest() != digest) {
+    if (recheck && s->protocol_digest() != digest) {
       // Latent desync: bail out, never miscompile.
       return bail(obs::FrBail::kDesync, start);
     }
@@ -291,6 +305,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     ps.static_pos = s->static_pos_;
     per_.push_back(ps);
   }
+  verified_local_events_ = local_events;
 
   // --- working copies ---
   cfg_ = &ref->config_;

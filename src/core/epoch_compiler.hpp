@@ -19,6 +19,8 @@
 //  - the synced stations sit mid-epoch (kTimeSearch / kStaticSearch) with
 //    bit-identical protocol digests (a defensive gate: a latent desync
 //    becomes a bail-out to the interpreted path, never a miscompile);
+//    the full digest compare is paid only when a replica could have moved
+//    (the replica ledger, below);
 //  - drop_late_messages is off (with it on, poll_intent prunes the queue
 //    by wall time, so polls are not pure).
 // Disqualifying conditions during the span — a scheduled event (mid-epoch
@@ -26,6 +28,22 @@
 // the compiled span at that event, and anything scheduled into a committed
 // span from outside the event loop dissolves it through the same
 // ScheduleWatcher mechanism idle gaps use (docs/PERFORMANCE.md).
+//
+// Replica ledger. Every DdcrStation counts its receiver-local events, the
+// only ways a replica can leave lock-step:
+//  - an observe() of an observation the channel did not mark broadcast (an
+//    interceptor's per-receiver copy, a phantom or scramble fed to one
+//    station directly);
+//  - reset_for_rejoin(), which covers crash recovery, watchdog quarantine,
+//    go_offline() and bring_online();
+//  - note_desync(), the divergence watchdog's detection.
+// compile() sums the tallies and reruns the all-replica protocol_digest()
+// compare only when the sum differs from the one recorded at the last
+// compare that passed. In between, synced replicas with equal state consume
+// the same broadcast observations and make the same transition, and a
+// hand-off installs one state into all of them, so the compare would repeat
+// its last answer. The offline and resync mode checks still run on every
+// attempt; check_consistency and the conformance audit keep full compares.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +86,9 @@ class EpochCompiler final : public net::SpanCompiler {
   /// or took exactly one of the bail-out reasons below.
   /// Invariant: compile_attempts() == spans_compiled() + sum of bailouts().
   std::int64_t compile_attempts() const { return compile_attempts_; }
+  /// Attempts that re-ran the full protocol_digest() compare across the
+  /// replicas (the rest trusted the replica ledger; see the header note).
+  std::int64_t replica_checks() const { return replica_checks_; }
   /// Per-reason mid-epoch bail-outs (registry family
   /// ddcr.compile_bailout.{horizon,fault,resync,noise,cap,desync}).
   std::int64_t bailouts(obs::FrBail reason) const {
@@ -203,6 +224,11 @@ class EpochCompiler final : public net::SpanCompiler {
   std::int64_t slots_compiled_ = 0;
   std::int64_t epochs_compiled_ = 0;
   std::int64_t compile_attempts_ = 0;
+  std::int64_t replica_checks_ = 0;
+  /// Sum of the stations' local-event tallies at the last full compare
+  /// that passed; -1 until one has (tallies start at 0, so the first
+  /// attempt always compares).
+  std::int64_t verified_local_events_ = -1;
   std::int64_t bailouts_[static_cast<std::size_t>(obs::FrBail::kCount_)] = {};
 };
 

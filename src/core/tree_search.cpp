@@ -16,8 +16,8 @@ TreeSearchEngine::TreeSearchEngine(int m, std::int64_t leaves,
 
 void TreeSearchEngine::push_children(Interval parent) {
   const std::int64_t child = parent.size / m_;
-  const std::uint64_t group = next_group_++;
-  groups_[group] = Group{m_, false};
+  groups_.push_back(Group{m_, false});
+  const std::size_t group = groups_.size();
   // Rightmost first so the leftmost child is on top.
   for (int i = m_ - 1; i >= 0; --i) {
     stack_.push_back(Entry{Interval{parent.lo + i * child, child}, group});
@@ -28,12 +28,14 @@ void TreeSearchEngine::note_outcome(const Entry& entry, bool silent) {
   if (entry.group == 0) {
     return;
   }
-  const auto it = groups_.find(entry.group);
-  HRTDM_ENSURE(it != groups_.end(), "sibling group lost");
-  --it->second.remaining;
-  it->second.activity = it->second.activity || !silent;
-  if (it->second.remaining == 0) {
-    groups_.erase(it);
+  HRTDM_ENSURE(entry.group == groups_.size(),
+               "sibling groups must nest: the probed entry's group is the "
+               "newest live one");
+  Group& group = groups_.back();
+  --group.remaining;
+  group.activity = group.activity || !silent;
+  if (group.remaining == 0) {
+    groups_.pop_back();
   }
 }
 
@@ -46,16 +48,17 @@ void TreeSearchEngine::normalize() {
     if (top.group == 0 || top.interval.size == 1) {
       return;  // requeued entry or a leaf: always genuinely probed
     }
-    const auto it = groups_.find(top.group);
-    HRTDM_ENSURE(it != groups_.end(), "sibling group lost");
-    if (it->second.remaining != 1 || it->second.activity) {
+    HRTDM_ENSURE(top.group == groups_.size(),
+                 "sibling groups must nest: the top entry's group is the "
+                 "newest live one");
+    if (groups_.back().remaining != 1 || groups_.back().activity) {
       return;  // earlier siblings still pending, or one was non-silent
     }
     // Every earlier sibling was silent, so this last child must contain
     // all >= 2 colliders of the parent: descend without spending a slot.
     ++inferred_skips_;
     stack_.pop_back();
-    groups_.erase(it);
+    groups_.pop_back();
     push_children(top.interval);
   }
 }
@@ -169,11 +172,9 @@ std::uint64_t TreeSearchEngine::digest() const {
     mix(static_cast<std::uint64_t>(entry.interval.lo));
     mix(static_cast<std::uint64_t>(entry.interval.size));
     if (entry.group != 0) {
-      const auto it = groups_.find(entry.group);
-      if (it != groups_.end()) {
-        mix(static_cast<std::uint64_t>(it->second.remaining));
-        mix(static_cast<std::uint64_t>(it->second.activity));
-      }
+      const Group& group = groups_[entry.group - 1];
+      mix(static_cast<std::uint64_t>(group.remaining));
+      mix(static_cast<std::uint64_t>(group.activity));
     }
   }
   return h;

@@ -19,10 +19,17 @@
 // Because all stations consume identical feedback, all replicas stay in
 // lock-step — the distributed-consistency invariant the test suite checks
 // by digest comparison.
+//
+// Sibling groups (the m children of one collided interval, tracked for the
+// last-child inference) live on a flat stack whose lifetimes nest: a
+// collided entry's children are stacked above its unprobed siblings, so the
+// group of the top entry is always the newest live group. An entry names
+// its group by 1-based stack position, and the engine never allocates once
+// the stacks have grown to the deepest search — copying a replica into
+// another reuses the target's capacity.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace hrtdm::core {
@@ -115,9 +122,10 @@ class TreeSearchEngine {
  private:
   struct Entry {
     Interval interval;
-    /// Sibling-group id (children of one collided parent share it);
-    /// 0 = no group (requeued entries), exempt from inference.
-    std::uint64_t group = 0;
+    /// 1-based position of the entry's sibling group in groups_ (children
+    /// of one collided parent share it); 0 = no group (requeued entries),
+    /// exempt from inference.
+    std::size_t group = 0;
   };
   struct Group {
     int remaining = 0;    ///< unprobed entries of the group still stacked
@@ -135,8 +143,9 @@ class TreeSearchEngine {
   bool infer_last_child_;
   bool registry_muted_ = false;
   std::vector<Entry> stack_;  // back() is the next interval to probe
-  std::map<std::uint64_t, Group> groups_;
-  std::uint64_t next_group_ = 1;
+  /// Live sibling groups, oldest first; a grouped top entry's group is
+  /// back() (the nesting invariant in the header note).
+  std::vector<Group> groups_;
   std::int64_t search_slots_ = 0;
   std::int64_t collision_slots_ = 0;
   std::int64_t silence_slots_ = 0;

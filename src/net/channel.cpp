@@ -118,7 +118,7 @@ void BroadcastChannel::apply(const ChannelStats& delta) const {
   stats_.contention_time += delta.contention_time;
 }
 
-void BroadcastChannel::deliver(const SlotObservation& obs,
+void BroadcastChannel::deliver(SlotObservation& obs,
                                const SlotRecord& record) {
   switch (record.kind) {
     case SlotKind::kSilence:
@@ -155,9 +155,13 @@ void BroadcastChannel::deliver(const SlotObservation& obs,
       break;
   }
   const std::int64_t index = observations_delivered_++;
+  obs.broadcast = interceptor_ == nullptr;
   for (Station* station : stations_) {
     if (interceptor_ != nullptr) {
-      station->observe(interceptor_->deliver_to(station->id(), index, obs));
+      SlotObservation heard =
+          interceptor_->deliver_to(station->id(), index, obs);
+      heard.broadcast = false;  // per-receiver: may differ between stations
+      station->observe(heard);
     } else {
       station->observe(obs);
     }
@@ -767,6 +771,7 @@ SlotObservation BroadcastChannel::observation_from(const SlotRecord& record) {
   obs.frame = record.frame;
   obs.in_burst = record.in_burst;
   obs.arbitration = record.arbitration;
+  obs.broadcast = true;  // a recorded slot every station heard alike
   return obs;
 }
 

@@ -300,7 +300,9 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   void begin_slot();
   void finish_slot();
   void finish_burst();
-  void deliver(const SlotObservation& obs, const SlotRecord& record);
+  /// Marks `obs` broadcast unless an interceptor is installed, then hands
+  /// it (or the interceptor's per-receiver copy) to every station.
+  void deliver(SlotObservation& obs, const SlotRecord& record);
   void apply(const ChannelStats& delta) const;
   /// Continues a packet burst: polls `winner` for the next frame while
   /// budget remains, then hands the channel back to the contention loop.

@@ -44,6 +44,12 @@ struct SlotObservation {
   /// kSuccess produced by non-destructive wired-OR arbitration: there *was*
   /// contention, the lowest arb_key won, losers must retry.
   bool arbitration = false;
+  /// True only on an observation BroadcastChannel hands, unchanged, to
+  /// every attached station — the channel is the only code that sets it.
+  /// Anything else (an interceptor's per-receiver copy, an observation a
+  /// test or fault harness feeds one station directly) leaves it false and
+  /// counts as a receiver-local event: the one way replicas can split.
+  bool broadcast = false;
 };
 
 class Station {

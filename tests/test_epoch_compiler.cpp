@@ -10,8 +10,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "check/conformance.hpp"
 #include "core/ddcr_network.hpp"
@@ -441,6 +443,138 @@ TEST(EpochCompiler, BailCountersMirrorTheRegistry) {
   EXPECT_EQ(spans_delta, 0);
   EXPECT_EQ(bail_delta, 0);
 #endif
+}
+
+// digests_agree() over the stations on the medium: an offline station is
+// inert, and the compiler rightly leaves it out of the gate.
+bool online_replicas_agree(DdcrTestbed& bed) {
+  std::optional<std::uint64_t> reference;
+  for (int s = 0; s < bed.station_count(); ++s) {
+    const DdcrStation& station = bed.station(s);
+    if (!station.online()) {
+      continue;
+    }
+    const std::uint64_t digest = station.protocol_digest();
+    if (!reference.has_value()) {
+      reference = digest;
+    } else if (digest != *reference) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Sits between the channel and a testbed's epoch compiler and counts the
+// spans the compiler commits while the online replicas disagree.
+class AgreementGuard final : public net::SpanCompiler {
+ public:
+  DdcrTestbed* bed = nullptr;
+  std::int64_t commits = 0;
+  std::int64_t commits_while_split = 0;
+
+  bool compile(SimTime start, SimTime horizon,
+               std::vector<net::CompiledSlot>& out) override {
+    const bool agree = online_replicas_agree(*bed);
+    const bool committed = bed->epoch_compiler()->compile(start, horizon, out);
+    if (committed) {
+      ++commits;
+      if (!agree) {
+        ++commits_while_split;
+      }
+    }
+    return committed;
+  }
+  void apply_handoff() override { bed->epoch_compiler()->apply_handoff(); }
+  void drop_handoff() override { bed->epoch_compiler()->drop_handoff(); }
+};
+
+TEST(EpochCompiler, LocalEventForcesFullReplicaCheck) {
+  // The compiler re-proves replica agreement only after a receiver-local
+  // event (the replica ledger). Each case injects one mid-run: the forced
+  // full compare must catch the split (kDesync / kResync bail-outs), no
+  // span may commit while the online replicas disagree, and the run must
+  // end exactly where the interpreted run does.
+  enum class Event { kPhantom, kReset, kChurn };
+  struct Case {
+    const char* label;
+    Event event;
+    obs::FrBail expected;
+  };
+  // Each event is applied between run() calls, where the stations are
+  // materialized (a scheduled callback could land on stations a compiled
+  // span has not handed its state back to yet).
+  const SimTime at = SimTime::from_ns(300'500);  // ~5 slots into an epoch
+  const SimTime end = SimTime::from_ns(2'000'000);
+  for (const Case c : {Case{"phantom", Event::kPhantom, obs::FrBail::kDesync},
+                       Case{"reset", Event::kReset, obs::FrBail::kResync},
+                       Case{"churn", Event::kChurn, obs::FrBail::kResync}}) {
+    DdcrRunResult outcome[2];
+    for (const bool compiled : {false, true}) {
+      auto options = round_options();
+      options.require_rejoinable = true;
+      options.epoch_compiler =
+          compiled ? EpochCompilerMode::kOn : EpochCompilerMode::kOff;
+      AgreementGuard guard;  // declared first: it outlives the channel
+      DdcrTestbed bed(6, options);
+      guard.bed = &bed;
+      if (compiled) {
+        bed.channel().set_span_compiler(&guard);
+      }
+      inject_rounds(bed, 6, /*rounds=*/300, Duration::microseconds(3));
+      bed.run(at);
+      switch (c.event) {
+        case Event::kPhantom: {
+          // One replica hears a collision nobody else heard.
+          EXPECT_NE(bed.station(1).mode(), DdcrStation::Mode::kCsmaCd)
+              << "the phantom must land mid-epoch";
+          net::SlotObservation phantom;
+          phantom.kind = net::SlotKind::kCollision;
+          phantom.slot_end = bed.simulator().now();
+          phantom.slot_start = phantom.slot_end - options.phy.slot_x;
+          bed.station(1).observe(phantom);
+          break;
+        }
+        case Event::kReset:
+          bed.station(2).reset_for_rejoin();
+          break;
+        case Event::kChurn:
+          bed.station(3).go_offline();
+          bed.run(SimTime::from_ns(450'000));
+          bed.station(3).bring_online();
+          break;
+      }
+      bed.run(end);
+      bed.stop();
+      if (compiled) {
+        const EpochCompiler& compiler = *bed.epoch_compiler();
+        EXPECT_GT(compiler.bailouts(c.expected), 0) << c.label;
+        // The event forced at least one compare beyond the first, and the
+        // clean stretches around it trusted the ledger.
+        EXPECT_GT(compiler.replica_checks(), 1) << c.label;
+        EXPECT_LT(compiler.replica_checks(), compiler.compile_attempts())
+            << c.label;
+        EXPECT_GT(guard.commits, 0) << c.label;
+        EXPECT_EQ(guard.commits_while_split, 0)
+            << c.label << ": a span committed over split replicas";
+      }
+      outcome[compiled ? 1 : 0] = bed.result();
+    }
+    expect_identical(outcome[1], outcome[0], c.label);
+  }
+}
+
+TEST(EpochCompiler, CleanRunChecksReplicasOnce) {
+  // Speed guard for the replica ledger: on a clean channel no receiver-
+  // local event ever happens, so the first compile attempt's full digest
+  // compare is the only one of the run.
+  DdcrTestbed bed(6, round_options());
+  inject_rounds(bed, 6, /*rounds=*/300, Duration::microseconds(3));
+  bed.run(SimTime::from_ns(2'000'000));
+  ASSERT_NE(bed.epoch_compiler(), nullptr);
+  const EpochCompiler& compiler = *bed.epoch_compiler();
+  EXPECT_GT(compiler.compile_attempts(), 1);
+  EXPECT_GT(compiler.spans_compiled(), 0);
+  EXPECT_EQ(compiler.replica_checks(), 1);
 }
 
 #if !defined(HRTDM_OBS_OFF)

@@ -166,6 +166,106 @@ TEST(TreeSearchEngine, ReplicasStayInLockstep) {
   EXPECT_TRUE(b.done());
 }
 
+struct ScriptedFold {
+  std::uint64_t fold = 0xCBF29CE484222325ULL;
+  int leaf_collisions = 0;
+  int handoffs = 0;
+  std::int64_t inferred_skips = 0;
+};
+
+/// Folds digest() after every step of twelve seeded scripted searches on
+/// an m-ary tree of m^3 leaves. The first leaf probe of each search
+/// collides, and every leaf collision is answered with a requeue (the STs
+/// noise retry). A second replica takes its own path, is copy-assigned from
+/// the first mid-search (as the epoch compiler's hand-off does), and then
+/// follows it in lock-step.
+ScriptedFold scripted_digest_fold(int m, bool infer) {
+  using Feedback = TreeSearchEngine::Feedback;
+  ScriptedFold out;
+  const std::int64_t leaves = std::int64_t{m} * m * m;
+  TreeSearchEngine engine(m, leaves, infer);
+  TreeSearchEngine replica(m, leaves, infer);
+  util::Rng rng(static_cast<std::uint64_t>(100 + 2 * m + (infer ? 1 : 0)));
+  const auto fold = [&out](std::uint64_t v) {
+    out.fold = (out.fold ^ v) * 0x100000001B3ULL;
+  };
+  const auto script = [&rng](TreeSearchEngine::Interval probed) {
+    if (probed.size > 1 ? rng.bernoulli(0.55) : rng.bernoulli(0.2)) {
+      return Feedback::kCollision;
+    }
+    return rng.bernoulli(0.7) ? Feedback::kSilence : Feedback::kSuccess;
+  };
+  for (int search = 0; search < 12; ++search) {
+    engine.begin();
+    fold(engine.digest());
+    if (replica.done()) {
+      replica.begin();  // its own search, overwritten at the hand-off
+    }
+    bool synced = false;
+    bool leaf_collided = false;
+    for (int step = 0; engine.active(); ++step) {
+      if (!synced && replica.active()) {
+        const auto own = replica.feedback(script(replica.current()));
+        if (own == TreeSearchEngine::StepResult::kLeafCollision) {
+          replica.abort();
+        }
+      }
+      if (!synced && step == 3) {
+        replica = engine;
+        synced = true;
+        ++out.handoffs;
+      }
+      const auto probed = engine.current();
+      const Feedback fb = probed.size == 1 && !leaf_collided
+                              ? Feedback::kCollision
+                              : script(probed);
+      const auto result = engine.feedback(fb);
+      if (synced) {
+        replica.feedback(fb);
+      }
+      if (result == TreeSearchEngine::StepResult::kLeafCollision) {
+        ++out.leaf_collisions;
+        leaf_collided = true;
+        engine.requeue(probed);
+        if (synced) {
+          replica.requeue(probed);
+        }
+      }
+      fold(engine.digest());
+      if (synced) {
+        EXPECT_EQ(replica.digest(), engine.digest());
+      }
+    }
+    fold(static_cast<std::uint64_t>(engine.search_slots()));
+    out.inferred_skips += engine.inferred_skips();
+  }
+  return out;
+}
+
+TEST(TreeSearchEngine, DigestIsPinnedOverScriptedSearches) {
+  // digest() feeds protocol_digest(), whose values are pinned across the
+  // suite; the sibling-group bookkeeping behind it must never move them.
+  struct Pin {
+    int m;
+    bool infer;
+    std::uint64_t fold;
+  };
+  const Pin pins[] = {
+      {2, false, 0xD594D2E9478E3C2FULL}, {2, true, 0xCC4763F29D1F413DULL},
+      {3, false, 0xE1F4C6F4937CA9A8ULL}, {3, true, 0x4954014EB51922E4ULL},
+      {4, false, 0xF3BEA7662B877774ULL}, {4, true, 0xEC38F67F09476AD1ULL},
+  };
+  for (const Pin& pin : pins) {
+    const ScriptedFold run = scripted_digest_fold(pin.m, pin.infer);
+    EXPECT_EQ(run.fold, pin.fold) << "m=" << pin.m << " infer=" << pin.infer
+                                  << " got 0x" << std::hex << run.fold;
+    // Non-vacuity: every path the pin is meant to cover was taken.
+    EXPECT_GT(run.leaf_collisions, 0) << "m=" << pin.m << " infer=" << pin.infer;
+    EXPECT_GT(run.handoffs, 0) << "m=" << pin.m << " infer=" << pin.infer;
+    EXPECT_EQ(run.inferred_skips > 0, pin.infer) << "m=" << pin.m;
+  }
+}
+
 TEST(TreeSearchEngine, ContractsOnMisuse) {
   TreeSearchEngine engine(2, 8);
   EXPECT_THROW(engine.current(), util::ContractViolation);

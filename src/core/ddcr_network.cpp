@@ -133,18 +133,14 @@ DdcrTestbed::DdcrTestbed(int stations, const DdcrRunOptions& options,
   // Always-on black box: the run's causal history for post-mortems and
   // forensics. Recording never feeds back into protocol state.
   channel_->set_flight_recorder(&recorder_);
+  shared_ = std::make_unique<SharedReplica>(options_.ddcr, *channel_);
   for (int s = 0; s < stations; ++s) {
-    stations_.push_back(std::make_unique<DdcrStation>(s, options_.ddcr));
+    stations_.push_back(
+        std::make_unique<DdcrStation>(s, options_.ddcr, *shared_));
     stations_.back()->set_flight_recorder(&recorder_);
     channel_->attach(*stations_.back());
   }
-  std::vector<DdcrStation*> raw_stations;
-  raw_stations.reserve(stations_.size());
-  for (auto& station : stations_) {
-    raw_stations.push_back(station.get());
-  }
-  compiler_ =
-      std::make_unique<EpochCompiler>(*channel_, std::move(raw_stations));
+  compiler_ = std::make_unique<EpochCompiler>(*channel_, *shared_);
   if (epoch_compiler_enabled(options_.epoch_compiler)) {
     channel_->set_span_compiler(compiler_.get());
   }

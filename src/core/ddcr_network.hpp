@@ -209,6 +209,9 @@ class DdcrTestbed {
   DdcrStation& station(int id) { return *stations_.at(static_cast<std::size_t>(id)); }
   MetricsCollector& metrics() { return metrics_; }
   obs::FlightRecorder& flight_recorder() { return recorder_; }
+  /// The channel's shared protocol replica: fork and merge counts, and
+  /// the replica the synced stations hold.
+  const SharedReplica& shared_replica() const { return *shared_; }
   /// nullptr when the compiled-epoch fast path is disabled for this run
   /// (tests use it to assert the bail-out taxonomy is exhaustive).
   EpochCompiler* epoch_compiler() { return compiler_.get(); }
@@ -299,6 +302,7 @@ class DdcrTestbed {
   DdcrRunOptions options_;  ///< declared before stations_, which view it
   obs::FlightRecorder recorder_;  ///< declared before channel_ (detach order)
   std::unique_ptr<net::BroadcastChannel> channel_;
+  std::unique_ptr<SharedReplica> shared_;  ///< declared before stations_
   std::vector<std::unique_ptr<DdcrStation>> stations_;
   std::unique_ptr<EpochCompiler> compiler_;  ///< declared after channel_
   MetricsCollector metrics_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/channel.hpp"
 #include "obs/registry.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
@@ -25,10 +26,125 @@ const char* DdcrStation::mode_name(Mode mode) {
   return "?";
 }
 
+SharedReplica::SharedReplica(const DdcrConfig& config,
+                             net::BroadcastChannel& channel)
+    : replica_(config), channel_(channel) {}
+
+DdcrStation::LiveSink::LiveSink(const DdcrStation& emitter)
+    : emitter_(emitter),
+      shared_(emitter.shares_replica()),
+      weight_(shared_ ? emitter.shared_->members_ : 1) {
+  tracing_ = shared_ ? emitter.shared_->traced_ : emitter.tracing();
+  recording_ = emitter.recorder_ != nullptr;
+}
+
+DdcrStation::LiveSink::LiveSink(const DdcrStation& emitter,
+                                std::int64_t holders)
+    : emitter_(emitter), shared_(true), weight_(holders) {
+  tracing_ = emitter.shared_->traced_;
+  recording_ = emitter.recorder_ != nullptr;
+}
+
+void DdcrStation::LiveSink::count(Count what, std::int64_t n) {
+  [[maybe_unused]] const std::int64_t amount = n * weight_;
+  switch (what) {
+    case Count::kEpochs:
+      HRTDM_COUNT_N("ddcr.epochs", amount);
+      break;
+    case Count::kTtsRuns:
+      HRTDM_COUNT_N("ddcr.tts_runs", amount);
+      break;
+    case Count::kStsRuns:
+      HRTDM_COUNT_N("ddcr.sts_runs", amount);
+      break;
+    case Count::kCompressions:
+      HRTDM_COUNT_N("ddcr.compressions", amount);
+      break;
+    case Count::kStaticLeafRetries:
+      HRTDM_COUNT_N("ddcr.static_leaf_retries", amount);
+      break;
+    case Count::kTreeSearches:
+      HRTDM_COUNT_N("tree.searches", amount);
+      break;
+    case Count::kTreeSilence:
+      HRTDM_COUNT_N("tree.silence_slots", amount);
+      break;
+    case Count::kTreeCollision:
+      HRTDM_COUNT_N("tree.collision_slots", amount);
+      break;
+    case Count::kTreeInferred:
+      HRTDM_COUNT_N("tree.inferred_skips", amount);
+      break;
+    case Count::kCount_:
+      HRTDM_EXPECT(false, "not a replica counter");
+      break;
+  }
+}
+
+void DdcrStation::LiveSink::observe([[maybe_unused]] Hist what,
+                                    [[maybe_unused]] std::int64_t value) {
+  if (what == Hist::kTtsSearchSlots) {
+    HRTDM_OBSERVE_N("ddcr.tts_search_slots", value, weight_);
+  } else {
+    HRTDM_OBSERVE_N("ddcr.sts_search_slots", value, weight_);
+  }
+}
+
+template <typename Draw>
+void DdcrStation::LiveSink::for_each_track(Draw&& draw) const {
+  if (!tracing_) {
+    return;  // no holder has a tracer: skip the walk
+  }
+  if (!shared_) {
+    draw(emitter_);
+    return;
+  }
+  for (const DdcrStation* s : emitter_.shared_->stations_) {
+    if (s->shares_replica() && s->tracing()) {
+      draw(*s);
+    }
+  }
+}
+
+void DdcrStation::LiveSink::instant(SimTime ts, const char* name,
+                                    const char* args, std::int64_t a0,
+                                    std::int64_t a1, std::int64_t a2,
+                                    Arg base) {
+  for_each_track([&](const DdcrStation& s) {
+    // The replica counts for all its holders; each track shows its own
+    // station's count.
+    std::int64_t arg = a0;
+    if (base == Arg::kEpochs) {
+      arg += s.tally_.epochs;
+    } else if (base == Arg::kTtsRuns) {
+      arg += s.tally_.tts_runs;
+    }
+    s.tracer_->instant(s.trace_pid_, s.id_ + 1, ts.ns(), name, args, arg, a1,
+                       a2);
+  });
+}
+
+void DdcrStation::LiveSink::span(SimTime start, SimTime end, const char* name,
+                                 const char* args, std::int64_t a0,
+                                 std::int64_t a1, std::int64_t a2) {
+  for_each_track([&](const DdcrStation& s) {
+    s.tracer_->complete(s.trace_pid_, s.id_ + 1, start.ns(),
+                        end.ns() - start.ns(), name, args, a0, a1, a2);
+  });
+}
+
+void DdcrStation::LiveSink::replicated([[maybe_unused]] obs::FrKind kind,
+                                       [[maybe_unused]] SimTime t,
+                                       [[maybe_unused]] std::int64_t a,
+                                       [[maybe_unused]] std::int64_t b) {
+  HRTDM_FR_REPLICATED(emitter_.recorder_, kind, t.ns(), emitter_.id_, a, b);
+}
+
 void DdcrStation::set_trace(obs::EventTracer* tracer, int channel_id) {
   tracer_ = tracer;
   trace_pid_ = channel_id;
   if (tracer_ != nullptr) {
+    shared_->traced_ = true;
     tracer_->set_thread_name(trace_pid_, id_ + 1,
                              "station " + std::to_string(id_));
   }
@@ -40,24 +156,32 @@ void DdcrStation::trace_instant(const char* name, const char* arg_names,
   if (!tracing()) {
     return;
   }
-  tracer_->instant(trace_pid_, id_ + 1, trace_now_.ns(), name, arg_names, a0,
-                   a1, a2);
+  tracer_->instant(trace_pid_, id_ + 1, replica_->heard_at().ns(), name,
+                   arg_names, a0, a1, a2);
 }
 
-void DdcrStation::trace_span(SimTime start, SimTime end, const char* name,
-                             const char* arg_names, std::int64_t a0,
-                             std::int64_t a1, std::int64_t a2) {
-  if (!tracing()) {
-    return;
-  }
-  tracer_->complete(trace_pid_, id_ + 1, start.ns(), end.ns() - start.ns(),
-                    name, arg_names, a0, a1, a2);
+void DdcrStation::add(Counters& to, const DdcrReplica::Counters& from,
+                      std::int64_t sign) {
+  to.epochs += sign * from.epochs;
+  to.tts_runs += sign * from.tts_runs;
+  to.sts_runs += sign * from.sts_runs;
+  to.compressions += sign * from.compressions;
+  to.search_slots_time += sign * from.search_slots_time;
+  to.search_slots_static += sign * from.search_slots_static;
+  to.static_leaf_retries += sign * from.static_leaf_retries;
+}
+
+DdcrStation::Counters DdcrStation::counters() const {
+  Counters c = tally_;
+  add(c, replica_->counters());
+  return c;
 }
 
 StationSnapshot DdcrStation::snapshot() const {
+  const DdcrReplica& r = *replica_;
   StationSnapshot snap;
   snap.id = id_;
-  snap.mode = mode_name(mode_);
+  snap.mode = mode_name(r.mode());
   snap.synced = synced();
   snap.queue_depth = queue_.size();
   if (const auto head = queue_.head()) {
@@ -65,47 +189,47 @@ StationSnapshot DdcrStation::snapshot() const {
     snap.head_uid = head->uid;
     snap.head_deadline_ns = head->absolute_deadline.ns();
   }
-  snap.reft_ns = reft_.ns();
-  snap.tts_active = time_engine_.active();
+  snap.reft_ns = r.reft().ns();
+  snap.tts_active = r.time_engine().active();
   if (snap.tts_active) {
-    snap.tts_lo = time_engine_.current().lo;
-    snap.tts_size = time_engine_.current().size;
+    snap.tts_lo = r.time_engine().current().lo;
+    snap.tts_size = r.time_engine().current().size;
   }
-  snap.tts_resolved = time_engine_.resolved_up_to();
-  snap.sts_active = static_engine_.active();
+  snap.tts_resolved = r.time_engine().resolved_up_to();
+  snap.sts_active = r.static_engine().active();
   if (snap.sts_active) {
-    snap.sts_lo = static_engine_.current().lo;
-    snap.sts_size = static_engine_.current().size;
+    snap.sts_lo = r.static_engine().current().lo;
+    snap.sts_size = r.static_engine().current().size;
   }
-  snap.sts_leaf = sts_leaf_;
+  snap.sts_leaf = r.sts_leaf();
   snap.resync_silences = resync_silences_;
   return snap;
 }
 
-DdcrStation::DdcrStation(int id, const DdcrConfig& config)
+DdcrStation::DdcrStation(int id, const DdcrConfig& config,
+                         SharedReplica& shared)
     : id_(id),
       config_(config),
-      time_engine_(config.m_time, config.F, config.infer_last_child),
-      static_engine_(config.m_static, config.q, config.infer_last_child) {
+      shared_(&shared),
+      replica_(&shared.replica_) {
   HRTDM_EXPECT(id >= 0, "station id must be non-negative");
   HRTDM_EXPECT(static_cast<std::size_t>(id) < config.static_indices.size(),
                "config.static_indices has no entry for this station id");
+  HRTDM_EXPECT(&shared.replica_.config() == &config,
+               "a station views the config its channel's replica views");
   my_indices_ = config.static_indices[static_cast<std::size_t>(id)];
   HRTDM_EXPECT(!my_indices_.empty(), "a source needs >= 1 static index");
   HRTDM_EXPECT(std::is_sorted(my_indices_.begin(), my_indices_.end()),
                "static indices must be ranked increasing");
   HRTDM_EXPECT(my_indices_.front() >= 0 && my_indices_.back() < config.q,
                "static indices must lie in [0, q)");
+  shared.stations_.push_back(this);
+  ++shared.members_;
 }
 
 void DdcrStation::enqueue(const Message& msg) {
   HRTDM_EXPECT(msg.source == id_, "message mapped to the wrong source");
   queue_.push(msg);
-}
-
-std::int64_t DdcrStation::raw_time_index(SimTime absolute_deadline) const {
-  const util::Duration slack = absolute_deadline - (reft_ + config_.alpha);
-  return slack.floor_div(config_.class_width_c);
 }
 
 std::optional<std::int64_t> DdcrStation::effective_time_index(
@@ -115,7 +239,7 @@ std::optional<std::int64_t> DdcrStation::effective_time_index(
   // searched already, and the max guarantees a late message is processed
   // as soon as possible rather than waiting for the next time tree.
   const std::int64_t raw = raw_time_index(msg.absolute_deadline);
-  const std::int64_t floor_idx = time_engine_.resolved_up_to();
+  const std::int64_t floor_idx = replica_->time_engine().resolved_up_to();
   const std::int64_t idx = std::max(raw, floor_idx);
   if (idx > config_.F - 1) {
     return std::nullopt;  // beyond the scheduling horizon cF
@@ -132,7 +256,7 @@ std::optional<Message> DdcrStation::sts_candidate() const {
   if (!head.has_value()) {
     return std::nullopt;
   }
-  if (raw_time_index(head->absolute_deadline) > sts_leaf_) {
+  if (raw_time_index(head->absolute_deadline) > replica_->sts_leaf()) {
     return std::nullopt;
   }
   return head;
@@ -156,86 +280,72 @@ Frame DdcrStation::make_frame(const Message& msg) const {
   return frame;
 }
 
+void DdcrStation::fork() {
+  shared_->channel_.revalidate_idle_gap();
+  if (!shares_replica()) {
+    return;  // already on a private copy
+  }
+  if (own_ == nullptr) {
+    own_ = std::make_unique<DdcrReplica>(shared_->replica_);
+  } else {
+    *own_ = shared_->replica_;
+  }
+  replica_ = own_.get();
+  --shared_->members_;
+  ++shared_->forks_;
+}
+
 void DdcrStation::reset_for_rejoin() {
   // Validates that the configuration makes the quiet-period certificate
   // sound (bounded in-epoch silence streaks).
   (void)config_.resync_silence_threshold();
-  ++local_events_;
+  fork();
   trace_instant("resync-enter");
-  HRTDM_FR_RECORD(recorder_, obs::FrKind::kQuarantine, trace_now_.ns(), id_);
-  time_engine_.abort();
-  static_engine_.abort();
-  mode_ = Mode::kResync;
-  sts_leaf_ = -1;
+  HRTDM_FR_RECORD(recorder_, obs::FrKind::kQuarantine,
+                  replica_->heard_at().ns(), id_);
+  replica_->reset(Mode::kResync);
   static_pos_ = 0;
-  tts_saw_transmission_ = false;
-  post_tts_attempt_ = false;
-  consecutive_empty_tts_ = 0;
   sts_retry_streak_ = 0;
   resync_silences_ = 0;
-  reft_ = SimTime();
-  carried_reft_ = SimTime();
 }
 
 void DdcrStation::go_offline() {
   // Clears protocol state through the same path as a crash (the queue
   // survives), then parks the station out of the network entirely.
   reset_for_rejoin();
-  mode_ = Mode::kOffline;
-  ++counters_.churn_leaves;
+  replica_->go_offline();
+  ++tally_.churn_leaves;
   HRTDM_COUNT("ddcr.churn_leaves");
   trace_instant("offline-enter");
-  HRTDM_FR_RECORD(recorder_, obs::FrKind::kChurnLeave, trace_now_.ns(), id_);
+  HRTDM_FR_RECORD(recorder_, obs::FrKind::kChurnLeave,
+                  replica_->heard_at().ns(), id_);
 }
 
 void DdcrStation::bring_online() {
-  HRTDM_EXPECT(mode_ == Mode::kOffline,
+  fork();
+  HRTDM_EXPECT(replica_->mode() == Mode::kOffline,
                "bring_online() is only valid for an offline station");
-  ++counters_.churn_joins;
+  ++tally_.churn_joins;
   HRTDM_COUNT("ddcr.churn_joins");
   trace_instant("online-enter");
-  HRTDM_FR_RECORD(recorder_, obs::FrKind::kChurnJoin, trace_now_.ns(), id_);
+  HRTDM_FR_RECORD(recorder_, obs::FrKind::kChurnJoin,
+                  replica_->heard_at().ns(), id_);
   reset_for_rejoin();
 }
 
-bool DdcrStation::impossible_tts_success(const Frame& frame) const {
-  // A synced sender transmits in TTs only when its effective index
-  // max(f(reft, msg), f* + 1) lies in the probed interval; both inputs are
-  // replicated, so an out-of-interval index proves local divergence.
-  const std::int64_t idx = std::max(raw_time_index(frame.absolute_deadline),
-                                    time_engine_.resolved_up_to());
-  return idx > config_.F - 1 || !time_engine_.current().contains(idx);
-}
-
-bool DdcrStation::impossible_sts_success(const Frame& frame) const {
-  if (frame.source < 0 ||
-      frame.source >= static_cast<int>(config_.static_indices.size())) {
-    return false;  // partition unknown to this station: cannot judge
-  }
-  const auto& indices =
-      config_.static_indices[static_cast<std::size_t>(frame.source)];
-  if (indices.empty()) {
-    return false;
-  }
-  const auto probed = static_engine_.current();
-  return std::none_of(indices.begin(), indices.end(),
-                      [&probed](std::int64_t leaf) {
-                        return probed.contains(leaf);
-                      });
-}
-
 bool DdcrStation::note_desync() {
-  ++local_events_;
-  ++counters_.desyncs_detected;
+  fork();
+  ++tally_.desyncs_detected;
   HRTDM_COUNT("ddcr.desyncs_detected");
   trace_instant("desync-detected");
-  HRTDM_FR_RECORD(recorder_, obs::FrKind::kWatchdog, trace_now_.ns(), id_);
+  HRTDM_FR_RECORD(recorder_, obs::FrKind::kWatchdog,
+                  replica_->heard_at().ns(), id_);
   if (!config_.supports_quiet_rejoin()) {
     // No sound quiet-period certificate to re-enter through; record the
     // detection but keep the legacy behaviour (process the observation).
     return false;
   }
-  ++counters_.quarantines;
+  ++tally_.quarantines;
   HRTDM_COUNT("ddcr.quarantines");
   trace_instant("quarantine");
   reset_for_rejoin();
@@ -252,7 +362,7 @@ void DdcrStation::prune_late(SimTime now) {
       break;
     }
     queue_.remove(head->uid);
-    ++counters_.dropped_late;
+    ++tally_.dropped_late;
     HRTDM_COUNT("ddcr.dropped_late");
     ++dropped;
   }
@@ -263,7 +373,8 @@ void DdcrStation::prune_late(SimTime now) {
 
 std::optional<Frame> DdcrStation::poll_intent(SimTime now) {
   prune_late(now);
-  switch (mode_) {
+  const DdcrReplica& r = *replica_;
+  switch (r.mode()) {
     case Mode::kOffline:
       return std::nullopt;  // departed: not on the medium at all
     case Mode::kResync:
@@ -284,7 +395,7 @@ std::optional<Frame> DdcrStation::poll_intent(SimTime now) {
       if (!idx.has_value()) {
         return std::nullopt;
       }
-      if (!time_engine_.current().contains(*idx)) {
+      if (!r.time_engine().current().contains(*idx)) {
         return std::nullopt;
       }
       return make_frame(*head);
@@ -297,7 +408,7 @@ std::optional<Frame> DdcrStation::poll_intent(SimTime now) {
       if (!candidate.has_value()) {
         return std::nullopt;
       }
-      if (!static_engine_.current().contains(my_indices_[static_pos_])) {
+      if (!r.static_engine().current().contains(my_indices_[static_pos_])) {
         return std::nullopt;
       }
       return make_frame(*candidate);
@@ -311,7 +422,7 @@ std::optional<Frame> DdcrStation::poll_burst(SimTime now,
   // IEEE 802.3z packet bursting (section 5): having won the channel, chain
   // the next EDF-ranked messages without relinquishing, up to the budget.
   (void)now;
-  if (mode_ == Mode::kResync || mode_ == Mode::kOffline) {
+  if (!synced()) {
     // Crashed (or quarantined, or churned out) mid-burst: the station must
     // release the channel immediately.
     return std::nullopt;
@@ -323,319 +434,105 @@ std::optional<Frame> DdcrStation::poll_burst(SimTime now,
   return make_frame(*head);
 }
 
-void DdcrStation::start_epoch(SimTime now) {
-  ++counters_.epochs;
-  HRTDM_COUNT("ddcr.epochs");
-  trace_instant("epoch-start", "epoch", counters_.epochs);
-  // Replicated: every synced station opens the epoch at this same slot
-  // boundary — the recorder keeps the first emitter's record only.
-  HRTDM_FR_REPLICATED(recorder_, obs::FrKind::kEpochStart, now.ns(), id_,
-                      std::max(now, carried_reft_).ns());
-  // "reft is always set to local physical time whenever CSMA/DDCR is
-  // started" — except that compression progress carried out of an epoch
-  // the max_empty_tts cap closed must not be lost (every station carries
-  // the same value, so consistency is preserved).
-  reft_ = std::max(now, carried_reft_);
-  post_tts_attempt_ = false;
-  consecutive_empty_tts_ = 0;
-  start_tts();
-}
-
-void DdcrStation::start_tts() {
-  ++counters_.tts_runs;
-  HRTDM_COUNT("ddcr.tts_runs");
-  trace_instant("tts-start", "run,resolved", counters_.tts_runs,
-                time_engine_.resolved_up_to());
-  tts_saw_transmission_ = false;
-  time_engine_.begin();  // root already probed by the triggering collision
-  mode_ = Mode::kTimeSearch;
-}
-
-void DdcrStation::finish_tts(SimTime now) {
-  (void)now;  // only consumed by the (compile-out-able) recorder hooks
-  // Boolean `out`: true iff at least one message was transmitted during
-  // this time tree search (including inside nested static searches).
-  const bool out = tts_saw_transmission_;
-  HRTDM_OBSERVE("ddcr.tts_search_slots", time_engine_.search_slots());
-  trace_instant("tts-end", "out,search_slots", out ? 1 : 0,
-                time_engine_.search_slots());
-  if (out) {
-    // "attempt transmit msg* à la CSMA-CD": the next contention slot is a
-    // plain CSMA-CD attempt; a collision there starts a fresh epoch.
-    // The compressed-time carry is cleared: transmissions succeeded, so
-    // the horizon crawl it was preserving has ended. (This also lets a
-    // crash-recovered station — whose carry is necessarily empty —
-    // converge to the live replicas' state.)
-    consecutive_empty_tts_ = 0;
-    carried_reft_ = SimTime();
-    mode_ = Mode::kCsmaCd;
-    post_tts_attempt_ = (config_.epoch_mode == EpochMode::kPerpetual);
-    trace_instant("epoch-end", "epoch", counters_.epochs);
-    HRTDM_FR_REPLICATED(recorder_, obs::FrKind::kEpochEnd, now.ns(), id_,
-                        reft_.ns());
+void DdcrStation::hear_while_resyncing(const SlotObservation& obs) {
+  if (obs.kind != net::SlotKind::kSilence) {
+    resync_silences_ = 0;
     return;
   }
-  // out = false: pending messages sit beyond the horizon. Compressed time
-  // shifts reft forward to pull them in; with theta = 0 the epoch closes
-  // and physical time does the pulling on the next collision.
-  ++consecutive_empty_tts_;
-  if (config_.theta_factor > 0.0) {
-    ++counters_.compressions;
-    HRTDM_COUNT("ddcr.compressions");
-    reft_ += config_.theta();
-    if (config_.epoch_mode == EpochMode::kCsmaCdFallback &&
-        config_.max_empty_tts > 0 &&
-        consecutive_empty_tts_ >= config_.max_empty_tts) {
-      // The cap closes the epoch but the compressed reference time is
-      // carried into the next one, so compression still accumulates.
-      carried_reft_ = reft_;
-      consecutive_empty_tts_ = 0;
-      mode_ = Mode::kCsmaCd;
-      trace_instant("epoch-end", "epoch", counters_.epochs);
-      HRTDM_FR_REPLICATED(recorder_, obs::FrKind::kEpochEnd, now.ns(), id_,
-                          reft_.ns());
+  if (++resync_silences_ >= config_.resync_silence_threshold()) {
+    // Quiet certificate: no epoch can still be in progress, so every live
+    // station is in CSMA-CD mode — joining it is consistent.
+    ++tally_.rejoins;
+    HRTDM_COUNT("ddcr.rejoins");
+    trace_instant("rejoin", "quiet_slots", resync_silences_);
+    HRTDM_FR_RECORD(recorder_, obs::FrKind::kRejoin, obs.slot_end.ns(), id_,
+                    resync_silences_);
+    replica_->rejoin();
+  }
+}
+
+void DdcrStation::follow(DdcrReplica::Step step, const SlotObservation& obs,
+                         bool mine) {
+  switch (step) {
+    case DdcrReplica::Step::kNone:
       return;
-    }
-    start_tts();
-    return;
-  }
-  consecutive_empty_tts_ = 0;
-  mode_ = Mode::kCsmaCd;
-  post_tts_attempt_ = (config_.epoch_mode == EpochMode::kPerpetual);
-  trace_instant("epoch-end", "epoch", counters_.epochs);
-  HRTDM_FR_REPLICATED(recorder_, obs::FrKind::kEpochEnd, now.ns(), id_,
-                      reft_.ns());
-}
-
-void DdcrStation::finish_sts(SimTime now) {
-  // "Variable reft is updated by STs, upon completion."
-  HRTDM_OBSERVE("ddcr.sts_search_slots", static_engine_.search_slots());
-  trace_instant("sts-end", "leaf,search_slots", sts_leaf_,
-                static_engine_.search_slots());
-  reft_ = now;
-  sts_leaf_ = -1;
-  mode_ = Mode::kTimeSearch;
-  if (time_engine_.done()) {
-    finish_tts(now);
+    case DdcrReplica::Step::kStsEntered:
+      static_pos_ = 0;
+      sts_retry_streak_ = 0;
+      return;
+    case DdcrReplica::Step::kStsProbed:
+      sts_retry_streak_ = 0;
+      if (obs.kind == net::SlotKind::kSuccess && mine) {
+        // "Next index in the ranking is used to keep conducting m-ts."
+        ++static_pos_;
+      }
+      return;
+    case DdcrReplica::Step::kStsRetried:
+      // The watchdog's third rule: repeated noise on one leaf has
+      // vanishing probability, but a diverged replica contending out of
+      // turn collides there every slot, so an unbounded streak means this
+      // search can never complete.
+      if (config_.enable_divergence_watchdog &&
+          config_.sts_retry_desync_threshold > 0 &&
+          ++sts_retry_streak_ == config_.sts_retry_desync_threshold) {
+        note_desync();
+      }
+      return;
   }
 }
 
 void DdcrStation::observe(const SlotObservation& obs) {
   if (!obs.broadcast) {
-    ++local_events_;  // heard by this replica alone, or not as the others
+    fork();  // heard by this replica alone, or not as the others
   }
-  if (mode_ == Mode::kOffline) {
+  if (replica_->mode() == Mode::kOffline) {
     return;  // not listening: off the medium entirely
   }
   const bool mine = obs.frame.has_value() && obs.frame->source == id_;
-  const SimTime now = obs.slot_end;
-  trace_now_ = now;
 
   // Frame bookkeeping is mode-independent: every delivered frame of ours
   // leaves the queue.
   if (obs.kind == net::SlotKind::kSuccess && mine) {
     const bool removed = queue_.remove(obs.frame->msg_uid);
     HRTDM_ENSURE(removed, "delivered frame was not queued");
-    ++counters_.transmitted;
+    ++tally_.transmitted;
     HRTDM_COUNT("ddcr.transmitted");
     if (obs.in_burst) {
-      ++counters_.burst_transmitted;
+      ++tally_.burst_transmitted;
       HRTDM_COUNT("ddcr.burst_transmitted");
     }
   }
 
-  // Burst continuations never advance protocol search state: the channel
-  // was not relinquished, so no new probe happened.
-  if (obs.in_burst) {
-    if (mode_ != Mode::kCsmaCd) {
-      tts_saw_transmission_ = tts_saw_transmission_ ||
-                              obs.kind == net::SlotKind::kSuccess;
+  // A holder of the shared replica that an earlier holder already stepped
+  // for this observation only follows up on its own part.
+  if (shares_replica() && shared_->stepped_index_ == obs.index) {
+    if (!obs.in_burst) {
+      follow(shared_->last_step_, obs, mine);
     }
     return;
   }
+  DdcrReplica& r = *replica_;
+  r.set_heard_at(obs.slot_end);
 
-  switch (mode_) {
-    case Mode::kOffline:
-      return;  // unreachable (early return above); keeps the switch total
-    case Mode::kResync: {
-      if (obs.kind == net::SlotKind::kSilence) {
-        if (++resync_silences_ >= config_.resync_silence_threshold()) {
-          // Quiet certificate: no epoch can still be in progress, so every
-          // live station is in CSMA-CD mode — joining it is consistent.
-          ++counters_.rejoins;
-          HRTDM_COUNT("ddcr.rejoins");
-          trace_instant("rejoin", "quiet_slots", resync_silences_);
-          HRTDM_FR_RECORD(recorder_, obs::FrKind::kRejoin, now.ns(), id_,
-                          resync_silences_);
-          mode_ = Mode::kCsmaCd;
-        }
-      } else {
-        resync_silences_ = 0;
-      }
-      return;
-    }
-    case Mode::kCsmaCd: {
-      if (obs.kind == net::SlotKind::kCollision) {
-        // Every source initiates CSMA/DDCR, message or not.
-        start_epoch(now);
-        return;
-      }
-      // Silence, successes and arbitration wins keep CSMA-CD going; in
-      // perpetual mode the post-TTs attempt slot has now resolved, so the
-      // next time tree search starts immediately.
-      if (post_tts_attempt_) {
-        post_tts_attempt_ = false;
-        start_tts();
-      }
-      return;
-    }
-    case Mode::kTimeSearch: {
-      if (config_.enable_divergence_watchdog &&
-          obs.kind == net::SlotKind::kSuccess && !obs.arbitration &&
-          obs.frame.has_value() && impossible_tts_success(*obs.frame) &&
-          note_desync()) {
-        return;  // quarantined: the observation proves we are the outlier
-      }
-      ++counters_.search_slots_time;
-      if (obs.kind == net::SlotKind::kSuccess) {
-        --counters_.search_slots_time;  // successes are not search slots
-        tts_saw_transmission_ = true;
-        // "whenever a message is successfully transmitted during a time
-        //  tree search": reft advances to local physical time.
-        reft_ = now;
-      }
-      const auto fb =
-          obs.kind == net::SlotKind::kSilence
-              ? TreeSearchEngine::Feedback::kSilence
-              : obs.kind == net::SlotKind::kSuccess
-                    ? TreeSearchEngine::Feedback::kSuccess
-                    : TreeSearchEngine::Feedback::kCollision;
-      const auto probed_time = time_engine_.current();
-      const auto leaf_hint = obs.kind == net::SlotKind::kCollision &&
-                                     probed_time.size == 1
-                                 ? probed_time.lo
-                                 : -1;
-      const auto result = time_engine_.feedback(fb);
-      // Descent step span: the probed deadline-class interval laid over the
-      // slot it consumed, on this station's Perfetto track.
-      trace_span(obs.slot_start, obs.slot_end, "tts-probe", "lo,size,resolved",
-                 probed_time.lo, probed_time.size,
-                 time_engine_.resolved_up_to());
-      // Replicated poll result: one record per search slot, first synced
-      // emitter wins.
-      HRTDM_FR_REPLICATED(recorder_, obs::FrKind::kTtsProbe, now.ns(), id_,
-                          probed_time.lo,
-                          static_cast<std::int64_t>(
-                              fb == TreeSearchEngine::Feedback::kSilence
-                                  ? obs::kOutcomeSilence
-                                  : fb == TreeSearchEngine::Feedback::kSuccess
-                                        ? obs::kOutcomeSuccess
-                                        : obs::kOutcomeCollision));
-      if (result == TreeSearchEngine::StepResult::kLeafCollision) {
-        // s > 1 messages share one deadline class: run the static tree
-        // tie-break. Its root probe was this very collision.
-        HRTDM_ENSURE(leaf_hint >= 0, "leaf collision without a leaf");
-        sts_leaf_ = leaf_hint;
-        static_pos_ = 0;
-        sts_retry_streak_ = 0;
-        ++counters_.sts_runs;
-        HRTDM_COUNT("ddcr.sts_runs");
-        trace_instant("sts-start", "leaf", sts_leaf_);
-        static_engine_.begin();
-        mode_ = Mode::kStaticSearch;
-        return;
-      }
-      if (time_engine_.done()) {
-        finish_tts(now);
-      }
-      return;
-    }
-    case Mode::kStaticSearch: {
-      if (config_.enable_divergence_watchdog &&
-          obs.kind == net::SlotKind::kSuccess && !obs.arbitration &&
-          obs.frame.has_value() && impossible_sts_success(*obs.frame) &&
-          note_desync()) {
-        return;  // quarantined: the observation proves we are the outlier
-      }
-      ++counters_.search_slots_static;
-      TreeSearchEngine::Feedback fb;
-      switch (obs.kind) {
-        case net::SlotKind::kSilence:
-          fb = TreeSearchEngine::Feedback::kSilence;
-          break;
-        case net::SlotKind::kSuccess:
-          --counters_.search_slots_static;
-          fb = TreeSearchEngine::Feedback::kSuccess;
-          tts_saw_transmission_ = true;
-          if (mine) {
-            // "Next index in the ranking is used to keep conducting m-ts."
-            ++static_pos_;
-          }
-          break;
-        case net::SlotKind::kCollision:
-          fb = TreeSearchEngine::Feedback::kCollision;
-          break;
-        default:
-          HRTDM_ENSURE(false, "unreachable slot kind");
-          return;
-      }
-      const auto probed = static_engine_.current();
-      const auto result = static_engine_.feedback(fb);
-      trace_span(obs.slot_start, obs.slot_end, "sts-probe", "lo,size,leaf",
-                 probed.lo, probed.size, sts_leaf_);
-      HRTDM_FR_REPLICATED(recorder_, obs::FrKind::kStsProbe, now.ns(), id_,
-                          probed.lo,
-                          static_cast<std::int64_t>(
-                              fb == TreeSearchEngine::Feedback::kSilence
-                                  ? obs::kOutcomeSilence
-                                  : fb == TreeSearchEngine::Feedback::kSuccess
-                                        ? obs::kOutcomeSuccess
-                                        : obs::kOutcomeCollision));
-      if (result == TreeSearchEngine::StepResult::kLeafCollision) {
-        // Static indices are unique per source, so a genuine tie is
-        // impossible — this is a lone transmission destroyed by channel
-        // noise. The leaf cannot be split further; probe it again. A
-        // *streak* of such retries is the watchdog's third rule: repeated
-        // noise has vanishing probability, but a diverged replica
-        // contending out of turn collides here every slot, so an unbounded
-        // streak means this search can never complete.
-        ++counters_.static_leaf_retries;
-        HRTDM_COUNT("ddcr.static_leaf_retries");
-        if (config_.enable_divergence_watchdog &&
-            config_.sts_retry_desync_threshold > 0 &&
-            ++sts_retry_streak_ == config_.sts_retry_desync_threshold &&
-            note_desync()) {
-          return;  // quarantined: the retry loop proves divergence
-        }
-        static_engine_.requeue(probed);
-        return;
-      }
-      sts_retry_streak_ = 0;
-      if (static_engine_.done()) {
-        finish_sts(now);
-      }
-      return;
-    }
+  // Burst continuations never advance protocol search state: the channel
+  // was not relinquished, so no new probe happened.
+  DdcrReplica::Step step = DdcrReplica::Step::kNone;
+  if (obs.in_burst) {
+    r.hear_burst(obs.kind);
+  } else if (r.mode() == Mode::kResync) {
+    hear_while_resyncing(obs);
+  } else if (r.impossible_success(obs) && note_desync()) {
+    return;  // quarantined: the observation proves we are the outlier
+  } else {
+    // note_desync() may have forked this station onto a private copy.
+    LiveSink sink(*this);
+    step = replica_->feedback(obs.kind, obs.slot_start, obs.slot_end, sink);
   }
-}
-
-std::uint64_t DdcrStation::protocol_digest() const {
-  util::SplitMix64 seed_mix(0xDDC12ULL);
-  std::uint64_t h = seed_mix.next();
-  auto mix = [&h](std::uint64_t v) {
-    util::SplitMix64 m(h ^ v);
-    h = m.next();
-  };
-  mix(static_cast<std::uint64_t>(mode_));
-  mix(static_cast<std::uint64_t>(reft_.ns()));
-  mix(static_cast<std::uint64_t>(carried_reft_.ns()));
-  mix(static_cast<std::uint64_t>(consecutive_empty_tts_));
-  mix(static_cast<std::uint64_t>(sts_leaf_));
-  mix(static_cast<std::uint64_t>(tts_saw_transmission_));
-  mix(static_cast<std::uint64_t>(post_tts_attempt_));
-  mix(time_engine_.digest());
-  mix(static_engine_.digest());
-  return h;
+  if (shares_replica()) {
+    shared_->stepped_index_ = obs.index;
+    shared_->last_step_ = step;
+  }
+  follow(step, obs, mine);
 }
 
 }  // namespace hrtdm::core

@@ -14,20 +14,35 @@
 //
 // The protocol state that must stay identical across stations (mode, tree
 // engines, reft, the leaf under tie-break) is driven exclusively by channel
-// observations; protocol_digest() exposes it for the consistency tests.
+// observations, so it is one state machine per channel: a DdcrReplica the
+// channel's SharedReplica holds and every synced station points at. A
+// broadcast observation advances it once — the first station that hears it
+// steps it, the others read what the step did — and each station then does
+// only its own part: its queue, its static-index cursor and its tallies.
+// A receiver-local event (an observation not marked broadcast, a reset, a
+// churn leave or join, a watchdog detection) forks a private copy for the
+// station it hits; the epoch compiler merges a converged copy back at the
+// next committed span (epoch_compiler.hpp). protocol_digest() reads
+// whichever replica the station holds.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "core/ddcr_config.hpp"
+#include "core/ddcr_replica.hpp"
 #include "core/edf_queue.hpp"
-#include "core/tree_search.hpp"
 #include "net/station.hpp"
 #include "obs/event_tracer.hpp"
 #include "obs/flight_recorder.hpp"
 #include "traffic/message.hpp"
+
+namespace hrtdm::net {
+class BroadcastChannel;
+}  // namespace hrtdm::net
 
 namespace hrtdm::core {
 
@@ -58,9 +73,48 @@ struct StationSnapshot {
   std::int64_t resync_silences = 0;
 };
 
+class DdcrStation;
+
+/// The channel's one protocol replica and the stations that hold it
+/// (docs/PERFORMANCE.md, "Shared replica"). Owned by the testbed, one per
+/// channel; stations register in attach order and start out sharing.
+class SharedReplica {
+ public:
+  /// `channel` is the channel the stations attach to: a station mutated
+  /// from outside the event loop materializes it before forking.
+  SharedReplica(const DdcrConfig& config, net::BroadcastChannel& channel);
+  SharedReplica(const SharedReplica&) = delete;
+  SharedReplica& operator=(const SharedReplica&) = delete;
+
+  /// Stations currently holding the shared replica.
+  std::int64_t members() const { return members_; }
+  /// Stations that left the shared replica for a private copy (each at a
+  /// receiver-local event), and private copies merged back at a committed
+  /// span. Plain run totals, not registry counters.
+  std::int64_t forks() const { return forks_; }
+  std::int64_t merges() const { return merges_; }
+
+ private:
+  friend class DdcrStation;
+  friend class EpochCompiler;
+
+  DdcrReplica replica_;
+  /// The channel delivery index the replica last stepped for, and what
+  /// that step did: later holders of the same observation read it
+  /// instead of stepping again.
+  std::int64_t stepped_index_ = -1;
+  DdcrReplica::Step last_step_ = DdcrReplica::Step::kNone;
+  net::BroadcastChannel& channel_;
+  std::vector<DdcrStation*> stations_;  ///< attach order
+  std::int64_t members_ = 0;
+  std::int64_t forks_ = 0;
+  std::int64_t merges_ = 0;
+  bool traced_ = false;  ///< some station has a tracer attached
+};
+
 class DdcrStation final : public net::Station {
  public:
-  enum class Mode { kCsmaCd, kTimeSearch, kStaticSearch, kResync, kOffline };
+  using Mode = DdcrReplica::Mode;
 
   static const char* mode_name(Mode mode);
 
@@ -85,10 +139,11 @@ class DdcrStation final : public net::Station {
   /// The station keeps a reference to `config`, which must outlive it:
   /// every station of a channel views the one config its owner resolved.
   /// Its own indices are config.static_indices[id], a ranked subset of
-  /// [0, q).
-  DdcrStation(int id, const DdcrConfig& config);
+  /// [0, q). It registers with `shared` and starts out holding it.
+  DdcrStation(int id, const DdcrConfig& config, SharedReplica& shared);
   /// A temporary config would dangle.
-  DdcrStation(int id, const DdcrConfig&& config) = delete;
+  DdcrStation(int id, const DdcrConfig&& config, SharedReplica& shared) =
+      delete;
 
   /// Delivers a message to the local queue (LA runs on arrival).
   void enqueue(const Message& msg);
@@ -106,8 +161,10 @@ class DdcrStation final : public net::Station {
   /// kOffline IS quiescent: an offline station neither transmits nor
   /// processes observations, so every slot is a state no-op for it.
   bool quiescent() const override {
-    return (mode_ == Mode::kCsmaCd && !post_tts_attempt_ && queue_.empty()) ||
-           mode_ == Mode::kOffline;
+    const Mode mode = replica_->mode();
+    return (mode == Mode::kCsmaCd && !replica_->post_tts_attempt() &&
+            queue_.empty()) ||
+           mode == Mode::kOffline;
   }
 
   /// Crash recovery — and the divergence watchdog's quarantine path:
@@ -133,26 +190,32 @@ class DdcrStation final : public net::Station {
   /// recovery. Only valid while offline.
   void bring_online();
 
-  bool online() const { return mode_ != Mode::kOffline; }
+  bool online() const { return replica_->mode() != Mode::kOffline; }
 
   /// False while the station is in the listen-only resync phase or
   /// offline.
   bool synced() const {
-    return mode_ != Mode::kResync && mode_ != Mode::kOffline;
+    const Mode mode = replica_->mode();
+    return mode != Mode::kResync && mode != Mode::kOffline;
   }
 
+  /// True while the station holds the channel's shared replica (false
+  /// from a receiver-local event until a committed span merges it back).
+  bool shares_replica() const { return replica_ == &shared_->replica_; }
+
   // --- introspection ---
-  Mode mode() const { return mode_; }
+  Mode mode() const { return replica_->mode(); }
   const EdfQueue& queue() const { return queue_; }
-  SimTime reft() const { return reft_; }
-  const Counters& counters() const { return counters_; }
+  SimTime reft() const { return replica_->reft(); }
+  /// The replica's counters plus this station's own tallies.
+  Counters counters() const;
   /// The shared, read-only channel config this station views.
   const DdcrConfig& config() const { return config_; }
   /// This source's static indices: a view into config().static_indices.
   std::span<const std::int64_t> static_indices() const { return my_indices_; }
   /// Digest over the replicated protocol state only (identical across all
   /// stations at every slot boundary).
-  std::uint64_t protocol_digest() const;
+  std::uint64_t protocol_digest() const { return replica_->digest(); }
 
   /// Plain-data snapshot of mode, queue, tree positions and counters.
   StationSnapshot snapshot() const;
@@ -172,36 +235,68 @@ class DdcrStation final : public net::Station {
   }
 
   /// The raw deadline-class index floor((DM - (alpha + reft)) / c).
-  std::int64_t raw_time_index(SimTime absolute_deadline) const;
+  std::int64_t raw_time_index(SimTime absolute_deadline) const {
+    return replica_->raw_time_index(absolute_deadline);
+  }
 
  private:
-  /// The epoch compiler replays this state machine closed-form on working
-  /// copies and bulk-installs the end-of-span state (epoch_compiler.cpp
-  /// mirrors observe()/poll_intent() line by line — keep them in sync).
+  /// The epoch compiler replays the shared replica on a working copy,
+  /// reads the queues and static-index cursors and hands the end-of-span
+  /// state back (one replica install, plus the winners' queues).
   friend class EpochCompiler;
+  /// Emits a replica's reports live. The shared replica's reports count
+  /// once per holder (the registry amounts the holders' own copies would
+  /// have added up to), land on every holder's track, and reach the flight
+  /// recorder under the stepping station's id; a private copy's reports
+  /// are its station's alone.
+  class LiveSink final : public ReplicaSink {
+   public:
+    /// Reports of the replica `emitter` holds.
+    explicit LiveSink(const DdcrStation& emitter);
+    /// Reports of the shared replica, held by `holders` stations.
+    LiveSink(const DdcrStation& emitter, std::int64_t holders);
+
+    void count(Count what, std::int64_t n) override;
+    void observe(Hist what, std::int64_t value) override;
+    void instant(SimTime ts, const char* name, const char* args,
+                 std::int64_t a0, std::int64_t a1, std::int64_t a2,
+                 Arg base) override;
+    void span(SimTime start, SimTime end, const char* name, const char* args,
+              std::int64_t a0, std::int64_t a1, std::int64_t a2) override;
+    void replicated(obs::FrKind kind, SimTime t, std::int64_t a,
+                    std::int64_t b) override;
+
+   private:
+    template <typename Draw>
+    void for_each_track(Draw&& draw) const;
+
+    const DdcrStation& emitter_;
+    bool shared_;
+    std::int64_t weight_;
+  };
+
+  /// Adds `sign` times the replica counters `from` to their fields in `to`.
+  static void add(Counters& to, const DdcrReplica::Counters& from,
+                  std::int64_t sign = 1);
 
   /// With drop_late_messages set, sheds queue heads already past their
   /// deadline at `now`.
   void prune_late(SimTime now);
 
-  // --- divergence watchdog (docs/FAULTS.md) ---
-  // On consistent replicas a transmitter only speaks when its address falls
-  // inside the interval every station is probing, so a success that fails
-  // these checks proves the *local* replica has diverged (an asymmetric
-  // receive fault rewrote some earlier observation). The checks are exact:
-  // no false positives in fault-free operation.
-
-  /// TTs: the sender's effective deadline-class index must lie in the
-  /// probed interval.
-  bool impossible_tts_success(const Frame& frame) const;
-  /// STs: the sender must own a static index in the probed interval
-  /// (judged only when config_.static_indices covers the sender).
-  bool impossible_sts_success(const Frame& frame) const;
-  /// Counts the detection and, when the configuration supports the
-  /// quiet-period certificate, quarantines via reset_for_rejoin().
-  /// Returns true when quarantined (the observation must not be processed).
+  /// Every mutator's first step: materializes the channel (so a call from
+  /// a simulator callback at a compiled span's end acts on stations at the
+  /// state the slot-by-slot loop would have) and, when this station holds
+  /// the shared replica, moves it to a private copy of it.
+  void fork();
+  /// The divergence watchdog's detection (docs/FAULTS.md): counts it and,
+  /// when the configuration supports the quiet-period certificate,
+  /// quarantines via reset_for_rejoin(). Returns true when quarantined
+  /// (the observation must not be processed).
   bool note_desync();
-
+  /// The quiet-period rejoin count of a resyncing station.
+  void hear_while_resyncing(const SlotObservation& obs);
+  /// This station's part of a feedback step its replica took.
+  void follow(DdcrReplica::Step step, const SlotObservation& obs, bool mine);
 
   /// f(reft, msg) with the f* + 1 floor; nullopt when the message cannot
   /// enter the current time tree (index beyond F - 1).
@@ -212,54 +307,36 @@ class DdcrStation final : public net::Station {
 
   Frame make_frame(const Message& msg) const;
 
-  void start_epoch(SimTime now);
-  void start_tts();
-  void finish_tts(SimTime now);
-  void finish_sts(SimTime now);
-
   /// True when an attached tracer is live (the emit helpers below bail out
   /// early otherwise, keeping the uninstrumented path to one branch).
   bool tracing() const { return tracer_ != nullptr && tracer_->enabled(); }
   void trace_instant(const char* name, const char* arg_names = "",
                      std::int64_t a0 = 0, std::int64_t a1 = 0,
                      std::int64_t a2 = 0);
-  void trace_span(SimTime start, SimTime end, const char* name,
-                  const char* arg_names = "", std::int64_t a0 = 0,
-                  std::int64_t a1 = 0, std::int64_t a2 = 0);
 
   int id_;
   const DdcrConfig& config_;
   std::span<const std::int64_t> my_indices_;
+  SharedReplica* shared_;
+  /// The replica this station holds: &shared_->replica_, or own_.
+  DdcrReplica* replica_;
+  /// Private copy, allocated at the first fork and reused by later ones.
+  std::unique_ptr<DdcrReplica> own_;
 
   EdfQueue queue_;
-  Mode mode_ = Mode::kCsmaCd;
-  TreeSearchEngine time_engine_;
-  TreeSearchEngine static_engine_;
-  SimTime reft_;
-  std::int64_t sts_leaf_ = -1;       ///< time leaf under tie-break
   std::size_t static_pos_ = 0;       ///< next of my indices usable this STs
-  bool tts_saw_transmission_ = false;  ///< the `out` boolean of TTs
-  bool post_tts_attempt_ = false;    ///< perpetual mode: restart TTs after
-                                     ///< the à-la-CSMA-CD attempt slot
-  int consecutive_empty_tts_ = 0;    ///< for the max_empty_tts cap
   int sts_retry_streak_ = 0;         ///< consecutive lone-leaf STs retries
                                      ///< (watchdog rule: bounded unless
                                      ///< replicas diverged)
-  SimTime carried_reft_;             ///< compressed reft carried across
-                                     ///< cap-closed epochs
   std::int64_t resync_silences_ = 0; ///< quiet streak heard while resyncing
-  /// Receiver-local events so far: observations not marked broadcast,
-  /// resets (crash, quarantine, churn) and watchdog detections — the only
-  /// ways this replica can leave lock-step with the others. Monotone; the
-  /// epoch compiler reruns its full replica digest compare only once the
-  /// sum over the channel's stations has moved.
-  std::int64_t local_events_ = 0;
-  Counters counters_;
+  /// This station's own tallies; the fields the replica also counts hold
+  /// the offset between this station's value and its replica's, so
+  /// counters() reads the same through forks and merges.
+  Counters tally_;
 
   // --- observability only (never part of protocol_digest()) ---
   obs::EventTracer* tracer_ = nullptr;
   std::int32_t trace_pid_ = 0;       ///< channel id = Perfetto process id
-  SimTime trace_now_;                ///< timestamp for event-less hooks
   obs::FlightRecorder* recorder_ = nullptr;
 };
 

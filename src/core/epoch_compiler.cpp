@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "obs/registry.hpp"
 #include "util/check.hpp"
@@ -27,128 +29,75 @@ bool epoch_compiler_enabled(EpochCompilerMode mode) {
 }
 
 EpochCompiler::EpochCompiler(net::BroadcastChannel& channel,
-                             std::vector<DdcrStation*> stations)
-    : channel_(channel), stations_(std::move(stations)) {
-  HRTDM_EXPECT(!stations_.empty(), "epoch compiler needs >= 1 station");
+                             SharedReplica& shared)
+    : channel_(channel), shared_(shared), work_(shared.replica_) {
+  HRTDM_EXPECT(!shared_.stations_.empty(), "epoch compiler needs >= 1 station");
 }
 
-void EpochCompiler::push_instant(SimTime ts, const char* name,
-                                 const char* args, std::int64_t a0,
-                                 std::int64_t a1, std::int64_t a2,
-                                 ArgBase base) {
-  if (!trace_on_) {
-    return;
+void EpochCompiler::SpanReports::clear(bool tracing) {
+  std::fill(std::begin(counts_), std::end(counts_), 0);
+  std::fill(std::begin(touched_), std::end(touched_), false);
+  for (std::vector<std::int64_t>& values : values_) {
+    values.clear();
   }
-  TraceEvent ev;
-  ev.is_span = false;
-  ev.ts = ts;
-  ev.name = name;
-  ev.args = args;
-  ev.a0 = a0;
-  ev.a1 = a1;
-  ev.a2 = a2;
-  ev.base = base;
-  trace_.push_back(ev);
+  trace_.clear();
+  tracing_ = tracing;
 }
 
-void EpochCompiler::push_span(SimTime ts, SimTime end, const char* name,
-                              const char* args, std::int64_t a0,
-                              std::int64_t a1, std::int64_t a2) {
-  if (!trace_on_) {
-    return;
+void EpochCompiler::SpanReports::count(Count what, std::int64_t n) {
+  counts_[static_cast<std::size_t>(what)] += n;
+  touched_[static_cast<std::size_t>(what)] = true;
+}
+
+void EpochCompiler::SpanReports::observe(Hist what, std::int64_t value) {
+  values_[static_cast<std::size_t>(what)].push_back(value);
+}
+
+void EpochCompiler::SpanReports::instant(SimTime ts, const char* name,
+                                         const char* args, std::int64_t a0,
+                                         std::int64_t a1, std::int64_t a2,
+                                         Arg base) {
+  if (tracing_) {
+    trace_.push_back(TraceEvent{false, ts, ts, name, args, a0, a1, a2, base});
   }
-  TraceEvent ev;
-  ev.is_span = true;
-  ev.ts = ts;
-  ev.end = end;
-  ev.name = name;
-  ev.args = args;
-  ev.a0 = a0;
-  ev.a1 = a1;
-  ev.a2 = a2;
-  trace_.push_back(ev);
 }
 
-void EpochCompiler::note_tree_begin(const TreeSearchEngine& engine) {
-  // Mirror of the registry flush TreeSearchEngine::begin() performs; the
-  // replica is muted, so the amounts are buffered here and emitted (once
-  // per synced station) at hand-off.
-  ++tree_begins_;
-  tree_silence_ += engine.silence_slots();
-  tree_collision_ += engine.collision_slots();
-  tree_inferred_ += engine.inferred_skips();
-}
-
-void EpochCompiler::replay_start_tts(SimTime now) {
-  // Mirrors DdcrStation::start_tts().
-  ++d_tts_runs_;
-  push_instant(now, "tts-start", "run,resolved", d_tts_runs_,
-               time_engine_->resolved_up_to(), 0, ArgBase::kTtsRuns);
-  tts_saw_ = false;
-  note_tree_begin(*time_engine_);
-  time_engine_->begin();
-  mode_ = Mode::kTimeSearch;
-}
-
-void EpochCompiler::replay_finish_tts(SimTime now) {
-  // Mirrors DdcrStation::finish_tts().
-  const bool out = tts_saw_;
-  tts_slot_obs_.push_back(time_engine_->search_slots());
-  push_instant(now, "tts-end", "out,search_slots", out ? 1 : 0,
-               time_engine_->search_slots());
-  if (out) {
-    consecutive_empty_tts_ = 0;
-    carried_reft_ = SimTime();
-    mode_ = Mode::kCsmaCd;
-    post_tts_attempt_ = cfg_->epoch_mode == EpochMode::kPerpetual;
-    push_instant(now, "epoch-end", "epoch", 0, 0, 0, ArgBase::kEpochs);
-    return;
+void EpochCompiler::SpanReports::span(SimTime start, SimTime end,
+                                      const char* name, const char* args,
+                                      std::int64_t a0, std::int64_t a1,
+                                      std::int64_t a2) {
+  if (tracing_) {
+    trace_.push_back(
+        TraceEvent{true, start, end, name, args, a0, a1, a2, Arg::kNone});
   }
-  ++consecutive_empty_tts_;
-  if (cfg_->theta_factor > 0.0) {
-    ++d_compressions_;
-    reft_ += cfg_->theta();
-    ++reft_gen_;
-    tts_index_valid_ = false;
-    sts_index_valid_ = false;
-    if (cfg_->epoch_mode == EpochMode::kCsmaCdFallback &&
-        cfg_->max_empty_tts > 0 &&
-        consecutive_empty_tts_ >= cfg_->max_empty_tts) {
-      carried_reft_ = reft_;
-      consecutive_empty_tts_ = 0;
-      mode_ = Mode::kCsmaCd;
-      push_instant(now, "epoch-end", "epoch", 0, 0, 0, ArgBase::kEpochs);
-      return;
+}
+
+void EpochCompiler::SpanReports::flush(ReplicaSink& sink) const {
+  // Only the names the interpreted slots would have touched: a counter
+  // the span never advanced is not materialized in the registry.
+  for (std::size_t c = 0; c < std::size(counts_); ++c) {
+    if (touched_[c]) {
+      sink.count(static_cast<Count>(c), counts_[c]);
     }
-    replay_start_tts(now);
-    return;
   }
-  consecutive_empty_tts_ = 0;
-  mode_ = Mode::kCsmaCd;
-  post_tts_attempt_ = cfg_->epoch_mode == EpochMode::kPerpetual;
-  push_instant(now, "epoch-end", "epoch", 0, 0, 0, ArgBase::kEpochs);
-}
-
-void EpochCompiler::replay_finish_sts(SimTime now) {
-  // Mirrors DdcrStation::finish_sts().
-  sts_slot_obs_.push_back(static_engine_->search_slots());
-  push_instant(now, "sts-end", "leaf,search_slots", sts_leaf_,
-               static_engine_->search_slots());
-  reft_ = now;
-  ++reft_gen_;
-  tts_index_valid_ = false;
-  sts_index_valid_ = false;
-  sts_leaf_ = -1;
-  mode_ = Mode::kTimeSearch;
-  if (time_engine_->done()) {
-    replay_finish_tts(now);
+  for (std::size_t h = 0; h < std::size(values_); ++h) {
+    for (const std::int64_t v : values_[h]) {
+      sink.observe(static_cast<Hist>(h), v);
+    }
+  }
+  for (const TraceEvent& ev : trace_) {
+    if (ev.is_span) {
+      sink.span(ev.ts, ev.end, ev.name, ev.args, ev.a0, ev.a1, ev.a2);
+    } else {
+      sink.instant(ev.ts, ev.name, ev.args, ev.a0, ev.a1, ev.a2, ev.base);
+    }
   }
 }
 
 void EpochCompiler::rebuild_tts_index() {
   const std::size_t buckets = static_cast<std::size_t>(cfg_->F) + 1;
   tts_prefix_.assign(buckets, 0);
-  const SimTime ref_time = reft_ + cfg_->alpha;
+  const SimTime ref_time = work_.reft() + cfg_->alpha;
   for (PerStation& ps : per_) {
     if (ps.it == ps.s->queue_.end()) {
       continue;
@@ -175,7 +124,8 @@ void EpochCompiler::rebuild_sts_index() {
   const std::size_t q = static_cast<std::size_t>(cfg_->q);
   sts_prefix_.assign(q, 0);
   sts_owner_.assign(q, nullptr);
-  const SimTime ref_time = reft_ + cfg_->alpha;
+  const SimTime ref_time = work_.reft() + cfg_->alpha;
+  const std::int64_t sts_leaf = work_.sts_leaf();
   for (PerStation& ps : per_) {
     if (ps.static_pos >= ps.s->my_indices_.size()) {
       continue;
@@ -188,7 +138,7 @@ void EpochCompiler::rebuild_sts_index() {
                    .floor_div(cfg_->class_width_c);
       ps.raw_gen = reft_gen_;
     }
-    if (ps.raw > sts_leaf_) {
+    if (ps.raw > sts_leaf) {
       continue;  // due-or-late rule: not eligible for this tie-break
     }
     const auto key =
@@ -239,8 +189,8 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
 
   // --- eligibility (station side; the channel gated its own side) ---
   DdcrStation* ref = nullptr;
-  for (DdcrStation* s : stations_) {
-    if (s->mode_ != Mode::kOffline) {
+  for (DdcrStation* s : shared_.stations_) {
+    if (s->online()) {
       ref = s;
       break;
     }
@@ -248,12 +198,12 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   if (ref == nullptr) {
     return false;
   }
-  // The digest-equality gate below (run in full, or vouched for by the
-  // replica ledger) implies every synced station shares ref's mode, so one
-  // mode check suffices (a resyncing ref fails it too).
+  // The digest-equality gate below implies every synced station shares
+  // ref's mode, so one mode check suffices (a resyncing ref fails it too).
   // A decline here is NOT a compile attempt: the stations are simply not
   // mid-epoch, so there was nothing to compile in the first place.
-  if (ref->mode_ != Mode::kTimeSearch && ref->mode_ != Mode::kStaticSearch) {
+  const DdcrReplica& base = *ref->replica_;
+  if (base.mode() != Mode::kTimeSearch && base.mode() != Mode::kStaticSearch) {
     return false;
   }
 
@@ -272,69 +222,51 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     // poll_intent prunes by wall time: polls are not pure.
     return bail(obs::FrBail::kFault, start);
   }
-  // Replica ledger: replicas that agreed at the last full compare and have
-  // since consumed only broadcast observations (plus hand-offs, which
-  // install one state everywhere) still agree, so the full compare only
-  // reruns once some station's local-event tally has moved.
-  std::int64_t local_events = 0;
-  for (const DdcrStation* s : stations_) {
-    local_events += s->local_events_;
-  }
-  const bool recheck = local_events != verified_local_events_;
-  std::uint64_t digest = 0;
-  if (recheck) {
-    ++replica_checks_;
-    digest = ref->protocol_digest();
-  }
+  // Holders of one replica agree by construction; a station on another
+  // one (a private copy forked at a receiver-local event, or the shared
+  // replica while ref holds a copy) must match ref's digest.
+  std::optional<std::uint64_t> base_digest;
+  const DdcrReplica* agreed = &base;  // the last replica found to match
+  merge_ = false;
   per_.clear();
-  for (DdcrStation* s : stations_) {
-    if (s->mode_ == Mode::kOffline) {
+  for (DdcrStation* s : shared_.stations_) {
+    const Mode mode = s->mode();
+    if (mode == Mode::kOffline) {
       continue;  // inert: neither polls nor observes
     }
-    if (s->mode_ == Mode::kResync) {
+    if (mode == Mode::kResync) {
       // A resyncing station counts silent slots per observation.
       return bail(obs::FrBail::kResync, start);
     }
-    if (recheck && s->protocol_digest() != digest) {
-      // Latent desync: bail out, never miscompile.
-      return bail(obs::FrBail::kDesync, start);
+    if (s->replica_ != &base && s->replica_ != agreed) {
+      if (!base_digest.has_value()) {
+        base_digest = base.digest();
+      }
+      if (s->replica_->digest() != *base_digest) {
+        // Latent desync: bail out, never miscompile.
+        return bail(obs::FrBail::kDesync, start);
+      }
+      agreed = s->replica_;
     }
+    merge_ = merge_ || !s->shares_replica();
     PerStation ps;
     ps.s = s;
     ps.it = s->queue_.begin();
     ps.static_pos = s->static_pos_;
     per_.push_back(ps);
   }
-  verified_local_events_ = local_events;
 
-  // --- working copies ---
+  // --- working copy ---
   cfg_ = &ref->config_;
-  time_engine_.emplace(ref->time_engine_);
-  time_engine_->set_registry_muted(true);
-  static_engine_.emplace(ref->static_engine_);
-  static_engine_->set_registry_muted(true);
-  mode_ = ref->mode_;
-  reft_ = ref->reft_;
+  work_ = base;  // reuses the engines' stack capacity
+  base_counters_ = base.counters();
   reft_gen_ = 1;  // per_ entries start with raw_gen = 0: all caches stale
   tts_index_valid_ = false;
   sts_index_valid_ = false;
-  carried_reft_ = ref->carried_reft_;
-  sts_leaf_ = ref->sts_leaf_;
-  tts_saw_ = ref->tts_saw_transmission_;
-  post_tts_attempt_ = ref->post_tts_attempt_;
-  consecutive_empty_tts_ = ref->consecutive_empty_tts_;
   sts_streak_touched_ = false;
-  d_tts_runs_ = d_sts_runs_ = d_compressions_ = 0;
-  d_search_time_ = d_search_static_ = 0;
-  tree_begins_ = tree_silence_ = tree_collision_ = tree_inferred_ = 0;
-  tts_slot_obs_.clear();
-  sts_slot_obs_.clear();
-  trace_.clear();
-  trace_on_ = false;
-  for (const PerStation& ps : per_) {
-    trace_on_ = trace_on_ || ps.s->tracing();
-  }
+  reports_.clear(shared_.traced_);
   epoch_completed_ = false;
+  DdcrReplica& work = work_;
 
   // --- replay loop: one contention slot (+ burst chain) per iteration ---
   // Every compiled slot ends at or before `horizon`; a decision the channel
@@ -355,7 +287,8 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
                         // channel's span buffer keeps its capacity after
   }                     // this, so deep spans only ever pay growth once
   while (out.size() < kMaxSlots) {
-    if (mode_ != Mode::kTimeSearch && mode_ != Mode::kStaticSearch) {
+    const Mode mode = work.mode();
+    if (mode != Mode::kTimeSearch && mode != Mode::kStaticSearch) {
       epoch_completed_ = true;  // the epoch closed inside the span
       break;
     }
@@ -365,9 +298,9 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     int contenders = 0;
     PerStation* winner = nullptr;
     const Message* winner_msg = nullptr;
-    if (mode_ == Mode::kTimeSearch) {
-      const auto interval = time_engine_->current();
-      const std::int64_t floor_idx = time_engine_->resolved_up_to();
+    if (mode == Mode::kTimeSearch) {
+      const auto interval = work.time_engine().current();
+      const std::int64_t floor_idx = work.time_engine().resolved_up_to();
       if (!tts_index_valid_) {
         rebuild_tts_index();
       }
@@ -407,7 +340,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
         HRTDM_EXPECT(winner != nullptr, "contender index out of sync");
       }
     } else {
-      const auto interval = static_engine_->current();
+      const auto interval = work.static_engine().current();
       if (!sts_index_valid_) {
         rebuild_sts_index();
       }
@@ -459,8 +392,8 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     if (end > horizon) {
       break;  // the slot would contain a scheduled event
     }
-    if (mode_ == Mode::kStaticSearch && kind == net::SlotKind::kCollision &&
-        static_engine_->current().size == 1) {
+    if (mode == Mode::kStaticSearch && kind == net::SlotKind::kCollision &&
+        work.static_engine().current().size == 1) {
       // A genuine STs leaf collision (two sources sharing a static index):
       // the requeue/retry-streak/watchdog semantics stay interpreted. Stop
       // before this slot — no replay state has been touched yet.
@@ -474,9 +407,10 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     slot.record.start = now;
     slot.record.end = end;
 
-    // Observe mirror (DdcrStation::observe at slot end). The divergence
-    // watchdog cannot fire: every compiled success comes from a station
-    // whose index was inside the probed interval by construction.
+    // The replica's own transition (DdcrStation::observe at slot end).
+    // The divergence watchdog cannot fire: every compiled success comes
+    // from a station whose index was inside the probed interval by
+    // construction.
     if (kind == net::SlotKind::kSuccess) {
       slot.record.frame = winner->s->make_frame(*winner_msg);
       winner->delivered.push_back(winner_msg->uid);
@@ -484,56 +418,10 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
       winner->raw_gen = 0;  // head advanced: cached raw index is stale
       tts_index_valid_ = false;
       // The STs index survives a TTs success untouched: it is rebuilt on
-      // tie-break entry (kLeafCollision resets every static_pos); an STs
+      // tie-break entry (kStsEntered resets every static_pos); an STs
       // success patches it incrementally below.
       ++winner->transmitted;
-    }
-    if (mode_ == Mode::kTimeSearch) {
-      ++d_search_time_;
-      TreeSearchEngine::Feedback fb;
-      if (kind == net::SlotKind::kSilence) {
-        fb = TreeSearchEngine::Feedback::kSilence;
-      } else if (kind == net::SlotKind::kSuccess) {
-        --d_search_time_;  // successes are not search slots
-        fb = TreeSearchEngine::Feedback::kSuccess;
-        tts_saw_ = true;
-        reft_ = end;
-        ++reft_gen_;
-      } else {
-        fb = TreeSearchEngine::Feedback::kCollision;
-      }
-      const auto probed = time_engine_->current();
-      const std::int64_t leaf_hint =
-          kind == net::SlotKind::kCollision && probed.size == 1 ? probed.lo
-                                                                : -1;
-      const auto result = time_engine_->feedback(fb);
-      push_span(now, end, "tts-probe", "lo,size,resolved", probed.lo,
-                probed.size, time_engine_->resolved_up_to());
-      if (result == TreeSearchEngine::StepResult::kLeafCollision) {
-        HRTDM_EXPECT(leaf_hint >= 0, "leaf collision without a leaf");
-        sts_leaf_ = leaf_hint;
-        for (PerStation& ps : per_) {
-          ps.static_pos = 0;
-        }
-        sts_index_valid_ = false;
-        sts_streak_touched_ = true;
-        ++d_sts_runs_;
-        push_instant(end, "sts-start", "leaf", sts_leaf_);
-        note_tree_begin(*static_engine_);
-        static_engine_->begin();
-        mode_ = Mode::kStaticSearch;
-      } else if (time_engine_->done()) {
-        replay_finish_tts(end);
-      }
-    } else {
-      ++d_search_static_;
-      TreeSearchEngine::Feedback fb;
-      if (kind == net::SlotKind::kSilence) {
-        fb = TreeSearchEngine::Feedback::kSilence;
-      } else if (kind == net::SlotKind::kSuccess) {
-        --d_search_static_;
-        fb = TreeSearchEngine::Feedback::kSuccess;
-        tts_saw_ = true;
+      if (mode == Mode::kStaticSearch) {
         // "next index in the ranking" — and patch the contender index in
         // place: only the winner changed, so its old key leaves the
         // tie-break and its next key re-enters if it is still due. A full
@@ -549,12 +437,10 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
           if (winner->static_pos < winner->s->my_indices_.size() &&
               winner->it != winner->s->queue_.end()) {
             if (winner->raw_gen != reft_gen_) {
-              winner->raw =
-                  (winner->it->absolute_deadline - (reft_ + cfg_->alpha))
-                      .floor_div(cfg_->class_width_c);
+              winner->raw = work.raw_time_index(winner->it->absolute_deadline);
               winner->raw_gen = reft_gen_;
             }
-            if (winner->raw <= sts_leaf_) {
+            if (winner->raw <= work.sts_leaf()) {
               const std::size_t k2 = static_cast<std::size_t>(
                   winner->s->my_indices_[winner->static_pos]);
               sts_owner_[k2] = winner;
@@ -564,19 +450,26 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
             }
           }
         }
-      } else {
-        fb = TreeSearchEngine::Feedback::kCollision;
       }
-      const auto probed = static_engine_->current();
-      const auto result = static_engine_->feedback(fb);
-      push_span(now, end, "sts-probe", "lo,size,leaf", probed.lo, probed.size,
-                sts_leaf_);
-      HRTDM_EXPECT(result != TreeSearchEngine::StepResult::kLeafCollision,
-                   "STs leaf collision was excluded above");
-      sts_streak_touched_ = true;
-      if (static_engine_->done()) {
-        replay_finish_sts(end);
+    }
+    const SimTime reft_before = work.reft();
+    const DdcrReplica::Step step = work.feedback(kind, now, end, reports_);
+    HRTDM_EXPECT(step != DdcrReplica::Step::kStsRetried,
+                 "STs leaf collision was excluded above");
+    if (step == DdcrReplica::Step::kStsEntered) {
+      for (PerStation& ps : per_) {
+        ps.static_pos = 0;
       }
+      sts_index_valid_ = false;
+    }
+    sts_streak_touched_ =
+        sts_streak_touched_ || step != DdcrReplica::Step::kNone;
+    if (work.reft() != reft_before) {
+      // A TTs success, a theta compression or the STs hand-back moved
+      // reft: every cached raw index and both contender indices are stale.
+      ++reft_gen_;
+      tts_index_valid_ = false;
+      sts_index_valid_ = false;
     }
 
     const bool bursting =
@@ -624,11 +517,9 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
         sts_index_valid_ = false;
         ++winner->transmitted;
         ++winner->burst_transmitted;
-        // In-burst observe mirror: no engine feedback, no probes — only
-        // the out flag, and only while still inside the epoch.
-        if (mode_ != Mode::kCsmaCd) {
-          tts_saw_ = true;
-        }
+        // In-burst observe: no engine feedback, no probes — only the out
+        // flag, and only while still inside the epoch.
+        work.hear_burst(net::SlotKind::kSuccess);
         budget -= head.l_bits;
         burst.burst_budget_next = budget;
         out.push_back(std::move(burst));
@@ -658,36 +549,11 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
 void EpochCompiler::apply_handoff() {
   HRTDM_EXPECT(handoff_valid_, "no compiled span pending");
   handoff_valid_ = false;
-  [[maybe_unused]] const std::int64_t z =
-      static_cast<std::int64_t>(per_.size());
+  const std::int64_t z = static_cast<std::int64_t>(per_.size());
 
-  // Traces first: the per-station arg bases (tts-start's run number,
-  // epoch-end's epoch number) read pre-hand-off counters.
-  if (!trace_.empty()) {
-    for (const TraceEvent& ev : trace_) {
-      for (const PerStation& ps : per_) {
-        DdcrStation* s = ps.s;
-        if (!s->tracing()) {
-          continue;
-        }
-        std::int64_t a0 = ev.a0;
-        if (ev.base == ArgBase::kTtsRuns) {
-          a0 += s->counters_.tts_runs;
-        } else if (ev.base == ArgBase::kEpochs) {
-          a0 += s->counters_.epochs;
-        }
-        if (ev.is_span) {
-          s->tracer_->complete(s->trace_pid_, s->id_ + 1, ev.ts.ns(),
-                               ev.end.ns() - ev.ts.ns(), ev.name, ev.args, a0,
-                               ev.a1, ev.a2);
-        } else {
-          s->tracer_->instant(s->trace_pid_, s->id_ + 1, ev.ts.ns(), ev.name,
-                              ev.args, a0, ev.a1, ev.a2);
-        }
-      }
-    }
-  }
-
+  // Per station: the winners' deliveries, the static-index cursors, and a
+  // private copy merged back. Its counter offset is taken against the
+  // replica the replay started from, so counters() reads on exactly.
   std::int64_t delivered_total = 0;
   std::int64_t burst_total = 0;
   for (PerStation& ps : per_) {
@@ -696,63 +562,43 @@ void EpochCompiler::apply_handoff() {
       const bool removed = s->queue_.remove(uid);
       HRTDM_EXPECT(removed, "compiled delivery was not queued");
     }
-    s->mode_ = mode_;
-    s->reft_ = reft_;
-    s->carried_reft_ = carried_reft_;
-    s->sts_leaf_ = sts_leaf_;
-    s->tts_saw_transmission_ = tts_saw_;
-    s->post_tts_attempt_ = post_tts_attempt_;
-    s->consecutive_empty_tts_ = consecutive_empty_tts_;
     s->static_pos_ = ps.static_pos;
     if (sts_streak_touched_) {
       s->sts_retry_streak_ = 0;
     }
-    s->time_engine_ = *time_engine_;
-    s->time_engine_.set_registry_muted(false);
-    s->static_engine_ = *static_engine_;
-    s->static_engine_.set_registry_muted(false);
-    s->counters_.tts_runs += d_tts_runs_;
-    s->counters_.sts_runs += d_sts_runs_;
-    s->counters_.compressions += d_compressions_;
-    s->counters_.search_slots_time += d_search_time_;
-    s->counters_.search_slots_static += d_search_static_;
-    s->counters_.transmitted += ps.transmitted;
-    s->counters_.burst_transmitted += ps.burst_transmitted;
-    s->trace_now_ = last_end_;
+    if (ps.transmitted > 0) {
+      s->tally_.transmitted += ps.transmitted;
+      s->tally_.burst_transmitted += ps.burst_transmitted;
+    }
     delivered_total += ps.transmitted;
     burst_total += ps.burst_transmitted;
+    if (merge_) {
+      DdcrStation::add(s->tally_, s->replica_->counters());
+      DdcrStation::add(s->tally_, base_counters_, -1);
+      if (!s->shares_replica()) {
+        s->replica_ = &shared_.replica_;
+        ++shared_.members_;
+        ++shared_.merges_;
+      }
+    }
   }
+  HRTDM_ENSURE(shared_.members_ == z,
+               "every online station holds the shared replica after a span");
 
-  // Registry: the exact amounts the interpreted slots would have emitted.
-  if (d_tts_runs_ > 0) {
-    HRTDM_COUNT_N("ddcr.tts_runs", d_tts_runs_ * z);
-  }
-  if (d_sts_runs_ > 0) {
-    HRTDM_COUNT_N("ddcr.sts_runs", d_sts_runs_ * z);
-  }
-  if (d_compressions_ > 0) {
-    HRTDM_COUNT_N("ddcr.compressions", d_compressions_ * z);
-  }
+  // One install: the replayed replica becomes the shared one.
+  work_.set_heard_at(last_end_);
+  std::swap(shared_.replica_, work_);
+
+  // Registry and traces: the exact amounts and events the interpreted
+  // slots would have emitted, once per holder.
+  DdcrStation::LiveSink holders(*per_.front().s, z);
+  reports_.flush(holders);
   if (delivered_total > 0) {
     HRTDM_COUNT_N("ddcr.transmitted", delivered_total);
   }
   if (burst_total > 0) {
     HRTDM_COUNT_N("ddcr.burst_transmitted", burst_total);
   }
-  if (tree_begins_ > 0) {
-    HRTDM_COUNT_N("tree.searches", tree_begins_ * z);
-    HRTDM_COUNT_N("tree.silence_slots", tree_silence_ * z);
-    HRTDM_COUNT_N("tree.collision_slots", tree_collision_ * z);
-    HRTDM_COUNT_N("tree.inferred_skips", tree_inferred_ * z);
-  }
-#if !defined(HRTDM_OBS_OFF)
-  for (const std::int64_t v : tts_slot_obs_) {
-    HRTDM_OBSERVE_N("ddcr.tts_search_slots", v, z);
-  }
-  for (const std::int64_t v : sts_slot_obs_) {
-    HRTDM_OBSERVE_N("ddcr.sts_search_slots", v, z);
-  }
-#endif
 
   ++spans_compiled_;
   HRTDM_COUNT("ddcr.spans_compiled");

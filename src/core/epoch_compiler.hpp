@@ -19,8 +19,6 @@
 //  - the synced stations sit mid-epoch (kTimeSearch / kStaticSearch) with
 //    bit-identical protocol digests (a defensive gate: a latent desync
 //    becomes a bail-out to the interpreted path, never a miscompile);
-//    the full digest compare is paid only when a replica could have moved
-//    (the replica ledger, below);
 //  - drop_late_messages is off (with it on, poll_intent prunes the queue
 //    by wall time, so polls are not pure).
 // Disqualifying conditions during the span — a scheduled event (mid-epoch
@@ -29,21 +27,18 @@
 // span from outside the event loop dissolves it through the same
 // ScheduleWatcher mechanism idle gaps use (docs/PERFORMANCE.md).
 //
-// Replica ledger. Every DdcrStation counts its receiver-local events, the
-// only ways a replica can leave lock-step:
-//  - an observe() of an observation the channel did not mark broadcast (an
-//    interceptor's per-receiver copy, a phantom or scramble fed to one
-//    station directly);
-//  - reset_for_rejoin(), which covers crash recovery, watchdog quarantine,
-//    go_offline() and bring_online();
-//  - note_desync(), the divergence watchdog's detection.
-// compile() sums the tallies and reruns the all-replica protocol_digest()
-// compare only when the sum differs from the one recorded at the last
-// compare that passed. In between, synced replicas with equal state consume
-// the same broadcast observations and make the same transition, and a
-// hand-off installs one state into all of them, so the compare would repeat
-// its last answer. The offline and resync mode checks still run on every
-// attempt; check_consistency and the conformance audit keep full compares.
+// Shared replica. The synced stations hold one SharedReplica
+// (ddcr_station.hpp), so while no online station holds a private copy the
+// digest gate holds by construction and costs nothing. A private copy
+// exists only after a receiver-local event forked it (an observation the
+// channel did not mark broadcast, reset_for_rejoin(), go_offline(),
+// bring_online(), a watchdog detection); while one does, compile() reruns
+// the full digest compare against the first online station's replica, and
+// a committed span merges every online copy back: the replay runs on one
+// copy of that replica and apply_handoff() installs the result as the
+// shared replica, with each merged station's counter offset carried over.
+// A span that bails merges nothing, so every station keeps exactly the
+// state the interpreted loop would have left it in.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +62,9 @@ bool epoch_compiler_enabled(EpochCompilerMode mode);
 
 class EpochCompiler final : public net::SpanCompiler {
  public:
-  /// `stations` are the stations attached to `channel`, in attach order.
-  /// Both must outlive the compiler.
-  EpochCompiler(net::BroadcastChannel& channel,
-                std::vector<DdcrStation*> stations);
+  /// `shared` is the replica the stations attached to `channel` hold;
+  /// both must outlive the compiler.
+  EpochCompiler(net::BroadcastChannel& channel, SharedReplica& shared);
 
   bool compile(SimTime start, SimTime horizon,
                std::vector<net::CompiledSlot>& out) override;
@@ -86,9 +80,6 @@ class EpochCompiler final : public net::SpanCompiler {
   /// or took exactly one of the bail-out reasons below.
   /// Invariant: compile_attempts() == spans_compiled() + sum of bailouts().
   std::int64_t compile_attempts() const { return compile_attempts_; }
-  /// Attempts that re-ran the full protocol_digest() compare across the
-  /// replicas (the rest trusted the replica ledger; see the header note).
-  std::int64_t replica_checks() const { return replica_checks_; }
   /// Per-reason mid-epoch bail-outs (registry family
   /// ddcr.compile_bailout.{horizon,fault,resync,noise,cap,desync}).
   std::int64_t bailouts(obs::FrBail reason) const {
@@ -111,43 +102,50 @@ class EpochCompiler final : public net::SpanCompiler {
     std::int64_t transmitted = 0;
     std::int64_t burst_transmitted = 0;
     /// Cached raw deadline-class index of the queue head relative to the
-    /// replay reft_ (valid while raw_gen matches the compiler's reft_gen_
+    /// replay reft (valid while raw_gen matches the compiler's reft_gen_
     /// and the head is unchanged; 0 = invalid).
     std::int64_t raw = 0;
     std::uint32_t raw_gen = 0;
   };
 
-  /// Buffered protocol trace event, replayed per traced station at
-  /// hand-off. a0 is relative when `base` names a per-station counter
-  /// (tts-start's run number, epoch-end's epoch number).
-  enum class ArgBase { kNone, kTtsRuns, kEpochs };
-  struct TraceEvent {
-    bool is_span = false;
-    SimTime ts;
-    SimTime end;
-    const char* name = nullptr;
-    const char* args = nullptr;
-    std::int64_t a0 = 0;
-    std::int64_t a1 = 0;
-    std::int64_t a2 = 0;
-    ArgBase base = ArgBase::kNone;
+  /// Buffers the replay's reports until hand-off: registry amounts summed
+  /// per name, histogram values and trace events in order. The compiled
+  /// path leaves no replicated flight records (kSpanCommit stands for
+  /// them), so those are dropped.
+  class SpanReports final : public ReplicaSink {
+   public:
+    void clear(bool tracing);
+    /// Emits everything through `sink` (the shared replica's holders).
+    void flush(ReplicaSink& sink) const;
+
+    void count(Count what, std::int64_t n) override;
+    void observe(Hist what, std::int64_t value) override;
+    void instant(SimTime ts, const char* name, const char* args,
+                 std::int64_t a0, std::int64_t a1, std::int64_t a2,
+                 Arg base) override;
+    void span(SimTime start, SimTime end, const char* name, const char* args,
+              std::int64_t a0, std::int64_t a1, std::int64_t a2) override;
+    void replicated(obs::FrKind, SimTime, std::int64_t,
+                    std::int64_t) override {}
+
+   private:
+    struct TraceEvent {
+      bool is_span = false;
+      SimTime ts;
+      SimTime end;
+      const char* name = nullptr;
+      const char* args = nullptr;
+      std::int64_t a0 = 0;
+      std::int64_t a1 = 0;
+      std::int64_t a2 = 0;
+      Arg base = Arg::kNone;
+    };
+    std::int64_t counts_[static_cast<std::size_t>(Count::kCount_)] = {};
+    bool touched_[static_cast<std::size_t>(Count::kCount_)] = {};
+    std::vector<std::int64_t>
+        values_[static_cast<std::size_t>(Hist::kCount_)];
+    std::vector<TraceEvent> trace_;
   };
-
-  // Replay mirrors of the DdcrStation transition helpers (see the friend
-  // note in ddcr_station.hpp; formulas are kept line-for-line in sync with
-  // ddcr_station.cpp).
-  void replay_start_tts(SimTime now);
-  void replay_finish_tts(SimTime now);
-  void replay_finish_sts(SimTime now);
-  /// Mirrors the registry flush a (muted) TreeSearchEngine::begin() would
-  /// have emitted; call immediately before begin().
-  void note_tree_begin(const TreeSearchEngine& engine);
-
-  void push_instant(SimTime ts, const char* name, const char* args = "",
-                    std::int64_t a0 = 0, std::int64_t a1 = 0,
-                    std::int64_t a2 = 0, ArgBase base = ArgBase::kNone);
-  void push_span(SimTime ts, SimTime end, const char* name, const char* args,
-                 std::int64_t a0, std::int64_t a1, std::int64_t a2);
 
   /// Rebuilds tts_prefix_ (and refreshes every stale raw cache) from the
   /// current replay cursors; called lazily from the TTs poll mirror.
@@ -161,40 +159,24 @@ class EpochCompiler final : public net::SpanCompiler {
   bool bail(obs::FrBail reason, SimTime now);
 
   net::BroadcastChannel& channel_;
-  std::vector<DdcrStation*> stations_;
+  SharedReplica& shared_;
 
   // --- replay state (reset per compile(); the hand-off subset stays valid
   // until apply_handoff()/drop_handoff()) ---
   const DdcrConfig* cfg_ = nullptr;
-  std::optional<TreeSearchEngine> time_engine_;
-  std::optional<TreeSearchEngine> static_engine_;
-  Mode mode_ = Mode::kCsmaCd;
-  SimTime reft_;
-  /// Generation tag for PerStation::raw caches; bumped whenever reft_
-  /// moves (TTs success, theta compression, STs hand-back). Never 0, so a
-  /// zeroed raw_gen is always stale.
+  /// Working copy of the replica the stations held at compile time.
+  DdcrReplica work_;
+  /// Counters of the replica work_ was copied from (the merged stations'
+  /// counter offsets are taken against them at hand-off).
+  DdcrReplica::Counters base_counters_;
+  /// Some online station held a private copy at compile time.
+  bool merge_ = false;
+  /// Generation tag for PerStation::raw caches; bumped whenever the replay
+  /// reft moves (TTs success, theta compression, STs hand-back). Never 0,
+  /// so a zeroed raw_gen is always stale.
   std::uint32_t reft_gen_ = 1;
-  SimTime carried_reft_;
-  std::int64_t sts_leaf_ = -1;
-  bool tts_saw_ = false;
-  bool post_tts_attempt_ = false;
-  int consecutive_empty_tts_ = 0;
   bool sts_streak_touched_ = false;
-  // Counter deltas, identical for every synced station.
-  std::int64_t d_tts_runs_ = 0;
-  std::int64_t d_sts_runs_ = 0;
-  std::int64_t d_compressions_ = 0;
-  std::int64_t d_search_time_ = 0;
-  std::int64_t d_search_static_ = 0;
-  // Registry amounts the muted replica engines withheld.
-  std::int64_t tree_begins_ = 0;
-  std::int64_t tree_silence_ = 0;
-  std::int64_t tree_collision_ = 0;
-  std::int64_t tree_inferred_ = 0;
-  std::vector<std::int64_t> tts_slot_obs_;  ///< ddcr.tts_search_slots values
-  std::vector<std::int64_t> sts_slot_obs_;  ///< ddcr.sts_search_slots values
-  std::vector<TraceEvent> trace_;
-  bool trace_on_ = false;
+  SpanReports reports_;
   bool epoch_completed_ = false;
   SimTime last_end_;
   std::vector<PerStation> per_;
@@ -224,11 +206,6 @@ class EpochCompiler final : public net::SpanCompiler {
   std::int64_t slots_compiled_ = 0;
   std::int64_t epochs_compiled_ = 0;
   std::int64_t compile_attempts_ = 0;
-  std::int64_t replica_checks_ = 0;
-  /// Sum of the stations' local-event tallies at the last full compare
-  /// that passed; -1 until one has (tallies start at 0, so the first
-  /// attempt always compares).
-  std::int64_t verified_local_events_ = -1;
   std::int64_t bailouts_[static_cast<std::size_t>(obs::FrBail::kCount_)] = {};
 };
 

@@ -156,6 +156,7 @@ void BroadcastChannel::deliver(SlotObservation& obs,
   }
   const std::int64_t index = observations_delivered_++;
   obs.broadcast = interceptor_ == nullptr;
+  obs.index = index;
   for (Station* station : stations_) {
     if (interceptor_ != nullptr) {
       SlotObservation heard =
@@ -558,6 +559,7 @@ bool BroadcastChannel::try_compiled_span(SimTime start) {
   HRTDM_EXPECT(span_.back().record.end <= horizon,
                "compiled span crosses a scheduled event");
   span_active_ = true;
+  span_first_index_ = observations_delivered_;
   span_flushed_ = 0;
   span_next_success_ = 0;
   span_deliveries_ = 0;
@@ -575,7 +577,7 @@ bool BroadcastChannel::try_compiled_span(SimTime start) {
 void BroadcastChannel::resume_compiled_span() {
   simulator_.remove_schedule_watcher(this);
   span_resume_ = sim::EventHandle{};
-  flush_compiled_span(simulator_.now());  // now == span_end_: everything
+  flush_compiled_span(simulator_.now(), /*resumed=*/true);
   HRTDM_EXPECT(span_flushed_ == span_.size(), "span flush incomplete");
   span_active_ = false;
   span_deliveries_ = 0;
@@ -601,10 +603,15 @@ void BroadcastChannel::resume_compiled_span() {
   }
 }
 
-void BroadcastChannel::flush_compiled_span(SimTime upto) const {
+void BroadcastChannel::flush_compiled_span(SimTime upto, bool resumed) const {
   if (!span_active_) {
     return;
   }
+  // The last slot ends with the resume event. An event at that same
+  // instant that fires first (scheduled before the span, so older) sees
+  // the slot still in flight, as the slot-by-slot loop would: its slot-end
+  // event would have been scheduled later. Only the resume accounts it.
+  const std::size_t limit = resumed ? span_.size() : span_.size() - 1;
   // The per-slot observer stream is the contract (metrics, conformance and
   // digests must see the identical slot sequence); the pure-function
   // accounting — stats delta, registry counters, the contenders histogram —
@@ -614,8 +621,7 @@ void BroadcastChannel::flush_compiled_span(SimTime upto) const {
     contender_counts_.assign(stations_.size() + 2, 0);
   }
   std::int64_t flushed = 0;
-  while (span_flushed_ < span_.size() &&
-         span_[span_flushed_].record.end <= upto) {
+  while (span_flushed_ < limit && span_[span_flushed_].record.end <= upto) {
     const SlotRecord& record = span_[span_flushed_].record;
     const util::Duration len = record.end - record.start;
     switch (record.kind) {
@@ -707,7 +713,8 @@ void BroadcastChannel::dissolve_compiled_span() {
   // interceptor can be installed while a span is committed, so the plain
   // broadcast delivery is the right one.
   for (std::size_t i = 0; i < span_flushed_; ++i) {
-    const SlotObservation obs = observation_from(span_[i].record);
+    SlotObservation obs = observation_from(span_[i].record);
+    obs.index = span_first_index_ + static_cast<std::int64_t>(i);
     for (Station* station : stations_) {
       station->observe(obs);
     }

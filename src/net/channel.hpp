@@ -346,8 +346,9 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   // anything is scheduled into it from outside the event loop.
   bool try_compiled_span(SimTime start);
   void resume_compiled_span();
-  /// Accounts every compiled slot whose end is at or before `upto`.
-  void flush_compiled_span(SimTime upto) const;
+  /// Accounts every compiled slot whose end is at or before `upto`, the
+  /// last one only once the span has `resumed`.
+  void flush_compiled_span(SimTime upto, bool resumed = false) const;
   /// Aborts an active span at the current time: flushes the completed
   /// prefix, replays those exact observations through the stations (their
   /// state was untouched during the span), and reconstructs the in-flight
@@ -407,6 +408,7 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   SpanCompiler* span_compiler_ = nullptr;
   std::vector<CompiledSlot> span_;  ///< reused buffer
   mutable bool span_active_ = false;
+  std::int64_t span_first_index_ = 0;  ///< delivery index of slot 0
   mutable std::size_t span_flushed_ = 0;      ///< slots fully accounted
   mutable std::size_t span_next_success_ = 0; ///< next_compiled_delivery cache
   mutable std::int64_t span_deliveries_ = 0;  ///< flushed, hand-off pending

@@ -50,6 +50,10 @@ struct SlotObservation {
   /// test or fault harness feeds one station directly) leaves it false and
   /// counts as a receiver-local event: the one way replicas can split.
   bool broadcast = false;
+  /// The observation's position in the channel's delivery order (valid
+  /// when `broadcast`): stations that share one protocol replica advance
+  /// it once per index.
+  std::int64_t index = -1;
 };
 
 class Station {

@@ -205,9 +205,9 @@ TEST(DdcrNetwork, StationsViewOneSharedConfig) {
   // The static-index table is one constant per channel: every station
   // reads the testbed's resolved config and views its own row of it, so
   // station memory stays O(z) per channel instead of O(z^2).
-  static_assert(!std::is_constructible_v<DdcrStation, int, DdcrConfig>,
-                "a temporary config must not bind: the station would "
-                "dangle");
+  static_assert(
+      !std::is_constructible_v<DdcrStation, int, DdcrConfig, SharedReplica&>,
+      "a temporary config must not bind: the station would dangle");
   constexpr int kStations = 1000;
   auto options = gigabit_options(traffic::quickstart(2));
   options.ddcr.q = 1024;

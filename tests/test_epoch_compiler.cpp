@@ -7,19 +7,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "check/conformance.hpp"
 #include "core/ddcr_network.hpp"
+#include "outcome_fold.hpp"
 #include "obs/event_tracer.hpp"
 #include "obs/registry.hpp"
 #include "traffic/workload.hpp"
+#include "util/rng.hpp"
 
 namespace hrtdm::core {
 namespace {
@@ -304,8 +309,9 @@ DdcrRunOptions round_options() {
 // front-loads each class window, so a short run is one giant epoch and a
 // single compile attempt.)
 void inject_rounds(DdcrTestbed& bed, int stations, int rounds,
-                   Duration spacing) {
-  std::int64_t uid = 1;
+                   Duration spacing, SimTime start = SimTime(),
+                   std::int64_t first_uid = 1) {
+  std::int64_t uid = first_uid;
   for (int round = 0; round < rounds; ++round) {
     for (int s = 0; s < stations; ++s) {
       traffic::Message m;
@@ -313,7 +319,7 @@ void inject_rounds(DdcrTestbed& bed, int stations, int rounds,
       m.class_id = round % 4;
       m.source = s;
       m.l_bits = 100;
-      m.arrival = SimTime() + spacing * (round + 1);
+      m.arrival = start + spacing * (round + 1);
       m.absolute_deadline = m.arrival + Duration::microseconds(6 + m.class_id);
       bed.inject(s, m);
     }
@@ -445,6 +451,76 @@ TEST(EpochCompiler, BailCountersMirrorTheRegistry) {
 #endif
 }
 
+// Every field of a run result except the flight window (the compiled path
+// records span commits and bails where the interpreted loop records every
+// probe), flattened so one EXPECT_EQ shows where two runs part.
+std::vector<std::int64_t> outcome_of(const DdcrRunResult& r) {
+  std::vector<std::int64_t> v;
+  const auto add = [&v](auto x) {
+    if constexpr (std::is_floating_point_v<decltype(x)>) {
+      v.push_back(std::bit_cast<std::int64_t>(static_cast<double>(x)));
+    } else {
+      v.push_back(static_cast<std::int64_t>(x));
+    }
+  };
+  const MetricsSummary& m = r.metrics;
+  for (const auto x : {m.delivered, m.misses, m.silence_slots,
+                       m.collision_slots, m.deadline_inversions}) {
+    add(x);
+  }
+  for (const double x : {m.mean_latency_s, m.worst_latency_s, m.p99_latency_s,
+                         m.source_fairness}) {
+    add(x);
+  }
+  for (const auto& [id, c] : m.per_class) {
+    add(id);
+    add(c.delivered);
+    add(c.misses);
+    add(c.mean_latency_s);
+    add(c.p99_latency_s);
+    add(c.worst_latency_s);
+  }
+  for (const net::ChannelStats& c : {r.channel, r.channel_snapshot.stats}) {
+    for (const auto x :
+         {c.silence_slots, c.collision_slots, c.successes,
+          c.burst_continuations, c.arbitration_wins, c.corrupted_frames,
+          c.ge_bad_slots, c.ge_losses, c.bits_delivered, c.busy_time.ns(),
+          c.idle_time.ns(), c.contention_time.ns()}) {
+      add(x);
+    }
+  }
+  add(r.channel_snapshot.observations_delivered);
+  add(r.channel_snapshot.utilization);
+  for (const DdcrStation::Counters& c : r.per_station) {
+    for (const auto x :
+         {c.epochs, c.tts_runs, c.sts_runs, c.compressions, c.rejoins,
+          c.transmitted, c.burst_transmitted, c.search_slots_time,
+          c.search_slots_static, c.static_leaf_retries, c.dropped_late,
+          c.desyncs_detected, c.quarantines, c.churn_leaves, c.churn_joins}) {
+      add(x);
+    }
+  }
+  for (const StationSnapshot& s : r.snapshots) {
+    add(std::hash<std::string_view>{}(s.mode));
+    for (const auto x :
+         {std::int64_t{s.synced}, static_cast<std::int64_t>(s.queue_depth),
+          std::int64_t{s.has_head}, s.head_uid, s.head_deadline_ns, s.reft_ns,
+          std::int64_t{s.tts_active}, s.tts_lo, s.tts_size, s.tts_resolved,
+          std::int64_t{s.sts_active}, s.sts_lo, s.sts_size, s.sts_leaf,
+          s.resync_silences}) {
+      add(x);
+    }
+  }
+  for (const auto x : {r.generated, r.undelivered, r.dropped_late,
+                       r.desyncs_detected, r.quarantines, r.rejoins}) {
+    add(x);
+  }
+  add(r.utilization);
+  add(r.consistency_ok);
+  add(r.protocol_digest);
+  return v;
+}
+
 // digests_agree() over the stations on the medium: an offline station is
 // inert, and the compiler rightly leaves it out of the gate.
 bool online_replicas_agree(DdcrTestbed& bed) {
@@ -464,13 +540,15 @@ bool online_replicas_agree(DdcrTestbed& bed) {
   return true;
 }
 
-// Sits between the channel and a testbed's epoch compiler and counts the
-// spans the compiler commits while the online replicas disagree.
-class AgreementGuard final : public net::SpanCompiler {
+// Sits between the channel and a testbed's epoch compiler: counts the spans
+// the compiler commits while the online replicas disagree, and notes where
+// every committed span is planned to end.
+class CompilerTap final : public net::SpanCompiler {
  public:
   DdcrTestbed* bed = nullptr;
   std::int64_t commits = 0;
   std::int64_t commits_while_split = 0;
+  std::vector<SimTime> span_ends;
 
   bool compile(SimTime start, SimTime horizon,
                std::vector<net::CompiledSlot>& out) override {
@@ -481,6 +559,7 @@ class AgreementGuard final : public net::SpanCompiler {
       if (!agree) {
         ++commits_while_split;
       }
+      span_ends.push_back(out.back().record.end);
     }
     return committed;
   }
@@ -488,93 +567,375 @@ class AgreementGuard final : public net::SpanCompiler {
   void drop_handoff() override { bed->epoch_compiler()->drop_handoff(); }
 };
 
-TEST(EpochCompiler, LocalEventForcesFullReplicaCheck) {
-  // The compiler re-proves replica agreement only after a receiver-local
-  // event (the replica ledger). Each case injects one mid-run: the forced
-  // full compare must catch the split (kDesync / kResync bail-outs), no
-  // span may commit while the online replicas disagree, and the run must
-  // end exactly where the interpreted run does.
-  enum class Event { kPhantom, kReset, kChurn };
+// A station mutation a simulator callback makes at a given time.
+struct Mutation {
+  enum class Kind { kReset, kLeave, kJoin } kind;
+  int station;
+  SimTime at;
+};
+
+struct MutatedRun {
+  DdcrRunResult result;
+  std::vector<SimTime> span_ends;  ///< compiled runs only
+};
+
+// The round-collision testbed with `mutations` scheduled before the run, as
+// simulator callbacks (so each fires before any event the run schedules at
+// the same instant, a compiled span's resume event included).
+MutatedRun run_mutated(const std::vector<Mutation>& mutations, bool compiled) {
+  auto options = round_options();
+  options.require_rejoinable = true;
+  options.epoch_compiler =
+      compiled ? EpochCompilerMode::kOn : EpochCompilerMode::kOff;
+  CompilerTap tap;  // declared first: it outlives the channel
+  DdcrTestbed bed(6, options);
+  tap.bed = &bed;
+  if (compiled) {
+    bed.channel().set_span_compiler(&tap);
+  }
+  inject_rounds(bed, 6, /*rounds=*/300, Duration::microseconds(3));
+  for (const Mutation& m : mutations) {
+    bed.simulator().schedule_at(
+        m.at,
+        [&bed, m] {
+          DdcrStation& station = bed.station(m.station);
+          switch (m.kind) {
+            case Mutation::Kind::kReset:
+              station.reset_for_rejoin();
+              break;
+            case Mutation::Kind::kLeave:
+              station.go_offline();
+              break;
+            case Mutation::Kind::kJoin:
+              station.bring_online();
+              break;
+          }
+        },
+        "test:mutate");
+  }
+  bed.run(SimTime::from_ns(2'000'000));
+  bed.stop();
+  return MutatedRun{bed.result(), tap.span_ends};
+}
+
+TEST(EpochCompiler, ResetAtASpanEndMatchesTheInterpretedRun) {
+  // A callback at exactly a compiled span's end fires before the span's
+  // resume event (it was scheduled first). The slot-by-slot loop would not
+  // have delivered the span's last slot yet either, so the reset must land
+  // on stations that heard every slot but the last, and the last slot must
+  // reach them (and the channel's accounting) once, afterwards.
+  const Mutation reset{Mutation::Kind::kReset, 2, SimTime::from_ns(300'500)};
+  const MutatedRun compiled = run_mutated({reset}, true);
+  const MutatedRun interpreted = run_mutated({reset}, false);
+  ASSERT_TRUE(std::find(compiled.span_ends.begin(), compiled.span_ends.end(),
+                        reset.at) != compiled.span_ends.end())
+      << "the reset must land on a compiled span's end";
+  EXPECT_EQ(outcome_of(compiled.result), outcome_of(interpreted.result));
+  EXPECT_EQ(compiled.result.rejoins, 1);
+}
+
+TEST(EpochCompiler, MutationsAtSpanEndsMatchTheInterpretedRun) {
+  // Seeded sweep: each of reset_for_rejoin, go_offline and bring_online is
+  // scheduled at the end of a compiled span (picked from the span ends of
+  // a run that already carries the earlier mutations), and the compiled run
+  // must end exactly where the interpreted one does.
+  const auto pick = [](util::Rng& rng, const std::vector<SimTime>& ends,
+                       SimTime after) {
+    std::vector<SimTime> later;
+    for (const SimTime t : ends) {
+      if (t > after && t < SimTime::from_ns(1'500'000)) {
+        later.push_back(t);
+      }
+    }
+    EXPECT_FALSE(later.empty());
+    return later.empty() ? after : later[static_cast<std::size_t>(
+                                       rng.uniform_i64(
+                                           0, static_cast<std::int64_t>(
+                                                  later.size()) - 1))];
+  };
+  const std::vector<SimTime> clean_ends = run_mutated({}, true).span_ends;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    const int station = static_cast<int>(rng.uniform_i64(0, 5));
+    const SimTime t1 = pick(rng, clean_ends, SimTime::from_ns(100'000));
+    const Mutation leave{Mutation::Kind::kLeave, station, t1};
+    const SimTime t2 =
+        pick(rng, run_mutated({leave}, true).span_ends, t1);
+    const std::vector<std::vector<Mutation>> cases = {
+        {{Mutation::Kind::kReset, station, t1}},
+        {leave},
+        {leave, {Mutation::Kind::kJoin, station, t2}},
+    };
+    for (const std::vector<Mutation>& mutations : cases) {
+      const std::string label = "seed " + std::to_string(seed) +
+                                " mutations " +
+                                std::to_string(mutations.size()) + " at " +
+                                std::to_string(mutations.back().at.ns());
+      const MutatedRun compiled = run_mutated(mutations, true);
+      const MutatedRun interpreted = run_mutated(mutations, false);
+      EXPECT_TRUE(std::find(compiled.span_ends.begin(),
+                            compiled.span_ends.end(), mutations.back().at) !=
+                  compiled.span_ends.end())
+          << label << ": the mutation must land on a compiled span's end";
+      EXPECT_EQ(outcome_of(compiled.result), outcome_of(interpreted.result))
+          << label;
+    }
+  }
+}
+
+TEST(SharedReplica, CleanRunsNeverFork) {
+  // Synced stations hold one replica, and on a clean channel nothing ever
+  // forks it: no receiver-local event happens, so no station ever needs a
+  // private copy and the compile gate never compares digests.
+  for (const bool compiled : {false, true}) {
+    const Workload wl = traffic::stock_exchange(8);
+    auto options = base_options(wl, 4, 64);
+    options.arrivals = ArrivalKind::kBoundedPoisson;
+    options.arrival_horizon = SimTime::from_ns(100'000'000);
+    options.drain_cap = SimTime::from_ns(200'000'000);
+    options.epoch_compiler =
+        compiled ? EpochCompilerMode::kOn : EpochCompilerMode::kOff;
+    DdcrTestbed bed(wl, options);
+    bed.inject(traffic::generate_traffic(wl, options.arrivals,
+                                         options.arrival_horizon,
+                                         options.seed));
+    bed.advance(options.arrival_horizon);
+    bed.drain(options.drain_cap);
+    bed.stop();
+    EXPECT_EQ(bed.shared_replica().forks(), 0) << compiled;
+    EXPECT_EQ(bed.shared_replica().merges(), 0) << compiled;
+    EXPECT_EQ(bed.shared_replica().members(), 8) << compiled;
+    EXPECT_GT(bed.station(0).counters().epochs, 0) << compiled;
+  }
+  DdcrTestbed bed(6, round_options());
+  inject_rounds(bed, 6, /*rounds=*/300, Duration::microseconds(3));
+  bed.run(SimTime::from_ns(2'000'000));
+  ASSERT_NE(bed.epoch_compiler(), nullptr);
+  EXPECT_GT(bed.epoch_compiler()->compile_attempts(), 1);
+  EXPECT_GT(bed.epoch_compiler()->spans_compiled(), 0);
+  EXPECT_EQ(bed.shared_replica().forks(), 0);
+  EXPECT_EQ(bed.shared_replica().merges(), 0);
+}
+
+TEST(SharedReplica, EachLocalEventForksTheStationItHits) {
+  // Each case applies one receiver-local event to one station mid-epoch:
+  // that station, and no other, leaves the shared replica for a private
+  // copy. While the copies disagree the compile gate bails (kDesync or
+  // kResync) and no span commits; once the copy has converged a committed
+  // span merges it back. The run ends exactly where the interpreted one
+  // does (which forks alike but never merges: only a span hand-off does).
+  enum class Event { kPhantom, kReset, kChurn, kWatchdog };
   struct Case {
     const char* label;
     Event event;
+    int station;
     obs::FrBail expected;
   };
-  // Each event is applied between run() calls, where the stations are
-  // materialized (a scheduled callback could land on stations a compiled
-  // span has not handed its state back to yet).
   const SimTime at = SimTime::from_ns(300'500);  // ~5 slots into an epoch
   const SimTime end = SimTime::from_ns(2'000'000);
-  for (const Case c : {Case{"phantom", Event::kPhantom, obs::FrBail::kDesync},
-                       Case{"reset", Event::kReset, obs::FrBail::kResync},
-                       Case{"churn", Event::kChurn, obs::FrBail::kResync}}) {
+  for (const Case c :
+       {Case{"phantom", Event::kPhantom, 1, obs::FrBail::kDesync},
+        Case{"reset", Event::kReset, 2, obs::FrBail::kResync},
+        Case{"churn", Event::kChurn, 3, obs::FrBail::kResync},
+        Case{"watchdog", Event::kWatchdog, 4, obs::FrBail::kResync}}) {
     DdcrRunResult outcome[2];
     for (const bool compiled : {false, true}) {
       auto options = round_options();
       options.require_rejoinable = true;
       options.epoch_compiler =
           compiled ? EpochCompilerMode::kOn : EpochCompilerMode::kOff;
-      AgreementGuard guard;  // declared first: it outlives the channel
+      CompilerTap tap;  // declared first: it outlives the channel
       DdcrTestbed bed(6, options);
-      guard.bed = &bed;
+      tap.bed = &bed;
       if (compiled) {
-        bed.channel().set_span_compiler(&guard);
+        bed.channel().set_span_compiler(&tap);
       }
       inject_rounds(bed, 6, /*rounds=*/300, Duration::microseconds(3));
+      // A second train after a quiet stretch: a reset station can only
+      // rejoin once the channel falls silent, and converge in the epochs
+      // that follow.
+      inject_rounds(bed, 6, /*rounds=*/100, Duration::microseconds(3),
+                    SimTime::from_ns(1'000'000), /*first_uid=*/10'000);
       bed.run(at);
+      DdcrStation& hit = bed.station(c.station);
+      ASSERT_EQ(hit.mode(), DdcrStation::Mode::kTimeSearch)
+          << c.label << ": the event must land mid-epoch";
+      net::SlotObservation phantom;  // heard by `hit` alone
+      phantom.slot_end = bed.simulator().now();
+      phantom.slot_start = phantom.slot_end - options.phy.slot_x;
       switch (c.event) {
-        case Event::kPhantom: {
-          // One replica hears a collision nobody else heard.
-          EXPECT_NE(bed.station(1).mode(), DdcrStation::Mode::kCsmaCd)
-              << "the phantom must land mid-epoch";
-          net::SlotObservation phantom;
+        case Event::kPhantom:
           phantom.kind = net::SlotKind::kCollision;
-          phantom.slot_end = bed.simulator().now();
-          phantom.slot_start = phantom.slot_end - options.phy.slot_x;
-          bed.station(1).observe(phantom);
+          hit.observe(phantom);
           break;
-        }
         case Event::kReset:
-          bed.station(2).reset_for_rejoin();
+          hit.reset_for_rejoin();
           break;
         case Event::kChurn:
-          bed.station(3).go_offline();
-          bed.run(SimTime::from_ns(450'000));
-          bed.station(3).bring_online();
+          hit.go_offline();
           break;
+        case Event::kWatchdog: {
+          // A success no probed deadline class can have produced.
+          net::Frame frame;
+          frame.source = 0;
+          frame.msg_uid = 999'999;
+          frame.l_bits = 100;
+          frame.absolute_deadline = phantom.slot_end + Duration::seconds(1);
+          phantom.kind = net::SlotKind::kSuccess;
+          phantom.frame = frame;
+          hit.observe(phantom);
+          EXPECT_EQ(hit.counters().desyncs_detected, 1) << c.label;
+          EXPECT_EQ(hit.counters().quarantines, 1) << c.label;
+          break;
+        }
+      }
+      EXPECT_EQ(bed.shared_replica().forks(), 1) << c.label;
+      EXPECT_EQ(bed.shared_replica().members(), 5) << c.label;
+      for (int s = 0; s < bed.station_count(); ++s) {
+        EXPECT_EQ(bed.station(s).shares_replica(), s != c.station)
+            << c.label << " station " << s;
+      }
+      if (c.event == Event::kChurn) {
+        bed.run(SimTime::from_ns(450'000));
+        hit.bring_online();
+        EXPECT_EQ(bed.shared_replica().forks(), 1)
+            << c.label << ": an already private copy does not fork again";
       }
       bed.run(end);
       bed.stop();
+      const SharedReplica& shared = bed.shared_replica();
+      EXPECT_EQ(shared.forks(), 1) << c.label;
       if (compiled) {
         const EpochCompiler& compiler = *bed.epoch_compiler();
         EXPECT_GT(compiler.bailouts(c.expected), 0) << c.label;
-        // The event forced at least one compare beyond the first, and the
-        // clean stretches around it trusted the ledger.
-        EXPECT_GT(compiler.replica_checks(), 1) << c.label;
-        EXPECT_LT(compiler.replica_checks(), compiler.compile_attempts())
-            << c.label;
-        EXPECT_GT(guard.commits, 0) << c.label;
-        EXPECT_EQ(guard.commits_while_split, 0)
+        EXPECT_GT(tap.commits, 0) << c.label;
+        EXPECT_EQ(tap.commits_while_split, 0)
             << c.label << ": a span committed over split replicas";
+        EXPECT_EQ(shared.merges(), 1) << c.label << ": the copy converged";
+        EXPECT_TRUE(hit.shares_replica()) << c.label;
+        EXPECT_EQ(shared.members(), 6) << c.label;
+      } else {
+        EXPECT_EQ(shared.merges(), 0) << c.label;
+        EXPECT_FALSE(hit.shares_replica()) << c.label;
       }
       outcome[compiled ? 1 : 0] = bed.result();
     }
-    expect_identical(outcome[1], outcome[0], c.label);
+    EXPECT_EQ(outcome_of(outcome[1]), outcome_of(outcome[0])) << c.label;
   }
 }
 
-TEST(EpochCompiler, CleanRunChecksReplicasOnce) {
-  // Speed guard for the replica ledger: on a clean channel no receiver-
-  // local event ever happens, so the first compile attempt's full digest
-  // compare is the only one of the run.
-  DdcrTestbed bed(6, round_options());
-  inject_rounds(bed, 6, /*rounds=*/300, Duration::microseconds(3));
-  bed.run(SimTime::from_ns(2'000'000));
-  ASSERT_NE(bed.epoch_compiler(), nullptr);
-  const EpochCompiler& compiler = *bed.epoch_compiler();
-  EXPECT_GT(compiler.compile_attempts(), 1);
-  EXPECT_GT(compiler.spans_compiled(), 0);
-  EXPECT_EQ(compiler.replica_checks(), 1);
+// Every counter value and every histogram's count, sum, min and max in
+// the registry, in name order; zero entries are skipped, so a name an
+// earlier run registered in the same process folds the same as no name.
+std::uint64_t registry_fold() {
+  const obs::RegistrySnapshot snap = obs::Registry::global().snapshot();
+  pins::OutcomeFold fold;
+  const auto add_name = [&fold](const std::string& name) {
+    for (const char ch : name) {
+      fold.add(ch);
+    }
+  };
+  for (const obs::CounterSnapshot& c : snap.counters) {
+    if (c.value != 0) {
+      add_name(c.name);
+      fold.add(c.value);
+    }
+  }
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    if (h.count != 0) {
+      add_name(h.name);
+      fold.add(h.count).add(h.sum).add(h.min).add(h.max);
+    }
+  }
+  return fold.value();
+}
+
+TEST(Registry, ReplicaSumsArePinned) {
+  // The registry amounts a replica's transitions add up to over every
+  // station that runs them (tree.*, ddcr.epochs, ddcr.tts_runs,
+  // ddcr.sts_runs, ddcr.compressions, the search-slot histograms), with the
+  // rest of the registry alongside, after three fixed runs. The constants
+  // were recorded before the stations shared one replica; they hold with
+  // the compiler on and off.
+  struct Pin {
+    const char* label;
+    std::uint64_t compiled;
+    std::uint64_t interpreted;
+  };
+  const Pin pins[] = {
+      {"stock_exchange(8) poisson", 0xdfad443b462522b2ULL,
+       0x943b9e00d9fa0b86ULL},
+      {"round collisions + quarantine", 0xe415c5a81cba0a1fULL,
+       0x3d23f1465abdc8caULL},
+      {"videoconference(6) bursting", 0x7ce90347d7edcaa2ULL,
+       0xb4a7468ae5ab5751ULL},
+  };
+#if defined(HRTDM_OBS_OFF)
+  const obs::RegistrySnapshot before = obs::Registry::global().snapshot();
+#endif
+  for (const bool compiled : {true, false}) {
+    const EpochCompilerMode mode =
+        compiled ? EpochCompilerMode::kOn : EpochCompilerMode::kOff;
+    std::uint64_t folds[3] = {};
+    // Non-vacuity: each run must advance the replica sums it pins.
+    const auto fold_replica_sums = [] {
+      const std::uint64_t fold = registry_fold();
+#if !defined(HRTDM_OBS_OFF)
+      EXPECT_GT(counter("ddcr.epochs"), 0);
+      EXPECT_GT(counter("tree.searches"), 0);
+      EXPECT_GT(obs::Registry::global().histogram("ddcr.tts_search_slots").count(),
+                0);
+#endif
+      return fold;
+    };
+    {
+      obs::Registry::global().reset();
+      const Workload wl = traffic::stock_exchange(8);
+      auto options = base_options(wl, 4, 64);
+      options.arrivals = ArrivalKind::kBoundedPoisson;
+      options.arrival_horizon = SimTime::from_ns(100'000'000);
+      options.drain_cap = SimTime::from_ns(200'000'000);
+      options.epoch_compiler = mode;
+      (void)run_ddcr(wl, options);
+      folds[0] = fold_replica_sums();
+    }
+    {
+      obs::Registry::global().reset();
+      auto options = round_options();
+      options.require_rejoinable = true;
+      options.epoch_compiler = mode;
+      DdcrTestbed bed(6, options);
+      inject_rounds(bed, 6, /*rounds=*/300, Duration::microseconds(3));
+      bed.run(SimTime::from_ns(300'500));
+      bed.station(2).reset_for_rejoin();
+      bed.run(SimTime::from_ns(2'000'000));
+      bed.stop();
+      folds[1] = fold_replica_sums();
+    }
+    {
+      obs::Registry::global().reset();
+      const Workload wl = traffic::videoconference(6);
+      auto options = base_options(wl, 4, 64);
+      options.phy.burst_budget_bits = 30000;
+      options.epoch_compiler = mode;
+      (void)run_ddcr(wl, options);
+      folds[2] = fold_replica_sums();
+    }
+    for (std::size_t i = 0; i < std::size(pins); ++i) {
+#if defined(HRTDM_OBS_OFF)
+      // The macros are compiled out: the runs registered nothing.
+      (void)folds[i];
+      const obs::RegistrySnapshot after = obs::Registry::global().snapshot();
+      EXPECT_EQ(after.counters.size(), before.counters.size()) << pins[i].label;
+      EXPECT_EQ(after.histograms.size(), before.histograms.size())
+          << pins[i].label;
+#else
+      EXPECT_EQ(folds[i], compiled ? pins[i].compiled : pins[i].interpreted)
+          << pins[i].label << (compiled ? " (compiled)" : " (interpreted)");
+#endif
+    }
+  }
+  obs::Registry::global().reset();
 }
 
 #if !defined(HRTDM_OBS_OFF)
@@ -610,6 +971,60 @@ TEST(EpochCompiler, SpanCommitsAndBailsLandInTheFlightRecorder) {
   }
   EXPECT_GT(commits, 0);
   EXPECT_GT(bails, 0);
+}
+
+TEST(SharedReplica, FlightWindowsArePinned) {
+  // The shared replica's replicated flight records carry the stepping
+  // station's id and land in the same ring order as the per-station
+  // replicas' first-emitter records did: whole windows, folded, against
+  // values recorded before the stations shared one replica. The second run
+  // forks two stations (a reset and a phantom collision between run()
+  // calls), so private copies record alongside the shared one.
+  const auto fold_window = [](const std::vector<obs::FrRecord>& window) {
+    pins::OutcomeFold fold;
+    for (const obs::FrRecord& r : window) {
+      fold.add(r.t_ns).add(r.a).add(r.b).add(r.station).add(
+          static_cast<std::int64_t>(r.kind));
+    }
+    return fold.value();
+  };
+  struct Pin {
+    EpochCompilerMode mode;
+    std::uint64_t videoconference;
+    std::uint64_t rounds;
+  };
+  for (const Pin pin :
+       {Pin{EpochCompilerMode::kOff, 0x1416a65f34235d21ULL,
+            0x11511d9624feb342ULL},
+        Pin{EpochCompilerMode::kOn, 0x953b75b8293fcff2ULL,
+            0x88b1bd5d6c86ba89ULL}}) {
+    const Workload wl = traffic::videoconference(6);
+    auto options = base_options(wl, 4, 64);
+    options.epoch_compiler = pin.mode;
+    options.flight_recorder_capacity = std::size_t{1} << 20;
+    const DdcrRunResult run = run_ddcr(wl, options);
+    EXPECT_FALSE(run.flight_window_truncated);
+    EXPECT_EQ(fold_window(run.flight_window), pin.videoconference);
+
+    auto round = round_options();
+    round.require_rejoinable = true;
+    round.epoch_compiler = pin.mode;
+    round.flight_recorder_capacity = std::size_t{1} << 20;
+    DdcrTestbed bed(6, round);
+    inject_rounds(bed, 6, /*rounds=*/300, Duration::microseconds(3));
+    bed.run(SimTime::from_ns(300'500));
+    bed.station(2).reset_for_rejoin();
+    net::SlotObservation phantom;
+    phantom.kind = net::SlotKind::kCollision;
+    phantom.slot_end = bed.simulator().now();
+    phantom.slot_start = phantom.slot_end - round.phy.slot_x;
+    bed.station(1).observe(phantom);
+    bed.run(SimTime::from_ns(2'000'000));
+    bed.stop();
+    const DdcrRunResult rounds = bed.result();
+    EXPECT_FALSE(rounds.flight_window_truncated);
+    EXPECT_EQ(fold_window(rounds.flight_window), pin.rounds);
+  }
 }
 #endif  // !HRTDM_OBS_OFF
 

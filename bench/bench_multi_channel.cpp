@@ -1,7 +1,7 @@
 // E18 — Parallel broadcast media (section 3.1: "many such media can be
 // used in parallel"): capacity scaling with the channel count, plus the
 // run-engine speedup of executing the per-channel simulations on the
-// deterministic thread pool.
+// fabric's shard pool (core::run_fabric).
 //
 // A workload that overloads one Gigabit segment is spread across 1-4
 // parallel segments by the greedy load-balancing planner; misses and
@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "bench/harness.hpp"
-#include "core/multi_channel.hpp"
+#include "core/fabric.hpp"
 #include "traffic/workload.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -65,7 +65,10 @@ int main(int argc, char** argv) {
                        "misses", "undelivered", "worst lat us",
                        "mean util %"});
   for (const int channels : {1, 2, 3, 4}) {
-    const auto result = core::run_multi_channel(wl, channels, options);
+    core::FabricOptions fopts;
+    fopts.run = options;
+    fopts.channels = channels;
+    const core::FabricResult result = core::run_fabric(wl, fopts);
     out.add_row({util::TextTable::cell(static_cast<std::int64_t>(channels)),
                  util::TextTable::cell(result.plan.imbalance(), 2),
                  util::TextTable::cell(result.generated),
@@ -88,14 +91,17 @@ int main(int argc, char** argv) {
   std::printf("\n(per-class traffic stays on one channel, so the "
               "single-channel FCs apply verbatim per segment)\n");
 
-  // --- run-engine speedup: serial vs thread-pool execution --------------
+  // --- run-engine speedup: serial vs sharded execution ------------------
   // Longer horizon so the serial baseline is comfortably in wall-clock
   // measurement territory; the two runs must agree bit-for-bit.
-  core::DdcrRunOptions timed = options;
-  timed.arrival_horizon =
-      sim::SimTime::from_ns(smoke ? 20'000'000 : 240'000'000);
-  timed.drain_cap = sim::SimTime::from_ns(smoke ? 120'000'000 : 900'000'000);
   const int kChannels = 4;
+  core::FabricOptions timed;
+  timed.run = options;
+  timed.run.arrival_horizon =
+      sim::SimTime::from_ns(smoke ? 20'000'000 : 240'000'000);
+  timed.run.drain_cap =
+      sim::SimTime::from_ns(smoke ? 120'000'000 : 900'000'000);
+  timed.channels = kChannels;
   // One worker per channel even when the host has fewer cores: the
   // bit-identical check must exercise the real cross-thread path, and the
   // recorded hardware_threads lets readers judge the speedup number (on a
@@ -103,11 +109,12 @@ int main(int argc, char** argv) {
   const int threads = kChannels;
 
   const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = core::run_multi_channel(wl, kChannels, timed, 1);
+  const core::FabricResult serial = core::run_fabric(wl, timed);
   const double serial_s = seconds_since(serial_start);
 
+  timed.shards = threads;
   const auto parallel_start = std::chrono::steady_clock::now();
-  const auto parallel = core::run_multi_channel(wl, kChannels, timed, threads);
+  const core::FabricResult parallel = core::run_fabric(wl, timed);
   const double parallel_s = seconds_since(parallel_start);
 
   const bool identical =
@@ -128,7 +135,7 @@ int main(int argc, char** argv) {
   report.set_threads(threads);
   report.config("hardware_threads", util::ThreadPool::hardware_threads());
   report.config("speedup_channels", kChannels);
-  report.config("speedup_horizon_ns", timed.arrival_horizon.ns());
+  report.config("speedup_horizon_ns", timed.run.arrival_horizon.ns());
   report.metric("serial_wall_s", serial_s);
   report.metric("parallel_wall_s", parallel_s);
   report.metric("speedup_4ch", speedup);

@@ -1,8 +1,8 @@
 // Slot-level anatomy of one CSMA/DDCR epoch, rendered as an ASCII
-// timeline. Five stations collide; the trace shows the initial collision
-// (X), the time-tree descent (X/. probes), the successful transmissions
-// (#) and the return to silence — exactly the slot sequence the paper's
-// xi analysis counts.
+// timeline from the testbed's flight recorder. Five stations collide; the
+// trace shows the initial collision (X), the time-tree descent (X/.
+// probes), the successful transmissions (#) and the return to silence —
+// exactly the slot sequence the paper's xi analysis counts.
 //
 // Alongside the ASCII view, the same epoch is exported as a Perfetto
 // trace (Chrome trace-event JSON) through obs::EventTracer: the channel's
@@ -11,12 +11,57 @@
 // https://ui.perfetto.dev (or chrome://tracing).
 //
 // Build & run:  ./build/examples/collision_trace [trace-out.json]
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/ddcr_network.hpp"
-#include "net/trace.hpp"
 #include "obs/event_tracer.hpp"
+#include "obs/flight_recorder.hpp"
 #include "traffic/message.hpp"
+
+namespace {
+
+/// The slots of a flight-recorder window as an ASCII timeline, `width`
+/// slots per row, each row labelled with its first slot's start time.
+/// A slot record carries its end time and its duration (t_ns, a); an idle
+/// gap record stands for `b` silence slots of equal length.
+std::string ascii_timeline(const std::vector<hrtdm::obs::FrRecord>& window,
+                           std::size_t width) {
+  using hrtdm::obs::FrKind;
+  struct Slot {
+    std::int64_t start_ns;
+    char symbol;
+  };
+  std::vector<Slot> slots;
+  for (const hrtdm::obs::FrRecord& r : window) {
+    const std::int64_t start_ns = r.t_ns - r.a;
+    if (r.kind == FrKind::kSlotSilence) {
+      slots.push_back({start_ns, '.'});
+    } else if (r.kind == FrKind::kSlotCollision) {
+      slots.push_back({start_ns, 'X'});
+    } else if (r.kind == FrKind::kSlotSuccess) {
+      slots.push_back({start_ns, '#'});
+    } else if (r.kind == FrKind::kIdleGap) {
+      for (std::int64_t k = 0; k < r.b; ++k) {
+        slots.push_back({start_ns + k * (r.a / r.b), '.'});
+      }
+    }
+  }
+  std::string out;
+  for (std::size_t i = 0; i < slots.size(); i += width) {
+    out += hrtdm::util::SimTime::from_ns(slots[i].start_ns).str() + "  ";
+    for (std::size_t j = i; j < std::min(i + width, slots.size()); ++j) {
+      out += slots[j].symbol;
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace hrtdm;
@@ -38,8 +83,6 @@ int main(int argc, char** argv) {
   options.tracer = &tracer;
 
   core::DdcrTestbed bed(5, options);
-  net::TraceRecorder trace;
-  bed.channel().add_observer(trace);
 
   // Five messages: three distinct deadline classes plus a same-class pair
   // that will need the static tie-break.
@@ -58,9 +101,17 @@ int main(int argc, char** argv) {
   bed.run_until_delivered(5, sim::SimTime::from_ns(1'000'000));
   bed.run(bed.simulator().now() + options.phy.slot_x * 6);  // trailing idle
 
+  // Every testbed owns a flight recorder that holds the channel's slot
+  // records (and the protocol's causal records) of the run.
+  const std::vector<obs::FrRecord> window = bed.flight_recorder().window();
   std::printf("5 stations, deadlines {5, 5, 8, 11, 14} us, c = 1 us\n");
-  std::printf("legend: X collision   . silence   # transmission\n\n");
-  std::printf("%s\n", trace.ascii_timeline(64).c_str());
+  if (window.empty()) {
+    std::printf("(no slot timeline: this build sets HRTDM_OBS_OFF, which "
+                "compiles the flight recorder out)\n\n");
+  } else {
+    std::printf("legend: X collision   . silence   # transmission\n\n");
+    std::printf("%s\n", ascii_timeline(window, 64).c_str());
+  }
 
   std::printf("delivery order (expect EDF, station 0/1 tie broken by "
               "static index):\n");
@@ -79,13 +130,14 @@ int main(int argc, char** argv) {
   std::printf("time-tree search slots heard: %lld, static: %lld\n",
               static_cast<long long>(counters.search_slots_time),
               static_cast<long long>(counters.search_slots_static));
-  std::printf("\nCSV trace (first 3 rows):\n");
-  const std::string csv = trace.csv();
-  std::size_t pos = 0;
-  for (int i = 0; i < 4 && pos != std::string::npos; ++i) {
-    const std::size_t next = csv.find('\n', pos);
-    std::printf("  %s\n", csv.substr(pos, next - pos).c_str());
-    pos = next == std::string::npos ? next : next + 1;
+  if (!window.empty()) {
+    std::printf("\nflight recorder (first 4 of %zu records):\n",
+                window.size());
+    for (std::size_t i = 0; i < std::min<std::size_t>(4, window.size());
+         ++i) {
+      std::printf("  %s",
+                  obs::FlightRecorder::format_window({window[i]}).c_str());
+    }
   }
 
   // End-of-run introspection: every station should be back in CSMA-CD

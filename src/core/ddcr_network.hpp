@@ -212,8 +212,10 @@ class DdcrTestbed {
   /// The channel's shared protocol replica: fork and merge counts, and
   /// the replica the synced stations hold.
   const SharedReplica& shared_replica() const { return *shared_; }
-  /// nullptr when the compiled-epoch fast path is disabled for this run
-  /// (tests use it to assert the bail-out taxonomy is exhaustive).
+  /// The channel's epoch compiler (tests use it to assert the bail-out
+  /// taxonomy is exhaustive). Never null: the testbed always builds it and
+  /// installs it on the channel only when the compiled-epoch fast path is
+  /// on, so compile_attempts() > 0 is what shows the fast path ran.
   EpochCompiler* epoch_compiler() { return compiler_.get(); }
   int station_count() const { return static_cast<int>(stations_.size()); }
   /// The options with defaults filled in (static indices allocated); every

@@ -353,9 +353,6 @@ bool DdcrStation::note_desync() {
 }
 
 void DdcrStation::prune_late(SimTime now) {
-  if (!config_.drop_late_messages) {
-    return;
-  }
   std::int64_t dropped = 0;
   while (const auto head = queue_.head()) {
     if (head->absolute_deadline >= now) {
@@ -372,7 +369,9 @@ void DdcrStation::prune_late(SimTime now) {
 }
 
 std::optional<Frame> DdcrStation::poll_intent(SimTime now) {
-  prune_late(now);
+  if (config_.drop_late_messages) {
+    prune_late(now);
+  }
   const DdcrReplica& r = *replica_;
   switch (r.mode()) {
     case Mode::kOffline:

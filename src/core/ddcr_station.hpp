@@ -279,8 +279,9 @@ class DdcrStation final : public net::Station {
   static void add(Counters& to, const DdcrReplica::Counters& from,
                   std::int64_t sign = 1);
 
-  /// With drop_late_messages set, sheds queue heads already past their
-  /// deadline at `now`.
+  /// Sheds queue heads already past their deadline at `now`. Called only
+  /// with drop_late_messages set: poll_intent tests the flag inline, so
+  /// the common case makes no call.
   void prune_late(SimTime now);
 
   /// Every mutator's first step: materializes the channel (so a call from

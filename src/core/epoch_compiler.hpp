@@ -1,4 +1,5 @@
-// Compiled epoch fast path (ROADMAP item 1).
+// Compiled epoch fast path (docs/PERFORMANCE.md, "Compiled epoch fast
+// path").
 //
 // On a clean channel the outcome of a CSMA/DDCR epoch is a pure function of
 // the contender set at the TTs boundary: the m-ary tree recursion (whose

@@ -1,9 +1,6 @@
-// Sharded fabric of CSMA/DDCR channels (ROADMAP item 2: scaling *within*
-// a deployment, not just across independent runs).
-//
-// run_multi_channel() proved the per-channel engine parallelizes; the
-// fabric is the campus-scale construction on top of it, built so that a
-// thousand channels with a thousand stations each fit one process:
+// Sharded fabric of CSMA/DDCR channels: the one way to run many parallel
+// broadcast media (section 3.1), from a handful of segments up to a
+// thousand channels with a thousand stations each in one process:
 //
 //  - One channel runner: every channel is a core::DdcrTestbed, built,
 //    fed and drained exactly as run_ddcr() builds, feeds and drains it
@@ -27,9 +24,9 @@
 //    whole run, so its memory grows with the channel count.
 //
 // Correctness is anchored the same way the epoch compiler's was: a
-// fabric with no bridges must produce bit-identical protocol_digest()
-// chains to run_multi_channel() on the same workload (serial and
-// parallel), and audit_stride samples channels for full
+// fabric with no bridges must produce the protocol_digest() chain of
+// run_ddcr() run on each channel_workload() under its channel_seed()
+// (any shard count), and audit_stride samples channels for full
 // check::ConformanceComparator audits. See docs/FABRIC.md.
 #pragma once
 
@@ -66,8 +63,8 @@ inline constexpr std::int64_t kBridgeUidBase = std::int64_t{1} << 40;
 
 struct FabricOptions {
   /// Per-channel base options; seed is the fabric seed (each channel
-  /// runs under channel_seed(run.seed, ch), exactly like
-  /// run_multi_channel), static_indices are re-derived per channel.
+  /// runs under channel_seed(run.seed, ch)), static_indices are
+  /// re-derived per channel.
   DdcrRunOptions run;
   int channels = 1;
   /// Worker count for the shard pool; 1 = serial. Observable results
@@ -119,8 +116,8 @@ struct FabricResult {
   /// Filled only under collect_channel_results (indexed by channel).
   std::vector<DdcrRunResult> full;
   ChannelPlan plan;
-  /// FNV-1a chain over per-channel digests in channel order — identical
-  /// to MultiChannelResult::protocol_digest for a bridge-free fabric.
+  /// FNV-1a chain over per-channel digests in channel order (an empty
+  /// channel contributes 0).
   std::uint64_t protocol_digest = 0;
   std::int64_t stations = 0;
   std::int64_t generated = 0;
@@ -143,9 +140,9 @@ struct FabricResult {
 
 /// Runs `workload` over a fabric of `options.channels` CSMA/DDCR
 /// segments (classes partitioned by plan_channels, stations numbered per
-/// channel by channel_workload, exactly as run_multi_channel stages them).
-/// Without bridges or a sampler, channels are independent and the
-/// per-channel digests are bit-identical to run_multi_channel() under any
+/// channel by channel_workload). Without bridges or a sampler, channels
+/// are independent and each channel's digest is bit-identical to
+/// run_ddcr() on its channel_workload under channel_seed(), under any
 /// shard count. With bridges/sampler the fabric runs in barrier mode (see
 /// BridgeSpec); results remain shard-count invariant.
 FabricResult run_fabric(const traffic::Workload& workload,

@@ -8,7 +8,6 @@
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hrtdm::core {
 
@@ -133,61 +132,6 @@ std::uint64_t channel_seed(std::uint64_t base, int channel) {
     seed = mix.next();
   }
   return seed;
-}
-
-MultiChannelResult run_multi_channel(const traffic::Workload& workload,
-                                     int channels,
-                                     const DdcrRunOptions& options,
-                                     int threads) {
-  MultiChannelResult result;
-  result.plan = plan_channels(workload, channels);
-
-  // Stage the per-channel sub-workloads serially (cheap), then run the
-  // simulations — the expensive, fully independent part — on the pool.
-  // Each run writes only its own slot, so the aggregate below is invariant
-  // under thread count.
-  std::vector<traffic::Workload> subs;
-  subs.reserve(static_cast<std::size_t>(channels));
-  for (int ch = 0; ch < channels; ++ch) {
-    subs.push_back(channel_workload(workload, result.plan, ch));
-  }
-
-  result.per_channel.resize(static_cast<std::size_t>(channels));
-  util::parallel_for_index(threads, channels, [&](std::int64_t ch) {
-    const auto& sub = subs[static_cast<std::size_t>(ch)];
-    if (sub.sources.empty()) {
-      return;  // slot keeps its default-constructed (empty) result
-    }
-    DdcrRunOptions channel_options = options;
-    channel_options.ddcr.static_indices.clear();  // re-derive per channel
-    channel_options.seed = channel_seed(options.seed, static_cast<int>(ch));
-    // Each channel gets its own Perfetto process so their slot tracks and
-    // station tracks land side by side instead of colliding on pid 0.
-    channel_options.trace_channel = static_cast<int>(ch);
-    result.per_channel[static_cast<std::size_t>(ch)] =
-        run_ddcr(sub, channel_options);
-  });
-
-  double utilization_sum = 0.0;
-  int live_channels = 0;
-  result.protocol_digest = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  for (const auto& run : result.per_channel) {
-    result.protocol_digest =
-        (result.protocol_digest ^ run.protocol_digest) * 0x100000001b3ULL;
-    result.generated += run.generated;
-    result.delivered += run.metrics.delivered;
-    result.misses += run.metrics.misses;
-    result.undelivered += run.undelivered;
-    result.worst_latency_s =
-        std::max(result.worst_latency_s, run.metrics.worst_latency_s);
-    if (run.generated > 0) {
-      utilization_sum += run.utilization;
-      ++live_channels;
-    }
-  }
-  result.mean_utilization =
-      live_channels > 0 ? utilization_sum / live_channels : 0.0;
-  return result;
 }
 
 }  // namespace hrtdm::core

@@ -1,18 +1,17 @@
 // Parallel broadcast media (section 3.1: "a broadcast medium — many such
-// media can be used in parallel").
+// media can be used in parallel"): the channel planner.
 //
 // Each channel is an independent CSMA/DDCR segment; message classes are
 // partitioned across channels at design time (a class's traffic always
 // uses one channel, so per-class FIFO/EDF semantics are preserved and the
 // per-channel feasibility conditions apply verbatim). The partitioner
-// balances offered load greedily; the runner executes the per-channel
-// simulations and aggregates metrics.
+// balances offered load greedily; core::run_fabric (core/fabric.hpp) runs
+// the channels and aggregates their results.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/ddcr_network.hpp"
 #include "traffic/workload.hpp"
 
 namespace hrtdm::core {
@@ -46,34 +45,10 @@ ChannelPlan plan_channels(const traffic::Workload& workload, int channels);
 traffic::Workload channel_workload(const traffic::Workload& workload,
                                    const ChannelPlan& plan, int channel);
 
-struct MultiChannelResult {
-  std::vector<DdcrRunResult> per_channel;
-  ChannelPlan plan;
-  // Aggregates across channels:
-  std::int64_t generated = 0;
-  std::int64_t delivered = 0;
-  std::int64_t misses = 0;
-  std::int64_t undelivered = 0;
-  double worst_latency_s = 0.0;
-  double mean_utilization = 0.0;
-  /// Order-sensitive combination of the per-channel protocol digests
-  /// (channel order) — one number summarizing every replica's final state.
-  std::uint64_t protocol_digest = 0;
-};
-
-/// The RNG seed channel `channel` runs under when the multi-channel run is
+/// The RNG seed channel `channel` runs under when a multi-channel run is
 /// seeded with `base`. Seeds are drawn from a SplitMix64 stream keyed by
 /// `base` (not `base + channel`, which would make run(seed=s, ch=1) replay
 /// the exact arrival stream of run(seed=s+1, ch=0)).
 std::uint64_t channel_seed(std::uint64_t base, int channel);
-
-/// Runs the workload over `channels` parallel CSMA/DDCR segments (each an
-/// independent simulation — the media do not interact) and aggregates.
-/// `threads` > 1 executes the per-channel simulations on a deterministic
-/// worker pool; results are bit-identical to the serial (threads = 1) run.
-MultiChannelResult run_multi_channel(const traffic::Workload& workload,
-                                     int channels,
-                                     const DdcrRunOptions& options,
-                                     int threads = 1);
 
 }  // namespace hrtdm::core

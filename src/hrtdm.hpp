@@ -23,7 +23,6 @@
 #include "net/frame.hpp"
 #include "net/phy.hpp"
 #include "net/station.hpp"
-#include "net/trace.hpp"
 #include "sim/simulator.hpp"
 
 // Traffic modelling.
@@ -48,6 +47,7 @@
 #include "core/ddcr_network.hpp"
 #include "core/ddcr_station.hpp"
 #include "core/edf_queue.hpp"
+#include "core/fabric.hpp"
 #include "core/metrics.hpp"
 #include "core/multi_channel.hpp"
 #include "core/tree_search.hpp"

@@ -103,19 +103,40 @@ ChannelSnapshot BroadcastChannel::snapshot() const {
   return snap;
 }
 
-void BroadcastChannel::apply(const ChannelStats& delta) const {
-  stats_.silence_slots += delta.silence_slots;
-  stats_.collision_slots += delta.collision_slots;
-  stats_.successes += delta.successes;
-  stats_.burst_continuations += delta.burst_continuations;
-  stats_.arbitration_wins += delta.arbitration_wins;
-  stats_.corrupted_frames += delta.corrupted_frames;
-  stats_.ge_bad_slots += delta.ge_bad_slots;
-  stats_.ge_losses += delta.ge_losses;
-  stats_.bits_delivered += delta.bits_delivered;
-  stats_.busy_time += delta.busy_time;
-  stats_.idle_time += delta.idle_time;
-  stats_.contention_time += delta.contention_time;
+ChannelStats& ChannelStats::operator+=(const ChannelStats& delta) {
+  silence_slots += delta.silence_slots;
+  collision_slots += delta.collision_slots;
+  successes += delta.successes;
+  burst_continuations += delta.burst_continuations;
+  arbitration_wins += delta.arbitration_wins;
+  corrupted_frames += delta.corrupted_frames;
+  ge_bad_slots += delta.ge_bad_slots;
+  ge_losses += delta.ge_losses;
+  bits_delivered += delta.bits_delivered;
+  busy_time += delta.busy_time;
+  idle_time += delta.idle_time;
+  contention_time += delta.contention_time;
+  return *this;
+}
+
+void BroadcastChannel::record_slot(
+    [[maybe_unused]] const SlotRecord& record,
+    [[maybe_unused]] std::int64_t corrupt_bits) const {
+  switch (record.kind) {
+    case SlotKind::kSilence:
+      HRTDM_FR_RECORD(recorder_, obs::FrKind::kSlotSilence, record.end.ns(),
+                      -1, (record.end - record.start).ns());
+      break;
+    case SlotKind::kCollision:
+      HRTDM_FR_RECORD(recorder_, obs::FrKind::kSlotCollision, record.end.ns(),
+                      -1, (record.end - record.start).ns(), corrupt_bits);
+      break;
+    case SlotKind::kSuccess:
+      HRTDM_FR_RECORD(recorder_, obs::FrKind::kSlotSuccess, record.end.ns(),
+                      record.frame->source, (record.end - record.start).ns(),
+                      record.frame->msg_uid);
+      break;
+  }
 }
 
 void BroadcastChannel::deliver(SlotObservation& obs,
@@ -138,22 +159,7 @@ void BroadcastChannel::deliver(SlotObservation& obs,
       break;
   }
   HRTDM_OBSERVE("channel.contenders", record.contenders);
-  switch (record.kind) {
-    case SlotKind::kSilence:
-      HRTDM_FR_RECORD(recorder_, obs::FrKind::kSlotSilence, record.end.ns(),
-                      -1, (record.end - record.start).ns());
-      break;
-    case SlotKind::kCollision:
-      HRTDM_FR_RECORD(recorder_, obs::FrKind::kSlotCollision, record.end.ns(),
-                      -1, (record.end - record.start).ns(),
-                      pending_corrupt_bits_);
-      break;
-    case SlotKind::kSuccess:
-      HRTDM_FR_RECORD(recorder_, obs::FrKind::kSlotSuccess, record.end.ns(),
-                      record.frame->source, (record.end - record.start).ns(),
-                      record.frame->msg_uid);
-      break;
-  }
+  record_slot(record, pending_corrupt_bits_);
   const std::int64_t index = observations_delivered_++;
   obs.broadcast = interceptor_ == nullptr;
   obs.index = index;
@@ -173,7 +179,7 @@ void BroadcastChannel::deliver(SlotObservation& obs,
 }
 
 void BroadcastChannel::finish_burst() {
-  apply(pending_delta_);
+  stats_ += pending_delta_;
   deliver(pending_obs_, pending_record_);
   if (running_) {
     continue_burst(*pending_winner_, pending_burst_budget_);
@@ -222,7 +228,7 @@ void BroadcastChannel::continue_burst(Station& winner,
 }
 
 void BroadcastChannel::finish_slot() {
-  apply(pending_delta_);
+  stats_ += pending_delta_;
   deliver(pending_obs_, pending_record_);
   if (!running_) {
     return;
@@ -492,9 +498,7 @@ void BroadcastChannel::dissolve_idle_gap() {
   const SimTime end = slot_start + phy_.slot_x;
   pending_obs_.slot_end = pending_record_.end = end;
   pending_record_.contenders = 0;
-  pending_delta_ = ChannelStats{};
-  ++pending_delta_.silence_slots;
-  pending_delta_.idle_time += phy_.slot_x;
+  pending_delta_ = record_delta(pending_record_);
   pending_winner_ = nullptr;
   pending_burst_possible_ = false;
   simulator_.schedule_at(end, [this] { finish_slot(); }, "channel:slot-end");
@@ -623,47 +627,17 @@ void BroadcastChannel::flush_compiled_span(SimTime upto, bool resumed) const {
   std::int64_t flushed = 0;
   while (span_flushed_ < limit && span_[span_flushed_].record.end <= upto) {
     const SlotRecord& record = span_[span_flushed_].record;
-    const util::Duration len = record.end - record.start;
-    switch (record.kind) {
-      case SlotKind::kSilence:
-        ++batch.silence_slots;
-        batch.idle_time += len;
-        break;
-      case SlotKind::kCollision:
-        ++batch.collision_slots;
-        batch.contention_time += len;
-        break;
-      case SlotKind::kSuccess:
-        ++batch.successes;
-        if (record.in_burst) {
-          ++batch.burst_continuations;
-        }
-        batch.bits_delivered += record.frame->l_bits;
-        batch.busy_time += len;
-        ++span_deliveries_;
-        break;
+    batch += record_delta(record);
+    if (record.kind == SlotKind::kSuccess) {
+      ++span_deliveries_;
     }
     ++contender_counts_[static_cast<std::size_t>(record.contenders)];
     ++observations_delivered_;
     ++span_flushed_;
     ++flushed;
-    // Same causal records deliver() emits; compiled slots are never
+    // Same causal record deliver() emits; compiled slots are never
     // corrupted (the span gate requires a noise/GE-free channel).
-    switch (record.kind) {
-      case SlotKind::kSilence:
-        HRTDM_FR_RECORD(recorder_, obs::FrKind::kSlotSilence, record.end.ns(),
-                        -1, len.ns());
-        break;
-      case SlotKind::kCollision:
-        HRTDM_FR_RECORD(recorder_, obs::FrKind::kSlotCollision,
-                        record.end.ns(), -1, len.ns(), 0);
-        break;
-      case SlotKind::kSuccess:
-        HRTDM_FR_RECORD(recorder_, obs::FrKind::kSlotSuccess, record.end.ns(),
-                        record.frame->source, len.ns(),
-                        record.frame->msg_uid);
-        break;
-    }
+    record_slot(record, 0);
     for (ChannelObserver* observer : observers_) {
       observer->on_slot(record);
     }
@@ -671,7 +645,7 @@ void BroadcastChannel::flush_compiled_span(SimTime upto, bool resumed) const {
   if (flushed == 0) {
     return;
   }
-  apply(batch);
+  stats_ += batch;
   // Mirror of deliver()'s registry block in bulk (spans never contain
   // arbitration slots; the gate requires kDestructive). Zero counts are
   // skipped so the compiled path never materializes a registry entry the

@@ -169,6 +169,9 @@ struct ChannelStats {
   util::Duration busy_time;            ///< time spent transmitting
   util::Duration idle_time;            ///< silence slots
   util::Duration contention_time;      ///< collision/arbitration slots
+
+  /// Field-wise sum (a completed slot's delta into the running totals).
+  ChannelStats& operator+=(const ChannelStats& delta);
 };
 
 /// Point-in-time introspection of a channel (docs/OBSERVABILITY.md).
@@ -303,7 +306,9 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   /// Marks `obs` broadcast unless an interceptor is installed, then hands
   /// it (or the interceptor's per-receiver copy) to every station.
   void deliver(SlotObservation& obs, const SlotRecord& record);
-  void apply(const ChannelStats& delta) const;
+  /// The flight record of a completed slot; `corrupt_bits` (FrCorrupt) is
+  /// why a collision slot destroyed a transmission, 0 for contention.
+  void record_slot(const SlotRecord& record, std::int64_t corrupt_bits) const;
   /// Continues a packet burst: polls `winner` for the next frame while
   /// budget remains, then hands the channel back to the contention loop.
   void continue_burst(Station& winner, std::int64_t budget_bits);

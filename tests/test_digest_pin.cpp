@@ -14,7 +14,7 @@
 #include "check/conformance.hpp"
 #include "core/ddcr_config.hpp"
 #include "core/ddcr_network.hpp"
-#include "core/multi_channel.hpp"
+#include "core/fabric.hpp"
 #include "obs/event_tracer.hpp"
 #include "traffic/workload.hpp"
 
@@ -137,19 +137,22 @@ TEST(DigestPin, RunsAreRepeatable) {
 
 TEST(DigestPin, SerialAndParallelMultiChannelAgree) {
   // The multi-channel runner promises bit-identical results regardless of
-  // worker count; pin that against the overhauled engine.
+  // shard count; pin that against the overhauled engine.
   const auto workload = traffic::quickstart(12);
-  const auto options = reference_options(workload);
-  const auto serial = core::run_multi_channel(workload, 3, options, 1);
-  const auto parallel = core::run_multi_channel(workload, 3, options, 4);
+  core::FabricOptions fopts;
+  fopts.run = reference_options(workload);
+  fopts.channels = 3;
+  const core::FabricResult serial = core::run_fabric(workload, fopts);
+  fopts.shards = 4;
+  const core::FabricResult parallel = core::run_fabric(workload, fopts);
   EXPECT_NE(serial.protocol_digest, 0u);
   EXPECT_EQ(serial.protocol_digest, parallel.protocol_digest);
   EXPECT_EQ(serial.delivered, parallel.delivered);
   EXPECT_EQ(serial.misses, parallel.misses);
-  ASSERT_EQ(serial.per_channel.size(), parallel.per_channel.size());
-  for (std::size_t ch = 0; ch < serial.per_channel.size(); ++ch) {
-    EXPECT_EQ(serial.per_channel[ch].protocol_digest,
-              parallel.per_channel[ch].protocol_digest)
+  ASSERT_EQ(serial.channels.size(), parallel.channels.size());
+  for (std::size_t ch = 0; ch < serial.channels.size(); ++ch) {
+    EXPECT_EQ(serial.channels[ch].protocol_digest,
+              parallel.channels[ch].protocol_digest)
         << "channel " << ch;
   }
 }

@@ -973,21 +973,58 @@ TEST(EpochCompiler, SpanCommitsAndBailsLandInTheFlightRecorder) {
   EXPECT_GT(bails, 0);
 }
 
+#endif  // !HRTDM_OBS_OFF
+
+/// Holds an unwrapped flight window to its pinned fold and to the channel
+/// it recorded: the slot records tile run.channel, each slot once (an idle
+/// gap record stands for its `b` silence slots). Under HRTDM_OBS_OFF the
+/// recorder is compiled out and the window is empty.
+void expect_flight_window(const DdcrRunResult& run,
+                          [[maybe_unused]] std::uint64_t pin) {
+#if defined(HRTDM_OBS_OFF)
+  EXPECT_TRUE(run.flight_window.empty());
+#else
+  EXPECT_FALSE(run.flight_window_truncated);
+  pins::OutcomeFold fold;
+  std::int64_t silence = 0;
+  std::int64_t collision = 0;
+  std::int64_t success = 0;
+  for (const obs::FrRecord& r : run.flight_window) {
+    fold.add(r.t_ns).add(r.a).add(r.b).add(r.station).add(
+        static_cast<std::int64_t>(r.kind));
+    switch (r.kind) {
+      case obs::FrKind::kSlotSilence:
+        ++silence;
+        break;
+      case obs::FrKind::kIdleGap:
+        silence += r.b;
+        break;
+      case obs::FrKind::kSlotCollision:
+        ++collision;
+        break;
+      case obs::FrKind::kSlotSuccess:
+        ++success;
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(fold.value(), pin);
+  EXPECT_GT(success, 0);
+  EXPECT_EQ(silence, run.channel.silence_slots);
+  EXPECT_EQ(collision, run.channel.collision_slots);
+  EXPECT_EQ(success, run.channel.successes);
+#endif
+}
+
 TEST(SharedReplica, FlightWindowsArePinned) {
   // The shared replica's replicated flight records carry the stepping
   // station's id and land in the same ring order as the per-station
   // replicas' first-emitter records did: whole windows, folded, against
   // values recorded before the stations shared one replica. The second run
   // forks two stations (a reset and a phantom collision between run()
-  // calls), so private copies record alongside the shared one.
-  const auto fold_window = [](const std::vector<obs::FrRecord>& window) {
-    pins::OutcomeFold fold;
-    for (const obs::FrRecord& r : window) {
-      fold.add(r.t_ns).add(r.a).add(r.b).add(r.station).add(
-          static_cast<std::int64_t>(r.kind));
-    }
-    return fold.value();
-  };
+  // calls), so private copies record alongside the shared one. Each
+  // window's slot records also account for every slot the channel counted.
   struct Pin {
     EpochCompilerMode mode;
     std::uint64_t videoconference;
@@ -1002,9 +1039,9 @@ TEST(SharedReplica, FlightWindowsArePinned) {
     auto options = base_options(wl, 4, 64);
     options.epoch_compiler = pin.mode;
     options.flight_recorder_capacity = std::size_t{1} << 20;
-    const DdcrRunResult run = run_ddcr(wl, options);
-    EXPECT_FALSE(run.flight_window_truncated);
-    EXPECT_EQ(fold_window(run.flight_window), pin.videoconference);
+    SCOPED_TRACE(pin.mode == EpochCompilerMode::kOn ? "compiler on"
+                                                    : "compiler off");
+    expect_flight_window(run_ddcr(wl, options), pin.videoconference);
 
     auto round = round_options();
     round.require_rejoinable = true;
@@ -1021,12 +1058,9 @@ TEST(SharedReplica, FlightWindowsArePinned) {
     bed.station(1).observe(phantom);
     bed.run(SimTime::from_ns(2'000'000));
     bed.stop();
-    const DdcrRunResult rounds = bed.result();
-    EXPECT_FALSE(rounds.flight_window_truncated);
-    EXPECT_EQ(fold_window(rounds.flight_window), pin.rounds);
+    expect_flight_window(bed.result(), pin.rounds);
   }
 }
-#endif  // !HRTDM_OBS_OFF
 
 TEST(EpochCompiler, TraceStaysWellFormedAcrossCompiledEpochs) {
   // Tracing a compiled run: the per-slot 'X' stream must stay complete

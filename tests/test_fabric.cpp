@@ -1,19 +1,21 @@
 // core::Fabric conformance pins: a bridge-free fabric must be
 // bit-identical — protocol digest chain, delivered/misses/undelivered —
-// to run_multi_channel() on the same workload, for any shard count, with
-// the epoch compiler on or off, and in barrier mode. Plus the fabric.*
-// gauge sums, bridge exactly-once delivery, and the replay entry the
-// Shrinker's fabric axis uses.
+// to run_ddcr() on each planned channel's sub-workload, for any shard
+// count, with the epoch compiler on or off, and in barrier mode. Plus the
+// fabric.* gauge sums, bridge exactly-once delivery, and the replay entry
+// the Shrinker's fabric axis uses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/conformance.hpp"
 #include "core/fabric.hpp"
-#include "core/multi_channel.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "traffic/workload.hpp"
@@ -34,9 +36,45 @@ DdcrRunOptions small_options(const traffic::Workload& wl) {
   return options;
 }
 
-void expect_matches_multi_channel(const traffic::Workload& wl,
-                                  const FabricOptions& fopts,
-                                  const MultiChannelResult& want) {
+/// The independent reference the fabric pins against: each planned
+/// channel's sub-workload through run_ddcr() under its channel_seed(),
+/// digests FNV-1a chained in channel order.
+struct PerChannelRuns {
+  std::vector<DdcrRunResult> per_channel;
+  std::uint64_t protocol_digest = 0xcbf29ce484222325ULL;
+  std::int64_t generated = 0;
+  std::int64_t delivered = 0;
+  std::int64_t misses = 0;
+  std::int64_t undelivered = 0;
+  double worst_latency_s = 0.0;
+};
+
+PerChannelRuns run_per_channel(const traffic::Workload& wl, int channels,
+                               const DdcrRunOptions& options) {
+  PerChannelRuns want;
+  const ChannelPlan plan = plan_channels(wl, channels);
+  for (int ch = 0; ch < channels; ++ch) {
+    DdcrRunOptions channel_options = options;
+    channel_options.ddcr.static_indices.clear();  // re-derive per channel
+    channel_options.seed = channel_seed(options.seed, ch);
+    DdcrRunResult run =
+        run_ddcr(channel_workload(wl, plan, ch), channel_options);
+    want.protocol_digest =
+        (want.protocol_digest ^ run.protocol_digest) * 0x100000001b3ULL;
+    want.generated += run.generated;
+    want.delivered += run.metrics.delivered;
+    want.misses += run.metrics.misses;
+    want.undelivered += run.undelivered;
+    want.worst_latency_s =
+        std::max(want.worst_latency_s, run.metrics.worst_latency_s);
+    want.per_channel.push_back(std::move(run));
+  }
+  return want;
+}
+
+void expect_matches_per_channel_runs(const traffic::Workload& wl,
+                                     const FabricOptions& fopts,
+                                     const PerChannelRuns& want) {
   const FabricResult got = run_fabric(wl, fopts);
   EXPECT_EQ(got.protocol_digest, want.protocol_digest);
   EXPECT_EQ(got.generated, want.generated);
@@ -56,11 +94,11 @@ void expect_matches_multi_channel(const traffic::Workload& wl,
 }
 
 TEST(Fabric, DigestPinsToMultiChannelBothEnginesAnyShards) {
-  // The tentpole equivalence pin: serial and parallel shards against the
-  // reference per-channel engine.
+  // The equivalence pin: serial and parallel shards against the reference
+  // per-channel engine.
   const auto wl = traffic::stock_exchange(8);
   const auto options = small_options(wl);
-  const auto want = run_multi_channel(wl, 3, options);
+  const auto want = run_per_channel(wl, 3, options);
   ASSERT_NE(want.protocol_digest, 0u);
   ASSERT_GT(want.generated, 0);
 
@@ -70,7 +108,7 @@ TEST(Fabric, DigestPinsToMultiChannelBothEnginesAnyShards) {
     fopts.run = options;
     fopts.channels = 3;
     fopts.shards = shards;
-    expect_matches_multi_channel(wl, fopts, want);
+    expect_matches_per_channel_runs(wl, fopts, want);
   }
 }
 
@@ -78,24 +116,24 @@ TEST(Fabric, DigestPinHoldsWithEpochCompilerOff) {
   const auto wl = traffic::videoconference(6);
   auto options = small_options(wl);
   options.epoch_compiler = EpochCompilerMode::kOff;
-  const auto want = run_multi_channel(wl, 2, options);
+  const auto want = run_per_channel(wl, 2, options);
   FabricOptions fopts;
   fopts.run = options;
   fopts.channels = 2;
   fopts.shards = 2;
-  expect_matches_multi_channel(wl, fopts, want);
+  expect_matches_per_channel_runs(wl, fopts, want);
 }
 
 TEST(Fabric, DigestPinHoldsUnderRandomArrivals) {
   const auto wl = traffic::quickstart(6);
   auto options = small_options(wl);
   options.arrivals = traffic::ArrivalKind::kBoundedPoisson;
-  const auto want = run_multi_channel(wl, 2, options);
+  const auto want = run_per_channel(wl, 2, options);
   FabricOptions fopts;
   fopts.run = options;
   fopts.channels = 2;
   fopts.shards = 2;
-  expect_matches_multi_channel(wl, fopts, want);
+  expect_matches_per_channel_runs(wl, fopts, want);
 }
 
 TEST(Fabric, BarrierModeMatchesFreeRunning) {
@@ -104,7 +142,7 @@ TEST(Fabric, BarrierModeMatchesFreeRunning) {
   // accounting may differ (documented); digests and delivery may not.
   const auto wl = traffic::stock_exchange(6);
   const auto options = small_options(wl);
-  const auto want = run_multi_channel(wl, 2, options);
+  const auto want = run_per_channel(wl, 2, options);
 
   obs::Sampler::Options sopts;
   sopts.cadence_ns = 1'000'000;  // 1 ms: several samples within the run
@@ -141,7 +179,7 @@ TEST(Fabric, AuditedChannelsPassConformance) {
     EXPECT_TRUE(ch.conformance_ok);
   }
   // And auditing a channel must not perturb its protocol state.
-  const auto want = run_multi_channel(wl, 2, small_options(wl));
+  const auto want = run_per_channel(wl, 2, small_options(wl));
   EXPECT_EQ(got.protocol_digest, want.protocol_digest);
 }
 

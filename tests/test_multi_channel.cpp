@@ -1,3 +1,4 @@
+// The channel planner and multi-channel runs through core::run_fabric.
 #include "core/multi_channel.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fabric.hpp"
 #include "traffic/workload.hpp"
 #include "util/check.hpp"
 
@@ -285,10 +287,14 @@ TEST(MultiChannel, AggregatesMatchPerChannelRuns) {
   options.arrival_horizon = SimTime::from_ns(20'000'000);
   options.drain_cap = SimTime::from_ns(100'000'000);
 
-  const auto result = run_multi_channel(wl, 2, options);
+  FabricOptions fopts;
+  fopts.run = options;
+  fopts.channels = 2;
+  fopts.collect_channel_results = true;
+  const FabricResult result = run_fabric(wl, fopts);
   std::int64_t generated = 0;
   std::int64_t delivered = 0;
-  for (const auto& run : result.per_channel) {
+  for (const DdcrRunResult& run : result.full) {
     generated += run.generated;
     delivered += run.metrics.delivered;
   }
@@ -308,7 +314,10 @@ TEST(MultiChannel, MoreChannelsNeverLoseMessages) {
   options.arrival_horizon = SimTime::from_ns(30'000'000);
   options.drain_cap = SimTime::from_ns(150'000'000);
   for (const int channels : {1, 2, 4}) {
-    const auto result = run_multi_channel(wl, channels, options);
+    FabricOptions fopts;
+    fopts.run = options;
+    fopts.channels = channels;
+    const FabricResult result = run_fabric(wl, fopts);
     EXPECT_EQ(result.delivered, result.generated) << channels << " channels";
     EXPECT_EQ(result.misses, 0) << channels << " channels";
   }
@@ -328,9 +337,9 @@ TEST(MultiChannel, ChannelSeedsAreDecorrelatedAcrossBaseSeeds) {
 }
 
 TEST(MultiChannel, ParallelRunBitIdenticalToSerial) {
-  // The tentpole determinism requirement: the thread-pool run must produce
-  // the same protocol digest and the same aggregate metrics as threads=1,
-  // including with more workers than this host has cores.
+  // The determinism requirement: the sharded run must produce the same
+  // protocol digest and the same aggregate metrics as shards=1, including
+  // with more workers than this host has cores.
   const auto wl = traffic::stock_exchange(8).scaled_load(4.0);
   DdcrRunOptions options;
   options.ddcr.class_width_c =
@@ -340,23 +349,27 @@ TEST(MultiChannel, ParallelRunBitIdenticalToSerial) {
   options.arrival_horizon = SimTime::from_ns(10'000'000);
   options.drain_cap = SimTime::from_ns(50'000'000);
 
-  const auto serial = run_multi_channel(wl, 4, options, 1);
+  FabricOptions fopts;
+  fopts.run = options;
+  fopts.channels = 4;
+  const FabricResult serial = run_fabric(wl, fopts);
   EXPECT_NE(serial.protocol_digest, 0u);
-  for (const int threads : {2, 4, 8}) {
-    const auto parallel = run_multi_channel(wl, 4, options, threads);
+  for (const int shards : {2, 4, 8}) {
+    fopts.shards = shards;
+    const FabricResult parallel = run_fabric(wl, fopts);
     EXPECT_EQ(parallel.protocol_digest, serial.protocol_digest)
-        << threads << " threads";
-    EXPECT_EQ(parallel.generated, serial.generated) << threads;
-    EXPECT_EQ(parallel.delivered, serial.delivered) << threads;
-    EXPECT_EQ(parallel.misses, serial.misses) << threads;
-    EXPECT_EQ(parallel.undelivered, serial.undelivered) << threads;
-    EXPECT_EQ(parallel.worst_latency_s, serial.worst_latency_s) << threads;
-    EXPECT_EQ(parallel.mean_utilization, serial.mean_utilization) << threads;
-    ASSERT_EQ(parallel.per_channel.size(), serial.per_channel.size());
-    for (std::size_t ch = 0; ch < serial.per_channel.size(); ++ch) {
-      EXPECT_EQ(parallel.per_channel[ch].protocol_digest,
-                serial.per_channel[ch].protocol_digest)
-          << threads << " threads, channel " << ch;
+        << shards << " shards";
+    EXPECT_EQ(parallel.generated, serial.generated) << shards;
+    EXPECT_EQ(parallel.delivered, serial.delivered) << shards;
+    EXPECT_EQ(parallel.misses, serial.misses) << shards;
+    EXPECT_EQ(parallel.undelivered, serial.undelivered) << shards;
+    EXPECT_EQ(parallel.worst_latency_s, serial.worst_latency_s) << shards;
+    EXPECT_EQ(parallel.mean_utilization, serial.mean_utilization) << shards;
+    ASSERT_EQ(parallel.channels.size(), serial.channels.size());
+    for (std::size_t ch = 0; ch < serial.channels.size(); ++ch) {
+      EXPECT_EQ(parallel.channels[ch].protocol_digest,
+                serial.channels[ch].protocol_digest)
+          << shards << " shards, channel " << ch;
     }
   }
 }
@@ -374,8 +387,11 @@ TEST(MultiChannel, RelievesAnOverloadedSegment) {
   options.arrival_horizon = SimTime::from_ns(20'000'000);
   options.drain_cap = SimTime::from_ns(22'000'000);
 
-  const auto one = run_multi_channel(wl, 1, options);
-  const auto four = run_multi_channel(wl, 4, options);
+  FabricOptions fopts;
+  fopts.run = options;
+  const FabricResult one = run_fabric(wl, fopts);
+  fopts.channels = 4;
+  const FabricResult four = run_fabric(wl, fopts);
   EXPECT_GT(one.undelivered + one.misses, four.undelivered + four.misses);
 }
 

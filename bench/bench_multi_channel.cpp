@@ -16,6 +16,7 @@
 #include "bench/harness.hpp"
 #include "core/fabric.hpp"
 #include "traffic/workload.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -92,8 +93,10 @@ int main(int argc, char** argv) {
               "single-channel FCs apply verbatim per segment)\n");
 
   // --- run-engine speedup: serial vs sharded execution ------------------
-  // Longer horizon so the serial baseline is comfortably in wall-clock
-  // measurement territory; the two runs must agree bit-for-bit.
+  // One run of this horizon takes milliseconds, so a single shot reads
+  // scheduler noise: each side is timed as the median of alternating
+  // repetitions after an untimed warm-up pair, and every repetition must
+  // agree bit-for-bit.
   const int kChannels = 4;
   core::FabricOptions timed;
   timed.run = options;
@@ -107,41 +110,64 @@ int main(int argc, char** argv) {
   // recorded hardware_threads lets readers judge the speedup number (on a
   // single-core host it is ~1x by construction; it scales with cores).
   const int threads = kChannels;
+  const int reps = smoke ? 3 : 7;
 
-  const auto serial_start = std::chrono::steady_clock::now();
-  const core::FabricResult serial = core::run_fabric(wl, timed);
-  const double serial_s = seconds_since(serial_start);
+  util::Samples serial_s;
+  util::Samples parallel_s;
+  bool identical = true;
+  std::uint64_t digest = 0;
+  for (int rep = -1; rep < reps; ++rep) {  // rep -1: the warm-up pair
+    timed.shards = 1;
+    const auto serial_start = std::chrono::steady_clock::now();
+    const core::FabricResult serial = core::run_fabric(wl, timed);
+    const double serial_wall = seconds_since(serial_start);
 
-  timed.shards = threads;
-  const auto parallel_start = std::chrono::steady_clock::now();
-  const core::FabricResult parallel = core::run_fabric(wl, timed);
-  const double parallel_s = seconds_since(parallel_start);
+    timed.shards = threads;
+    const auto parallel_start = std::chrono::steady_clock::now();
+    const core::FabricResult parallel = core::run_fabric(wl, timed);
+    const double parallel_wall = seconds_since(parallel_start);
 
-  const bool identical =
-      serial.protocol_digest == parallel.protocol_digest &&
-      serial.generated == parallel.generated &&
-      serial.delivered == parallel.delivered &&
-      serial.misses == parallel.misses &&
-      serial.undelivered == parallel.undelivered &&
-      serial.worst_latency_s == parallel.worst_latency_s &&
-      serial.mean_utilization == parallel.mean_utilization;
-  const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
+    identical = identical &&
+                serial.protocol_digest == parallel.protocol_digest &&
+                serial.generated == parallel.generated &&
+                serial.delivered == parallel.delivered &&
+                serial.misses == parallel.misses &&
+                serial.undelivered == parallel.undelivered &&
+                serial.worst_latency_s == parallel.worst_latency_s &&
+                serial.mean_utilization == parallel.mean_utilization;
+    digest = serial.protocol_digest;
+    if (rep >= 0) {
+      serial_s.add(serial_wall);
+      parallel_s.add(parallel_wall);
+    }
+  }
+  const double serial_median = serial_s.percentile(50);
+  const double parallel_median = parallel_s.percentile(50);
+  const double speedup =
+      parallel_median > 0.0 ? serial_median / parallel_median : 0.0;
 
-  std::printf("\nE18 run engine, %d channels: serial %.3f s, parallel "
-              "(%d threads) %.3f s -> %.2fx; bit-identical: %s\n",
-              kChannels, serial_s, threads, parallel_s, speedup,
-              identical ? "yes" : "NO");
+  std::printf("\nE18 run engine, %d channels, median of %d: serial %.4f s "
+              "[%.4f, %.4f], parallel (%d threads) %.4f s [%.4f, %.4f] -> "
+              "%.2fx on %d hardware threads; bit-identical: %s\n",
+              kChannels, reps, serial_median, serial_s.percentile(25),
+              serial_s.percentile(75), threads, parallel_median,
+              parallel_s.percentile(25), parallel_s.percentile(75), speedup,
+              util::ThreadPool::hardware_threads(), identical ? "yes" : "NO");
 
   report.set_threads(threads);
   report.config("hardware_threads", util::ThreadPool::hardware_threads());
   report.config("speedup_channels", kChannels);
   report.config("speedup_horizon_ns", timed.run.arrival_horizon.ns());
-  report.metric("serial_wall_s", serial_s);
-  report.metric("parallel_wall_s", parallel_s);
+  report.config("speedup_repetitions", reps);
+  report.metric("serial_wall_s", serial_median);
+  report.metric("serial_wall_q1_s", serial_s.percentile(25));
+  report.metric("serial_wall_q3_s", serial_s.percentile(75));
+  report.metric("parallel_wall_s", parallel_median);
+  report.metric("parallel_wall_q1_s", parallel_s.percentile(25));
+  report.metric("parallel_wall_q3_s", parallel_s.percentile(75));
   report.metric("speedup_4ch", speedup);
   report.metric("parallel_bit_identical", identical);
-  report.metric("protocol_digest",
-                static_cast<std::int64_t>(serial.protocol_digest));
+  report.metric("protocol_digest", static_cast<std::int64_t>(digest));
   report.write();
   return identical ? 0 : 1;
 }

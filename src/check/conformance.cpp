@@ -47,6 +47,29 @@ class ViolationSink {
   std::int64_t overflow_ = 0;
 };
 
+/// The entries strictly before observation index `end`; a gap entry
+/// straddling the cut is clipped to the slots that fit before it.
+std::vector<ConformanceRecorder::Entry> clip_before(
+    const std::vector<ConformanceRecorder::Entry>& entries, std::int64_t end) {
+  std::vector<ConformanceRecorder::Entry> prefix;
+  for (const ConformanceRecorder::Entry& entry : entries) {
+    if (entry.obs_index >= end) {
+      break;
+    }
+    if (entry.gap_slots > 0 && entry.obs_index + entry.gap_slots > end) {
+      ConformanceRecorder::Entry clipped = entry;
+      clipped.gap_slots = end - entry.obs_index;
+      const Duration slot =
+          (entry.record.end - entry.record.start) / entry.gap_slots;
+      clipped.record.end = entry.record.start + slot * clipped.gap_slots;
+      prefix.push_back(clipped);
+      break;
+    }
+    prefix.push_back(entry);
+  }
+  return prefix;
+}
+
 struct Delivery {
   std::int64_t uid = -1;
   SimTime start;
@@ -89,24 +112,7 @@ void ConformanceRecorder::on_idle_gap(std::int64_t slots, SimTime first_start,
 
 std::vector<ConformanceRecorder::Entry> ConformanceRecorder::clean_prefix(
     std::int64_t end) const {
-  std::vector<Entry> prefix;
-  for (const Entry& entry : entries_) {
-    if (entry.obs_index >= end) {
-      break;
-    }
-    if (entry.gap_slots > 0 && entry.obs_index + entry.gap_slots > end) {
-      // Clip the gap to the slots that fit before the cut.
-      Entry clipped = entry;
-      clipped.gap_slots = end - entry.obs_index;
-      const Duration slot =
-          (entry.record.end - entry.record.start) / entry.gap_slots;
-      clipped.record.end = entry.record.start + slot * clipped.gap_slots;
-      prefix.push_back(clipped);
-      break;
-    }
-    prefix.push_back(entry);
-  }
-  return prefix;
+  return clip_before(entries_, end);
 }
 
 std::vector<ConformanceRecorder::Entry> ConformanceRecorder::clean_suffix(
@@ -147,24 +153,7 @@ core::ConformanceReport ConformanceComparator::check(
   if (prefix_clipped) {
     // Drop (and clip) everything at or past the prefix end — combining the
     // two cuts judges a clean window.
-    std::vector<ConformanceRecorder::Entry> window;
-    for (const ConformanceRecorder::Entry& entry : stream) {
-      if (entry.obs_index >= input.clean_prefix_end) {
-        break;
-      }
-      if (entry.gap_slots > 0 &&
-          entry.obs_index + entry.gap_slots > input.clean_prefix_end) {
-        ConformanceRecorder::Entry clipped = entry;
-        clipped.gap_slots = input.clean_prefix_end - entry.obs_index;
-        const Duration slot =
-            (entry.record.end - entry.record.start) / entry.gap_slots;
-        clipped.record.end = entry.record.start + slot * clipped.gap_slots;
-        window.push_back(clipped);
-        break;
-      }
-      window.push_back(entry);
-    }
-    stream = std::move(window);
+    stream = clip_before(stream, input.clean_prefix_end);
   }
   return check_entries(input, stream, /*whole_run=*/false);
 }

@@ -89,21 +89,12 @@ core::ConformanceReport replay_case(const ReplayCase& c) {
   if (injector) {
     // A hostile replay can still hold backlog or quarantined replicas when
     // the delivery count is reached (duplicates on the wire, offline
-    // stations): settle until the network quiesces or the cap runs out.
-    auto settled = [&testbed] {
-      if (testbed.queued() > 0) {
-        return false;
-      }
-      for (int s = 0; s < testbed.station_count(); ++s) {
-        if (!testbed.station(s).synced()) {
-          return false;
-        }
-      }
-      return true;
-    };
-    while (testbed.simulator().now() < cap && !settled()) {
-      testbed.run(testbed.simulator().now() + c.phy.slot_x * 64);
-    }
+    // stations): settle until the network quiesces or the cap runs out,
+    // then stop so the stations are materialized for the counter reads.
+    testbed.run_while(64, cap, [&testbed] {
+      return !testbed.drained() || !testbed.all_synced();
+    });
+    testbed.stop();
   }
 
   ConformanceInput input;

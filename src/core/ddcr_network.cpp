@@ -212,7 +212,7 @@ void DdcrTestbed::run(SimTime horizon) {
   start_once();
   // The caller may have mutated station state directly since the last run
   // (crash, reset_for_rejoin) — force the slot loop to re-check quiescence.
-  channel_->revalidate_idle_gap();
+  channel_->revalidate_span();
   advance(horizon);
   // Tests read metrics_ and station state directly between run() calls;
   // bring lazily accounted fast-forwarded slots up to date and dissolve any
@@ -221,12 +221,12 @@ void DdcrTestbed::run(SimTime horizon) {
 }
 
 void DdcrTestbed::run_until_delivered(std::int64_t count, SimTime cap) {
-  channel_->revalidate_idle_gap();
+  channel_->revalidate_span();
   run_while(256, cap, [this, count] {
     // Deliveries inside a compiled span reach the metrics log lazily;
     // flush up to now() so the count is what the slot-by-slot loop would
     // have shown at this chunk boundary.
-    channel_->flush_idle_accounting();
+    channel_->flush_accounting();
     return static_cast<std::int64_t>(metrics_.log().size()) < count;
   });
   channel_->materialize_stations();
@@ -319,8 +319,8 @@ DdcrRunResult DdcrTestbed::result() {
       mi.completed_ns = tx.completed.ns();
       inputs.push_back(mi);
     }
-    result.miss_reports = obs::Forensics::attribute_all(
-        inputs, result.flight_window, options_.forensics_near_miss_slack_ns);
+    result.miss_reports =
+        obs::Forensics::attribute_all(inputs, result.flight_window);
   }
   if (auditor_ != nullptr) {
     auditor_->finish(result);

@@ -79,13 +79,12 @@ struct DdcrRunOptions {
   /// is bit-identical either way; kAuto defers to the
   /// HRTDM_EPOCH_COMPILER environment variable (default: enabled).
   EpochCompilerMode epoch_compiler = EpochCompilerMode::kAuto;
-  /// Post-run deadline-miss forensics (obs::Forensics): every miss — and
-  /// every delivery within forensics_near_miss_slack_ns of its deadline —
-  /// has its latency decomposed into named causes over the run's flight-
-  /// recorder window; reports land in DdcrRunResult::miss_reports. Purely
-  /// post-hoc: the run itself is unaffected.
+  /// Post-run deadline-miss forensics (obs::Forensics): every miss has its
+  /// latency decomposed into named causes over the run's flight-recorder
+  /// window; reports land in DdcrRunResult::miss_reports. Purely post-hoc:
+  /// the run itself is unaffected. (Near-miss reports come from calling
+  /// obs::Forensics::attribute_all with a slack directly.)
   bool forensics = false;
-  std::int64_t forensics_near_miss_slack_ns = 0;
   /// Capacity of the run's always-on flight recorder (rounded up to a
   /// power of two). The default keeps the hot-path ring comfortably inside
   /// L2; long hostile soaks that want deeper history can raise it.

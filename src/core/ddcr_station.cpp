@@ -281,7 +281,7 @@ Frame DdcrStation::make_frame(const Message& msg) const {
 }
 
 void DdcrStation::fork() {
-  shared_->channel_.revalidate_idle_gap();
+  shared_->channel_.revalidate_span();
   if (!shares_replica()) {
     return;  // already on a private copy
   }

@@ -51,9 +51,9 @@ struct BridgeSpec {
   int from_channel = 0;
   int to_channel = 0;
   int to_source = 0;
-  /// Must be positive and >= the fabric's barrier quantum (causality:
-  /// a frame captured within one quantum is never due before the next
-  /// barrier).
+  /// Must be positive. The fabric's barrier quantum is the minimum bridge
+  /// latency (causality: a frame captured within one quantum is never due
+  /// before the next barrier).
   util::Duration latency = util::Duration::microseconds(100);
 };
 
@@ -79,10 +79,9 @@ struct FabricOptions {
   /// (heavyweight — small fabrics and tests only; lean summaries are
   /// always collected).
   bool collect_channel_results = false;
+  /// Bridged and sampled fabrics advance in barrier quanta: the minimum
+  /// bridge latency when bridges exist, else phy.slot_x * 1024.
   std::vector<BridgeSpec> bridges;
-  /// Barrier quantum for bridged/sampled fabrics. Zero = derived:
-  /// min bridge latency when bridges exist, else phy.slot_x * 1024.
-  util::Duration barrier_quantum;
   /// Polled (with the "fabric." gauges freshly set from every channel's
   /// stations) at every barrier; forces barrier mode even without
   /// bridges. Sampled once more at the end of the run. Not owned.

@@ -1,6 +1,7 @@
 #include "net/channel.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/registry.hpp"
 #include "util/check.hpp"
@@ -44,27 +45,24 @@ void BroadcastChannel::start() {
 }
 
 void BroadcastChannel::stop() {
-  if (idle_gap_active_) {
-    // Re-materialize the in-flight silence slot so a run that continues past
-    // stop() observes exactly what the slot-by-slot loop would have: the
-    // pending slot still completes, then the chain halts on !running_.
-    dissolve_idle_gap();
-  }
-  if (span_active_) {
-    dissolve_compiled_span();
-  }
+  // Re-materialize the in-flight slot of an active span so a run that
+  // continues past stop() observes exactly what the slot-by-slot loop would
+  // have: the pending slot still completes, then the chain halts on
+  // !running_.
+  revalidate_span();
   running_ = false;
 }
 
 void BroadcastChannel::set_interceptor(SlotInterceptor* interceptor) {
-  // An active fast-forward was committed under the "no interceptor"
-  // predicate; it must not span the installation point.
-  revalidate_idle_gap();
+  // An active span was committed under the "no interceptor" predicate; it
+  // must not span the installation point.
+  revalidate_span();
   interceptor_ = interceptor;
 }
 
 void BroadcastChannel::set_span_compiler(SpanCompiler* compiler) {
-  HRTDM_EXPECT(!span_active_, "cannot swap the span compiler mid-span");
+  HRTDM_EXPECT(!span_active_ || span_.empty(),
+               "cannot swap the span compiler mid-span");
   span_compiler_ = compiler;
 }
 
@@ -72,18 +70,17 @@ void BroadcastChannel::set_phy(const PhyConfig& phy) {
   phy.validate();
   HRTDM_EXPECT(phy.slot_x.ns() == phy_.slot_x.ns(),
                "slot_x must not change mid-run");
-  // Dissolve any committed fast-forward FIRST: a gap or span committed
-  // under the old PHY must not extend over slots the new PHY would treat
-  // differently. In particular an open-ended idle gap committed on a clean
-  // channel must not survive a switch to Gilbert–Elliott loss — every slot
-  // after the switch advances the GE chain, so each one must be simulated.
-  revalidate_idle_gap();
+  // Dissolve any committed span FIRST: a span committed under the old PHY
+  // must not extend over slots the new PHY would treat differently. In
+  // particular an open-ended idle gap committed on a clean channel must not
+  // survive a switch to Gilbert–Elliott loss — every slot after the switch
+  // advances the GE chain, so each one must be simulated.
+  revalidate_span();
   phy_ = phy;
 }
 
 double BroadcastChannel::utilization() const {
-  flush_idle_gap(simulator_.now());
-  flush_compiled_span(simulator_.now());
+  flush_span(simulator_.now());
   const util::Duration elapsed = simulator_.now() - started_at_;
   if (elapsed.ns() <= 0) {
     return 0.0;
@@ -92,8 +89,7 @@ double BroadcastChannel::utilization() const {
 }
 
 ChannelSnapshot BroadcastChannel::snapshot() const {
-  flush_idle_gap(simulator_.now());
-  flush_compiled_span(simulator_.now());
+  flush_span(simulator_.now());
   ChannelSnapshot snap;
   snap.stations = stations_.size();
   snap.running = running_;
@@ -139,48 +135,62 @@ void BroadcastChannel::record_slot(
   }
 }
 
-void BroadcastChannel::deliver(SlotObservation& obs,
-                               const SlotRecord& record) {
-  switch (record.kind) {
-    case SlotKind::kSilence:
-      HRTDM_COUNT("channel.slots.silence");
-      break;
-    case SlotKind::kCollision:
-      HRTDM_COUNT("channel.slots.collision");
-      break;
-    case SlotKind::kSuccess:
-      HRTDM_COUNT("channel.slots.success");
-      if (record.in_burst) {
-        HRTDM_COUNT("channel.burst_continuations");
-      }
-      if (record.arbitration) {
-        HRTDM_COUNT("channel.arbitration_wins");
-      }
-      break;
+void BroadcastChannel::count_slots(
+    [[maybe_unused]] const ChannelStats& delta,
+    [[maybe_unused]] int min_contenders,
+    std::span<std::int64_t> per_contenders) const {
+  // The stats delta already encodes the slot shape (record_delta): its kind
+  // counts are the slots.* counters, in_burst and arbitration the rest.
+  if (delta.silence_slots > 0) {
+    HRTDM_COUNT_N("channel.slots.silence", delta.silence_slots);
   }
-  HRTDM_OBSERVE("channel.contenders", record.contenders);
-  record_slot(record, pending_corrupt_bits_);
+  if (delta.collision_slots > 0) {
+    HRTDM_COUNT_N("channel.slots.collision", delta.collision_slots);
+  }
+  if (delta.successes > 0) {
+    HRTDM_COUNT_N("channel.slots.success", delta.successes);
+  }
+  if (delta.burst_continuations > 0) {
+    HRTDM_COUNT_N("channel.burst_continuations", delta.burst_continuations);
+  }
+  if (delta.arbitration_wins > 0) {
+    HRTDM_COUNT_N("channel.arbitration_wins", delta.arbitration_wins);
+  }
+  for (std::size_t i = 0; i < per_contenders.size(); ++i) {
+    if (per_contenders[i] > 0) {
+      HRTDM_OBSERVE_N("channel.contenders",
+                      min_contenders + static_cast<int>(i),
+                      per_contenders[i]);
+      per_contenders[i] = 0;
+    }
+  }
+}
+
+void BroadcastChannel::deliver() {
+  stats_ += pending_delta_;
+  std::int64_t one = 1;
+  count_slots(pending_delta_, pending_record_.contenders, {&one, 1});
+  record_slot(pending_record_, pending_corrupt_bits_);
   const std::int64_t index = observations_delivered_++;
-  obs.broadcast = interceptor_ == nullptr;
-  obs.index = index;
+  pending_obs_.broadcast = interceptor_ == nullptr;
+  pending_obs_.index = index;
   for (Station* station : stations_) {
     if (interceptor_ != nullptr) {
       SlotObservation heard =
-          interceptor_->deliver_to(station->id(), index, obs);
+          interceptor_->deliver_to(station->id(), index, pending_obs_);
       heard.broadcast = false;  // per-receiver: may differ between stations
       station->observe(heard);
     } else {
-      station->observe(obs);
+      station->observe(pending_obs_);
     }
   }
   for (ChannelObserver* observer : observers_) {
-    observer->on_slot(record);
+    observer->on_slot(pending_record_);
   }
 }
 
 void BroadcastChannel::finish_burst() {
-  stats_ += pending_delta_;
-  deliver(pending_obs_, pending_record_);
+  deliver();
   if (running_) {
     continue_burst(*pending_winner_, pending_burst_budget_);
   }
@@ -228,8 +238,7 @@ void BroadcastChannel::continue_burst(Station& winner,
 }
 
 void BroadcastChannel::finish_slot() {
-  stats_ += pending_delta_;
-  deliver(pending_obs_, pending_record_);
+  deliver();
   if (!running_) {
     return;
   }
@@ -388,23 +397,39 @@ void BroadcastChannel::begin_slot() {
   simulator_.schedule_at(end, [this] { finish_slot(); }, "channel:slot-end");
 }
 
-// --- idle fast-forward -----------------------------------------------------
+// --- fast-forward spans ------------------------------------------------------
 //
-// Equivalence argument. In a slot-by-slot run over a quiescent span the
-// channel would, at each boundary b_i = start + i*x: poll every station
-// (all nullopt, by the quiescent() contract), then at b_{i+1} deliver a
-// silence observation (a state no-op for quiescent stations) and notify
-// observers. None of that can change what any station does, so the span
-// may be compressed: polls are skipped, deliveries are reduced to stats /
-// counter / observer accounting (flush_idle_gap), and a single resume
-// event at the far boundary continues the chain. The gap may extend only
-// to the next already-scheduled simulator event: any such event (message
-// arrival, another channel's slot) may end quiescence. Events scheduled
-// *after* the gap is committed land inside it only via code outside the
-// event loop (a testbed injecting mid-run); the ScheduleWatcher catches
-// exactly that case and dissolve_idle_gap() rebuilds the in-flight slot —
-// before the intruding event takes its sequence number, so even same-
-// timestamp ordering matches the slot-by-slot run.
+// Equivalence argument. In a slot-by-slot run the channel would, at each
+// boundary of a span's slots: poll every station, resolve the slot, and at
+// its end deliver the observation and notify observers. A span commits
+// slots whose outcomes are already known:
+//  - an idle gap, over quiescent stations: every poll returns nullopt and
+//    every silence observation is a state no-op (the quiescent() contract),
+//    so the deliveries reduce to stats / counter / observer accounting. The
+//    gap may extend only to the next already-scheduled simulator event: any
+//    such event (message arrival, another channel's slot) may end
+//    quiescence. Its last slot is the one whose poll comes strictly before
+//    that event, so the event fires while that slot is in flight, as it
+//    would slot by slot.
+//  - a compiled span, produced by the SpanCompiler for [start, end): the
+//    exact slot records the slot-by-slot loop would have produced, under
+//    the contract that every compiled slot ends at or before the next
+//    already-scheduled simulator event. Station-side effects are NOT
+//    applied per slot: stations stay frozen at the span entry state and
+//    receive the bulk end-of-span state in apply_handoff() when the resume
+//    event fires. That is unobservable from outside the event loop because
+//    every external entry point that reads stations goes through
+//    materialize_stations() / revalidate_span(), which dissolve the span.
+// Channel-side effects of a completed slot — stats delta, registry
+// counters, observation index, observers — are pure functions of its
+// record and are flushed lazily (flush_span), mirroring deliver(). Events
+// scheduled into a span from outside the event loop (a testbed injecting
+// mid-run) hit the ScheduleWatcher, and dissolve_span() replays a compiled
+// prefix through the real Station::observe() (the stations were untouched,
+// so the replay lands them precisely at the prefix boundary — counters,
+// engines, traces and all) and rebuilds the in-flight slot as a regular
+// pending slot — before the intruding event takes its sequence number, so
+// even same-timestamp ordering matches the slot-by-slot run.
 
 bool BroadcastChannel::all_quiescent() const {
   for (const Station* station : stations_) {
@@ -416,142 +441,21 @@ bool BroadcastChannel::all_quiescent() const {
 }
 
 bool BroadcastChannel::try_idle_gap(SimTime start) {
+  span_.clear();  // implicit silence slots
   const SimTime next = simulator_.next_event_time();
-  std::int64_t slots = -1;  // open-ended: nothing scheduled at all
-  SimTime horizon = SimTime::infinity();
-  if (next != SimTime::infinity()) {
-    // Largest n with start + (n-1)*x < next: every skipped poll happens
-    // strictly before the event that could end quiescence.
-    slots = (next - start).ceil_div(phy_.slot_x);
-    if (slots < 2) {
-      return false;  // nothing (or a lone slot) to skip — not worth a gap
-    }
-    horizon = start + phy_.slot_x * slots;
+  if (next == SimTime::infinity()) {
+    commit_span(start, /*slots=*/-1, SimTime::infinity());
+    return true;
   }
-  idle_gap_active_ = true;
-  idle_gap_start_ = start;
-  idle_gap_slots_ = slots;
-  idle_gap_flushed_ = 0;
-  simulator_.add_schedule_watcher(this, horizon);
-  if (slots >= 0) {
-    idle_gap_resume_ = simulator_.schedule_at(
-        horizon, [this] { resume_idle_gap(); }, "channel:idle-gap-resume");
-  } else {
-    idle_gap_resume_ = sim::EventHandle{};
+  // Largest n with start + (n-1)*x < next: every skipped poll happens
+  // strictly before the event that could end quiescence.
+  const std::int64_t slots = (next - start).ceil_div(phy_.slot_x);
+  if (slots < 2) {
+    return false;  // nothing (or a lone slot) to skip — not worth a gap
   }
+  commit_span(start, slots, start + phy_.slot_x * slots);
   return true;
 }
-
-void BroadcastChannel::resume_idle_gap() {
-  simulator_.remove_schedule_watcher(this);
-  flush_idle_gap(simulator_.now());  // accounts every slot in the gap
-  idle_gap_active_ = false;
-  begin_slot();
-}
-
-void BroadcastChannel::flush_idle_gap(SimTime upto) const {
-  if (!idle_gap_active_) {
-    return;
-  }
-  // Slot i covers [b_i, b_{i+1}); it is accounted once it has fully ended.
-  std::int64_t done = (upto - idle_gap_start_).floor_div(phy_.slot_x);
-  if (idle_gap_slots_ >= 0) {
-    done = std::min(done, idle_gap_slots_);
-  }
-  if (done <= idle_gap_flushed_) {
-    return;
-  }
-  const std::int64_t newly = done - idle_gap_flushed_;
-  const SimTime first_start =
-      idle_gap_start_ + phy_.slot_x * idle_gap_flushed_;
-  idle_gap_flushed_ = done;
-  stats_.silence_slots += newly;
-  stats_.idle_time += phy_.slot_x * newly;
-  observations_delivered_ += newly;
-  HRTDM_COUNT_N("channel.slots.silence", newly);
-  HRTDM_OBSERVE_N("channel.contenders", 0, newly);
-  HRTDM_FR_RECORD(recorder_, obs::FrKind::kIdleGap,
-                  (first_start + phy_.slot_x * newly).ns(), -1,
-                  (phy_.slot_x * newly).ns(), newly);
-  for (ChannelObserver* observer : observers_) {
-    observer->on_idle_gap(newly, first_start, phy_.slot_x);
-  }
-}
-
-void BroadcastChannel::dissolve_idle_gap() {
-  simulator_.remove_schedule_watcher(this);
-  flush_idle_gap(simulator_.now());
-  if (!idle_gap_resume_.is_null()) {
-    simulator_.cancel(idle_gap_resume_);
-    idle_gap_resume_ = sim::EventHandle{};
-  }
-  // The slot the gap was in the middle of becomes a regular pending silence
-  // slot again, with its slot-end event scheduled now — before any intruding
-  // event's sequence number is assigned, preserving same-timestamp order.
-  const SimTime slot_start =
-      idle_gap_start_ + phy_.slot_x * idle_gap_flushed_;
-  idle_gap_active_ = false;
-  pending_obs_ = SlotObservation{};
-  pending_record_ = SlotRecord{};
-  pending_obs_.kind = pending_record_.kind = SlotKind::kSilence;
-  pending_obs_.slot_start = pending_record_.start = slot_start;
-  const SimTime end = slot_start + phy_.slot_x;
-  pending_obs_.slot_end = pending_record_.end = end;
-  pending_record_.contenders = 0;
-  pending_delta_ = record_delta(pending_record_);
-  pending_winner_ = nullptr;
-  pending_burst_possible_ = false;
-  simulator_.schedule_at(end, [this] { finish_slot(); }, "channel:slot-end");
-}
-
-void BroadcastChannel::revalidate_idle_gap() {
-  if (idle_gap_active_) {
-    dissolve_idle_gap();
-  }
-  if (span_active_) {
-    dissolve_compiled_span();
-  }
-}
-
-void BroadcastChannel::materialize_stations() {
-  flush_idle_gap(simulator_.now());
-  if (span_active_) {
-    dissolve_compiled_span();
-  }
-}
-
-void BroadcastChannel::on_early_schedule(SimTime at) {
-  (void)at;
-  // The simulator has already unregistered us; the dissolve's own
-  // remove_schedule_watcher is then a harmless no-op. At most one of the
-  // two fast-forward mechanisms is active at a time.
-  if (idle_gap_active_) {
-    dissolve_idle_gap();
-  } else if (span_active_) {
-    dissolve_compiled_span();
-  }
-}
-
-// --- compiled spans ----------------------------------------------------------
-//
-// Equivalence argument (extends the idle-gap one above to non-quiescent
-// spans). The compiler produced, for [start, span_end), the exact slot
-// records the slot-by-slot loop would have produced, under the contract
-// that every compiled slot ends at or before the next already-scheduled
-// simulator event. Channel-side effects of a completed slot — stats delta,
-// registry counters, observation index, observer on_slot — are pure
-// functions of the record and are flushed lazily (flush_compiled_span),
-// exactly mirroring deliver(). Station-side effects are NOT applied per
-// slot: stations stay frozen at the span entry state and receive the bulk
-// end-of-span state in apply_handoff() when the resume event fires. That
-// is unobservable from outside the event loop because every external entry
-// point that reads stations goes through materialize_stations() /
-// revalidate_idle_gap(), which dissolve the span: completed slots are
-// replayed through the real Station::observe() (the stations were
-// untouched, so the replay lands them precisely at the prefix boundary —
-// counters, engines, traces and all), and the in-flight slot is rebuilt as
-// a regular pending slot. Events scheduled into the span from outside the
-// event loop hit the same ScheduleWatcher as idle gaps.
 
 bool BroadcastChannel::try_compiled_span(SimTime start) {
   const SimTime horizon = simulator_.next_event_time();
@@ -562,34 +466,45 @@ bool BroadcastChannel::try_compiled_span(SimTime start) {
   HRTDM_EXPECT(span_.size() >= 2, "compiled span too short to commit");
   HRTDM_EXPECT(span_.back().record.end <= horizon,
                "compiled span crosses a scheduled event");
-  span_active_ = true;
-  span_first_index_ = observations_delivered_;
-  span_flushed_ = 0;
-  span_next_success_ = 0;
-  span_deliveries_ = 0;
-  span_end_ = span_.back().record.end;
   HRTDM_FR_RECORD(recorder_, obs::FrKind::kSpanCommit, start.ns(), -1,
-                  static_cast<std::int64_t>(span_.size()), span_end_.ns());
-  // Watcher first: the resume event sits exactly at span_end_, and the
-  // watcher only fires for times strictly below its horizon.
-  simulator_.add_schedule_watcher(this, span_end_);
-  span_resume_ = simulator_.schedule_at(
-      span_end_, [this] { resume_compiled_span(); }, "channel:span-resume");
+                  static_cast<std::int64_t>(span_.size()),
+                  span_.back().record.end.ns());
+  commit_span(start, static_cast<std::int64_t>(span_.size()),
+              span_.back().record.end);
   return true;
 }
 
-void BroadcastChannel::resume_compiled_span() {
+void BroadcastChannel::commit_span(SimTime start, std::int64_t slots,
+                                   SimTime end) {
+  span_active_ = true;
+  span_start_ = start;
+  span_slots_ = slots;
+  span_flushed_ = 0;
+  span_next_success_ = 0;
+  span_deliveries_ = 0;
+  // Watcher first: the resume event sits exactly at `end`, and the watcher
+  // only fires for times strictly below its horizon.
+  simulator_.add_schedule_watcher(this, end);
+  span_resume_ = slots < 0 ? sim::EventHandle{}
+                           : simulator_.schedule_at(
+                                 end, [this] { resume_span(); },
+                                 "channel:span-resume");
+}
+
+void BroadcastChannel::resume_span() {
   simulator_.remove_schedule_watcher(this);
-  span_resume_ = sim::EventHandle{};
-  flush_compiled_span(simulator_.now(), /*resumed=*/true);
-  HRTDM_EXPECT(span_flushed_ == span_.size(), "span flush incomplete");
+  flush_span(simulator_.now(), /*resumed=*/true);
+  HRTDM_EXPECT(span_flushed_ == span_slots_, "span flush incomplete");
   span_active_ = false;
+  if (span_.empty()) {
+    begin_slot();
+    return;
+  }
   span_deliveries_ = 0;
   span_compiler_->apply_handoff();
   for (ChannelObserver* observer : observers_) {
-    observer->on_compiled_span_commit(
-        span_.front().record.start, span_end_,
-        static_cast<std::int64_t>(span_.size()));
+    observer->on_compiled_span_commit(span_start_, simulator_.now(),
+                                      span_slots_);
   }
   if (!running_) {
     return;
@@ -607,100 +522,119 @@ void BroadcastChannel::resume_compiled_span() {
   }
 }
 
-void BroadcastChannel::flush_compiled_span(SimTime upto, bool resumed) const {
+void BroadcastChannel::flush_span(SimTime upto, bool resumed) const {
   if (!span_active_) {
     return;
   }
   // The last slot ends with the resume event. An event at that same
   // instant that fires first (scheduled before the span, so older) sees
   // the slot still in flight, as the slot-by-slot loop would: its slot-end
-  // event would have been scheduled later. Only the resume accounts it.
-  const std::size_t limit = resumed ? span_.size() : span_.size() - 1;
-  // The per-slot observer stream is the contract (metrics, conformance and
-  // digests must see the identical slot sequence); the pure-function
-  // accounting — stats delta, registry counters, the contenders histogram —
-  // is order-insensitive and is batched into one emission per flush.
+  // event would have been scheduled later. Only the resume accounts it. An
+  // open-ended gap has no last slot.
+  const std::int64_t limit =
+      span_slots_ < 0 ? std::numeric_limits<std::int64_t>::max()
+                      : span_slots_ - (resumed ? 0 : 1);
+  const std::int64_t first = span_flushed_;
+  // The per-slot observer stream of a compiled span is the contract
+  // (metrics, conformance and digests must see the identical slot
+  // sequence); the pure-function accounting — stats delta, registry
+  // counters, the contenders histogram — is order-insensitive and is
+  // batched into one emission per flush.
   ChannelStats batch;
   if (contender_counts_.size() < stations_.size() + 2) {
     contender_counts_.assign(stations_.size() + 2, 0);
   }
-  std::int64_t flushed = 0;
-  while (span_flushed_ < limit && span_[span_flushed_].record.end <= upto) {
-    const SlotRecord& record = span_[span_flushed_].record;
-    batch += record_delta(record);
-    if (record.kind == SlotKind::kSuccess) {
-      ++span_deliveries_;
+  if (span_.empty()) {
+    // Slot i of an idle gap covers [start + i*x, start + (i+1)*x); the run
+    // of silence slots a flush completes is one record and one on_idle_gap.
+    const std::int64_t done =
+        std::min(limit, (upto - span_start_).floor_div(phy_.slot_x));
+    if (done <= first) {
+      return;
     }
-    ++contender_counts_[static_cast<std::size_t>(record.contenders)];
-    ++observations_delivered_;
-    ++span_flushed_;
-    ++flushed;
-    // Same causal record deliver() emits; compiled slots are never
-    // corrupted (the span gate requires a noise/GE-free channel).
-    record_slot(record, 0);
+    span_flushed_ = done;
+    const std::int64_t newly = done - first;
+    const SimTime first_start = span_start_ + phy_.slot_x * first;
+    batch.silence_slots = newly;
+    batch.idle_time = phy_.slot_x * newly;
+    contender_counts_[0] = newly;
+    HRTDM_FR_RECORD(recorder_, obs::FrKind::kIdleGap,
+                    (first_start + batch.idle_time).ns(), -1,
+                    batch.idle_time.ns(), newly);
     for (ChannelObserver* observer : observers_) {
-      observer->on_slot(record);
+      observer->on_idle_gap(newly, first_start, phy_.slot_x);
     }
-  }
-  if (flushed == 0) {
-    return;
+  } else {
+    while (span_flushed_ < limit &&
+           span_[static_cast<std::size_t>(span_flushed_)].record.end <=
+               upto) {
+      const SlotRecord& record =
+          span_[static_cast<std::size_t>(span_flushed_)].record;
+      batch += record_delta(record);
+      if (record.kind == SlotKind::kSuccess) {
+        ++span_deliveries_;
+      }
+      ++contender_counts_[static_cast<std::size_t>(record.contenders)];
+      ++span_flushed_;
+      // Same causal record deliver() emits; compiled slots are never
+      // corrupted (the span gate requires a noise/GE-free channel).
+      record_slot(record, 0);
+      for (ChannelObserver* observer : observers_) {
+        observer->on_slot(record);
+      }
+    }
+    if (span_flushed_ == first) {
+      return;
+    }
   }
   stats_ += batch;
-  // Mirror of deliver()'s registry block in bulk (spans never contain
-  // arbitration slots; the gate requires kDestructive). Zero counts are
-  // skipped so the compiled path never materializes a registry entry the
-  // slot-by-slot path would not have touched.
-  if (batch.silence_slots > 0) {
-    HRTDM_COUNT_N("channel.slots.silence", batch.silence_slots);
-  }
-  if (batch.collision_slots > 0) {
-    HRTDM_COUNT_N("channel.slots.collision", batch.collision_slots);
-  }
-  if (batch.successes > 0) {
-    HRTDM_COUNT_N("channel.slots.success", batch.successes);
-  }
-  if (batch.burst_continuations > 0) {
-    HRTDM_COUNT_N("channel.burst_continuations", batch.burst_continuations);
-  }
-  for (std::size_t c = 0; c < contender_counts_.size(); ++c) {
-    if (contender_counts_[c] > 0) {
-      HRTDM_OBSERVE_N("channel.contenders", static_cast<std::int64_t>(c),
-                      contender_counts_[c]);
-      contender_counts_[c] = 0;
-    }
-  }
+  observations_delivered_ += span_flushed_ - first;
+  count_slots(batch, 0, contender_counts_);
 }
 
-void BroadcastChannel::dissolve_compiled_span() {
+void BroadcastChannel::dissolve_span() {
   simulator_.remove_schedule_watcher(this);
-  flush_compiled_span(simulator_.now());
+  flush_span(simulator_.now());
   if (!span_resume_.is_null()) {
     simulator_.cancel(span_resume_);
     span_resume_ = sim::EventHandle{};
   }
   span_active_ = false;
-  HRTDM_EXPECT(span_flushed_ < span_.size(),
-               "dissolve past the compiled span's end");
-  // Replay the flushed prefix through the stations: their state was left
-  // at the span entry point, so feeding them the exact recorded
-  // observations lands them precisely at the prefix boundary. No
-  // interceptor can be installed while a span is committed, so the plain
-  // broadcast delivery is the right one.
-  for (std::size_t i = 0; i < span_flushed_; ++i) {
-    SlotObservation obs = observation_from(span_[i].record);
-    obs.index = span_first_index_ + static_cast<std::int64_t>(i);
-    for (Station* station : stations_) {
-      station->observe(obs);
+  HRTDM_EXPECT(span_slots_ < 0 || span_flushed_ < span_slots_,
+               "dissolve past the span's end");
+  if (!span_.empty()) {
+    // Replay the flushed prefix through the stations: their state was left
+    // at the span entry point, so feeding them the exact recorded
+    // observations lands them precisely at the prefix boundary. No
+    // interceptor can be installed while a span is committed, so the plain
+    // broadcast delivery is the right one.
+    const std::int64_t first_index = observations_delivered_ - span_flushed_;
+    for (std::int64_t i = 0; i < span_flushed_; ++i) {
+      SlotObservation obs =
+          observation_from(span_[static_cast<std::size_t>(i)].record);
+      obs.index = first_index + i;
+      for (Station* station : stations_) {
+        station->observe(obs);
+      }
     }
+    span_deliveries_ = 0;
+    span_compiler_->drop_handoff();
   }
-  span_deliveries_ = 0;
-  span_compiler_->drop_handoff();
-  // Re-materialize the in-flight slot as a regular pending slot, scheduled
-  // now — before any intruding event's sequence number is assigned.
-  const CompiledSlot& cur = span_[span_flushed_];
+  // Re-materialize the in-flight slot from the span's own record as a
+  // regular pending slot, scheduled now — before any intruding event's
+  // sequence number is assigned. An idle gap's is a silence slot after
+  // which the channel is released.
+  CompiledSlot cur;
+  if (span_.empty()) {
+    cur.record.start = span_start_ + phy_.slot_x * span_flushed_;
+    cur.record.end = cur.record.start + phy_.slot_x;
+  } else {
+    cur = span_[static_cast<std::size_t>(span_flushed_)];
+  }
   pending_obs_ = observation_from(cur.record);
   pending_record_ = cur.record;
   pending_delta_ = record_delta(cur.record);
+  pending_corrupt_bits_ = 0;
   if (cur.record.in_burst) {
     pending_winner_ = station_by_id(cur.record.frame->source);
     pending_burst_possible_ = false;  // unused by finish_burst
@@ -716,6 +650,27 @@ void BroadcastChannel::dissolve_compiled_span() {
     simulator_.schedule_at(cur.record.end, [this] { finish_slot(); },
                            "channel:slot-end");
   }
+}
+
+void BroadcastChannel::revalidate_span() {
+  if (span_active_) {
+    dissolve_span();
+  }
+}
+
+void BroadcastChannel::materialize_stations() {
+  if (span_active_ && !span_.empty()) {
+    dissolve_span();
+  } else {
+    flush_span(simulator_.now());
+  }
+}
+
+void BroadcastChannel::on_early_schedule(SimTime at) {
+  (void)at;
+  // The simulator has already unregistered us; the dissolve's own
+  // remove_schedule_watcher is then a harmless no-op.
+  revalidate_span();
 }
 
 ChannelStats BroadcastChannel::record_delta(const SlotRecord& record) const {
@@ -767,20 +722,20 @@ Station* BroadcastChannel::station_by_id(int id) const {
 }
 
 SimTime BroadcastChannel::next_compiled_delivery() const {
-  if (!span_active_) {
-    return SimTime::infinity();
+  if (!span_active_ || span_.empty()) {
+    return SimTime::infinity();  // an idle gap delivers nothing
   }
-  if (span_next_success_ < span_flushed_) {
-    span_next_success_ = span_flushed_;
-  }
-  while (span_next_success_ < span_.size() &&
-         span_[span_next_success_].record.kind != SlotKind::kSuccess) {
+  span_next_success_ = std::max(span_next_success_, span_flushed_);
+  const auto size = static_cast<std::int64_t>(span_.size());
+  while (span_next_success_ < size &&
+         span_[static_cast<std::size_t>(span_next_success_)].record.kind !=
+             SlotKind::kSuccess) {
     ++span_next_success_;
   }
-  if (span_next_success_ == span_.size()) {
+  if (span_next_success_ == size) {
     return SimTime::infinity();
   }
-  return span_[span_next_success_].record.end;
+  return span_[static_cast<std::size_t>(span_next_success_)].record.end;
 }
 
 }  // namespace hrtdm::net

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -48,12 +49,12 @@ class ChannelObserver {
   virtual ~ChannelObserver() = default;
   virtual void on_slot(const SlotRecord& record) = 0;
 
-  /// Bulk notification for `slots` consecutive silence slots the channel
-  /// fast-forwarded over (idle gap: every station quiescent, nothing
-  /// scheduled). The default synthesizes the exact per-slot on_slot calls a
-  /// non-fast-forwarded run would have made, so observers that don't care
-  /// stay bit-identical; aggregating observers override this with an O(1)
-  /// bulk update.
+  /// Bulk notification for `slots` consecutive silence slots of an idle
+  /// gap (a fast-forward span of implicit silence slots, committed while
+  /// every station is quiescent), one call per flush of the span. The
+  /// default synthesizes the exact per-slot on_slot calls a slot-by-slot
+  /// run would have made, so observers that don't care stay bit-identical;
+  /// aggregating observers override this with an O(1) bulk update.
   virtual void on_idle_gap(std::int64_t slots, SimTime first_start,
                            util::Duration slot_x) {
     SlotRecord record;
@@ -198,13 +199,14 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
 
   /// Installs (or clears, with nullptr) the fault-injection hook. The
   /// interceptor must outlive the channel or be cleared before teardown.
-  /// Any active fast-forward (idle gap or compiled span) committed under
-  /// the "no interceptor" predicate is dissolved first.
+  /// An active fast-forward span committed under the "no interceptor"
+  /// predicate is dissolved first.
   void set_interceptor(SlotInterceptor* interceptor);
 
   /// Installs (or clears, with nullptr) the compiled-span provider
-  /// (core::EpochCompiler). Must be set before start() or while no span is
-  /// active; the compiler must outlive the channel or be cleared first.
+  /// (core::EpochCompiler). Must be set before start() or while no
+  /// compiled span is active; the compiler must outlive the channel or be
+  /// cleared first.
   void set_span_compiler(SpanCompiler* compiler);
 
   /// Attaches (or detaches, with nullptr) the flight recorder this channel
@@ -218,8 +220,8 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
 
   /// Swaps the PHY configuration mid-run (e.g. a test flipping a clean
   /// channel into Gilbert–Elliott loss). slot_x must be unchanged (the
-  /// in-flight slot's grid survives the swap). Any active idle gap or
-  /// compiled span is dissolved FIRST: a fast-forward committed under the
+  /// in-flight slot's grid survives the swap). Any active fast-forward
+  /// span is dissolved FIRST: a fast-forward committed under the
   /// old PHY must not extend over slots the new PHY would have treated
   /// differently — in particular, switching to GE must not skip slots
   /// whose GE chain state was never advanced. The GE chain starts in the
@@ -229,8 +231,7 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   /// Observations delivered so far; the index passed to the interceptor
   /// for the observation currently being formed equals this value.
   std::int64_t observations_delivered() const {
-    flush_idle_gap(simulator_.now());
-    flush_compiled_span(simulator_.now());
+    flush_span(simulator_.now());
     return observations_delivered_;
   }
 
@@ -240,7 +241,7 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   /// matches the slot-by-slot world exactly at every sample point. Flushes
   /// the span up to now() first.
   std::int64_t unapplied_deliveries() const {
-    flush_compiled_span(simulator_.now());
+    flush_span(simulator_.now());
     return span_deliveries_;
   }
 
@@ -257,8 +258,7 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   void stop();
 
   const ChannelStats& stats() const {
-    flush_idle_gap(simulator_.now());
-    flush_compiled_span(simulator_.now());
+    flush_span(simulator_.now());
     return stats_;
   }
   const PhyConfig& phy() const { return phy_; }
@@ -271,17 +271,15 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   /// Plain-data snapshot of stats + delivery progress.
   ChannelSnapshot snapshot() const;
 
-  /// Brings lazily accounted idle-gap and compiled-span slots (stats,
-  /// counters, observers) up to the simulator's current time. Harness code
-  /// calls this before reading observers (e.g. a MetricsCollector)
-  /// directly; all of the channel's own accessors flush implicitly. Note
-  /// this flushes channel-side accounting only — station state inside an
-  /// active compiled span stays at the span entry point until the span
-  /// resumes; use materialize_stations() before reading stations directly.
-  void flush_idle_accounting() const {
-    flush_idle_gap(simulator_.now());
-    flush_compiled_span(simulator_.now());
-  }
+  /// Brings the lazily accounted slots of an active fast-forward span
+  /// (stats, counters, observers) up to the simulator's current time.
+  /// Harness code calls this before reading observers (e.g. a
+  /// MetricsCollector) directly; all of the channel's own accessors flush
+  /// implicitly. Note this flushes channel-side accounting only — station
+  /// state inside an active compiled span stays at the span entry point
+  /// until the span resumes; use materialize_stations() before reading
+  /// stations directly.
+  void flush_accounting() const { flush_span(simulator_.now()); }
 
   /// Dissolves an active compiled span so every station is fully
   /// materialized at the current time (tests and harnesses read station
@@ -292,73 +290,78 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
 
   /// Code outside the event loop can mutate station state directly (a
   /// testbed crashing or resetting a station between runs), ending
-  /// quiescence without any scheduled event the gap watcher could see.
+  /// quiescence without any scheduled event the span's watcher could see.
   /// Harness entry points call this before advancing time again: an active
-  /// idle gap or compiled span is dissolved so the slot loop re-evaluates
+  /// span (idle gap or compiled) is dissolved so the slot loop re-evaluates
   /// slot by slot (and re-commits if nothing actually changed). No-op when
-  /// neither is active.
-  void revalidate_idle_gap();
+  /// no span is active.
+  void revalidate_span();
 
  private:
   void begin_slot();
   void finish_slot();
   void finish_burst();
-  /// Marks `obs` broadcast unless an interceptor is installed, then hands
-  /// it (or the interceptor's per-receiver copy) to every station.
-  void deliver(SlotObservation& obs, const SlotRecord& record);
+  /// Completes the pending slot: applies its stats delta and registry
+  /// counts, then marks its observation broadcast unless an interceptor is
+  /// installed and hands it (or the interceptor's per-receiver copy) to
+  /// every station.
+  void deliver();
   /// The flight record of a completed slot; `corrupt_bits` (FrCorrupt) is
   /// why a collision slot destroyed a transmission, 0 for contention.
   void record_slot(const SlotRecord& record, std::int64_t corrupt_bits) const;
+  /// The registry counts of completed slots, the one mapping every
+  /// delivery path shares: `delta` is the slots' summed stats delta and
+  /// `per_contenders[i]` how many of them had `min_contenders + i`
+  /// contenders (left zeroed). Zero counts touch no instrument.
+  void count_slots(const ChannelStats& delta, int min_contenders,
+                   std::span<std::int64_t> per_contenders) const;
   /// Continues a packet burst: polls `winner` for the next frame while
   /// budget remains, then hands the channel back to the contention loop.
   void continue_burst(Station& winner, std::int64_t budget_bits);
 
-  // --- idle fast-forward ---------------------------------------------------
-  // When a slot resolves to silence, no interceptor is installed and every
-  // station is quiescent() the channel commits an "idle gap": n back-to-back
-  // silence slots covering the span up to the next scheduled simulator event
-  // (or open-ended when none is pending), with one resume event at the far
-  // boundary instead of one per slot. Skipped slots are accounted lazily
-  // (flush_idle_gap); a ScheduleWatcher revalidates the gap if anything is
-  // scheduled into it from outside the event loop.
+  // --- fast-forward spans ----------------------------------------------------
+  // At a contention-slot boundary the channel may skip a run of slots whose
+  // outcome is already known, committing them as one span with a single
+  // resume event at the far boundary instead of one event per slot. A span
+  // holds one of two slot kinds:
+  //  - an idle gap: implicit silence slots of length x, committed when a
+  //    slot resolves to silence and every station is quiescent(); it runs
+  //    up to the next scheduled simulator event, or open-ended (no resume
+  //    event) when none is pending;
+  //  - a compiled span: the SpanCompiler's explicit CompiledSlot list for
+  //    whole clean TTs/STs epochs (stations are handed the end-of-span
+  //    state in bulk at resume).
+  // Both share one commit, flush, resume and dissolve. Completed slots are
+  // accounted lazily (flush_span) by one end rule: a slot counts once it has
+  // ended, except the last, which counts only at the resume event. A
+  // ScheduleWatcher dissolves the span if anything is scheduled into it
+  // from outside the event loop.
   bool try_idle_gap(SimTime start);
-  void resume_idle_gap();
-  /// Accounts every gap slot that fully ended at or before `upto`: stats,
-  /// registry counters, observation indices and observer notifications.
-  void flush_idle_gap(SimTime upto) const;
-  /// Aborts an active gap at the current time: accounts completed slots and
-  /// reconstructs the in-flight silence slot as a regular slot-end event,
-  /// exactly as if the gap had never been committed.
-  void dissolve_idle_gap();
+  bool try_compiled_span(SimTime start);
+  /// Commits `slots` slots (-1: open-ended) from `start`, resumed at `end`.
+  void commit_span(SimTime start, std::int64_t slots, SimTime end);
+  void resume_span();
+  /// Accounts every span slot that ended at or before `upto` — stats,
+  /// registry counters, observation indices, flight records and observers
+  /// (on_slot per compiled slot, one on_idle_gap per run of silence) — the
+  /// last one only once the span has `resumed`.
+  void flush_span(SimTime upto, bool resumed = false) const;
+  /// Aborts the active span at the current time: flushes the completed
+  /// prefix, replays a compiled prefix through the stations (their state
+  /// was untouched during the span), and rebuilds the in-flight slot from
+  /// the span's own record as a regular pending slot — bit-identical to
+  /// never fast-forwarding.
+  void dissolve_span();
   void on_early_schedule(SimTime at) override;
   bool all_quiescent() const;
-  /// The shared eligibility core of both fast-forward mechanisms: no
-  /// per-receiver interception and no Gilbert–Elliott chain whose state
-  /// would need advancing per slot. Idle gaps additionally require every
-  /// station quiescent; compiled spans additionally require a noise-free
-  /// destructive channel (see try_compiled_span).
+  /// The shared eligibility core of both span kinds: no per-receiver
+  /// interception and no Gilbert–Elliott chain whose state would need
+  /// advancing per slot. Idle gaps additionally require every station
+  /// quiescent; compiled spans additionally require a noise-free
+  /// destructive channel (see begin_slot).
   bool clean_for_fast_forward() const {
     return interceptor_ == nullptr && !phy_.ge_enabled;
   }
-
-  // --- compiled spans ------------------------------------------------------
-  // The SpanCompiler resolves whole clean TTs/STs epochs closed-form. The
-  // channel commits the compiled slot list the same way it commits an idle
-  // gap: one resume event at the far boundary, lazy per-slot accounting
-  // (flush_compiled_span mirrors deliver()'s stats/registry/observer effects
-  // exactly, minus the station observes, which the compiler hands off in
-  // bulk at resume), and the same ScheduleWatcher dissolving the span when
-  // anything is scheduled into it from outside the event loop.
-  bool try_compiled_span(SimTime start);
-  void resume_compiled_span();
-  /// Accounts every compiled slot whose end is at or before `upto`, the
-  /// last one only once the span has `resumed`.
-  void flush_compiled_span(SimTime upto, bool resumed = false) const;
-  /// Aborts an active span at the current time: flushes the completed
-  /// prefix, replays those exact observations through the stations (their
-  /// state was untouched during the span), and reconstructs the in-flight
-  /// slot as a regular pending slot — bit-identical to never compiling.
-  void dissolve_compiled_span();
   /// The stats delta a completed slot with this record contributes — the
   /// same numbers begin_slot()/continue_burst() would have staged.
   ChannelStats record_delta(const SlotRecord& record) const;
@@ -373,7 +376,7 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   // noise_rng_ (SplitMix64 split of noise_seed) and is only ever drawn from
   // when phy_.ge_enabled, so enabling the model cannot perturb the i.i.d.
   // noise stream of existing pinned runs. The chain advances once per
-  // contention slot; idle fast-forward is disabled under GE so the chain
+  // contention slot; fast-forward spans are disabled under GE so the chain
   // sees every slot boundary.
   util::Rng ge_rng_;
   bool ge_bad_ = false;
@@ -399,28 +402,23 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   bool pending_burst_possible_ = false;
   std::int64_t pending_burst_budget_ = 0;
 
-  // Idle-gap bookkeeping. `mutable` (with stats_/observations_delivered_)
-  // because const accessors flush lazily-accounted slots.
+  // Span bookkeeping. `mutable` (with stats_ and observations_delivered_)
+  // because const accessors flush lazily accounted slots.
   mutable std::int64_t observations_delivered_ = 0;
   mutable ChannelStats stats_;
-  mutable bool idle_gap_active_ = false;
-  mutable SimTime idle_gap_start_;          ///< first skipped slot boundary
-  mutable std::int64_t idle_gap_slots_ = 0; ///< total slots; -1 = open-ended
-  mutable std::int64_t idle_gap_flushed_ = 0;
-  sim::EventHandle idle_gap_resume_;
-
-  // Compiled-span bookkeeping (mutable for the same lazy-flush reason).
   SpanCompiler* span_compiler_ = nullptr;
-  std::vector<CompiledSlot> span_;  ///< reused buffer
+  /// The active compiled span's slots (a reused buffer); empty while the
+  /// active span is an idle gap.
+  std::vector<CompiledSlot> span_;
   mutable bool span_active_ = false;
-  std::int64_t span_first_index_ = 0;  ///< delivery index of slot 0
-  mutable std::size_t span_flushed_ = 0;      ///< slots fully accounted
-  mutable std::size_t span_next_success_ = 0; ///< next_compiled_delivery cache
-  mutable std::int64_t span_deliveries_ = 0;  ///< flushed, hand-off pending
+  SimTime span_start_;
+  std::int64_t span_slots_ = 0;  ///< total slots; -1 = open-ended
+  mutable std::int64_t span_flushed_ = 0;      ///< slots fully accounted
+  mutable std::int64_t span_next_success_ = 0; ///< next_compiled_delivery cache
+  mutable std::int64_t span_deliveries_ = 0;   ///< flushed, hand-off pending
   /// Scratch histogram buckets (index = contender count) reused by
-  /// flush_compiled_span's batched registry emission; always left zeroed.
+  /// flush_span's batched registry counts; always left zeroed.
   mutable std::vector<std::int64_t> contender_counts_;
-  SimTime span_end_;
   sim::EventHandle span_resume_;
 };
 

@@ -35,9 +35,9 @@ class ChannelTracer final : public net::ChannelObserver {
 
   /// A fully elapsed compiled span renders as an instant marker on the
   /// channel track: the per-slot stream above already drew the exact slots
-  /// (flush_compiled_span replays them through on_slot), so a span marker —
-  /// not a covering span — keeps the track free of double-covered time
-  /// while still making compiled regions visible.
+  /// (the channel's span flush replays them through on_slot), so a span
+  /// marker — not a covering span — keeps the track free of double-covered
+  /// time while still making compiled regions visible.
   void on_compiled_span_commit(net::SimTime start, net::SimTime end,
                                std::int64_t slots) override {
     if (!tracer_.enabled()) {

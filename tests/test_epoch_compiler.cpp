@@ -20,6 +20,7 @@
 
 #include "check/conformance.hpp"
 #include "core/ddcr_network.hpp"
+#include "fault/campaign.hpp"
 #include "outcome_fold.hpp"
 #include "obs/event_tracer.hpp"
 #include "obs/registry.hpp"
@@ -679,6 +680,108 @@ TEST(EpochCompiler, MutationsAtSpanEndsMatchTheInterpretedRun) {
           << label << ": the mutation must land on a compiled span's end";
       EXPECT_EQ(outcome_of(compiled.result), outcome_of(interpreted.result))
           << label;
+    }
+  }
+}
+
+// A station that never transmits and never claims quiescence: attached to
+// a channel, it keeps the channel from committing idle gaps, so the run
+// goes slot by slot.
+class SlotBySlotListener final : public net::Station {
+ public:
+  int id() const override { return 99; }
+  std::optional<net::Frame> poll_intent(SimTime) override {
+    return std::nullopt;
+  }
+  void observe(const net::SlotObservation&) override {}
+};
+
+class GapCounter final : public net::ChannelObserver {
+ public:
+  void on_slot(const net::SlotRecord&) override {}
+  void on_idle_gap(std::int64_t, SimTime, Duration) override { ++gaps; }
+  std::int64_t gaps = 0;
+};
+
+enum class GapEndAction { kRead, kReset, kChurn };
+
+struct GapEndRun {
+  std::int64_t delivered_at_k = -1;  ///< read by the callback
+  std::int64_t silence_at_k = -1;
+  std::optional<std::pair<std::int64_t, std::int64_t>> rejoin;  ///< (t, a)
+  std::int64_t idle_gaps = 0;
+  DdcrRunResult result;
+};
+
+// Four stations and no traffic; a callback at k slots is the only event
+// scheduled before the run, so the first idle gap ends exactly where it
+// fires, and it fires before the gap's resume event (scheduled later).
+GapEndRun run_gap_end(std::int64_t k, GapEndAction action, bool slot_by_slot) {
+  const DdcrRunOptions options = fault::small_rejoinable_options();
+  SlotBySlotListener listener;  // declared first: both outlive the channel
+  GapCounter counter;
+  DdcrTestbed bed(4, options);
+  bed.channel().add_observer(counter);
+  if (slot_by_slot) {
+    bed.channel().attach(listener);
+  }
+  GapEndRun run;
+  bed.simulator().schedule_at(
+      SimTime() + options.phy.slot_x * k,
+      [&] {
+        run.delivered_at_k = bed.channel().observations_delivered();
+        run.silence_at_k = bed.channel().stats().silence_slots;
+        if (action == GapEndAction::kReset) {
+          bed.station(0).reset_for_rejoin();
+        } else if (action == GapEndAction::kChurn) {
+          bed.station(1).go_offline();
+          bed.station(1).bring_online();
+        }
+      },
+      "test:gap-end");
+  bed.run(SimTime::from_ns(20'000));
+  bed.stop();
+  for (const obs::FrRecord& r : bed.flight_recorder().window()) {
+    if (r.kind == obs::FrKind::kRejoin) {
+      run.rejoin = std::make_pair(r.t_ns, r.a);
+    }
+  }
+  run.idle_gaps = counter.gaps;
+  run.result = bed.result();
+  return run;
+}
+
+TEST(FastForward, GapEndMatchesTheSlotBySlotRun) {
+  // An idle gap's last slot stays in flight until the gap's resume event,
+  // as a compiled span's does. A callback at the gap's end must read that
+  // slot as undelivered, and a station it resets or churns must hear the
+  // slot afterwards and rejoin when the slot-by-slot run does.
+  for (const std::int64_t k : {10, 11, 37}) {
+    for (const GapEndAction action :
+         {GapEndAction::kRead, GapEndAction::kReset, GapEndAction::kChurn}) {
+      const std::string label = "k " + std::to_string(k) + " action " +
+                                std::to_string(static_cast<int>(action));
+      const GapEndRun gap = run_gap_end(k, action, false);
+      const GapEndRun ref = run_gap_end(k, action, true);
+      EXPECT_GT(gap.idle_gaps, 0) << label;
+      EXPECT_EQ(ref.idle_gaps, 0) << label;
+      EXPECT_EQ(ref.delivered_at_k, k - 1) << label;
+      EXPECT_EQ(gap.delivered_at_k, ref.delivered_at_k) << label;
+      EXPECT_EQ(gap.silence_at_k, ref.silence_at_k) << label;
+      EXPECT_EQ(gap.rejoin, ref.rejoin) << label;
+      EXPECT_EQ(gap.result.rejoins, ref.result.rejoins) << label;
+      EXPECT_EQ(gap.result.rejoins, action == GapEndAction::kRead ? 0 : 1)
+          << label;
+      EXPECT_EQ(gap.result.protocol_digest, ref.result.protocol_digest)
+          << label;
+      const net::ChannelStats& a = gap.result.channel;
+      const net::ChannelStats& b = ref.result.channel;
+      EXPECT_EQ(a.silence_slots, b.silence_slots) << label;
+      EXPECT_EQ(a.collision_slots, b.collision_slots) << label;
+      EXPECT_EQ(a.successes, b.successes) << label;
+      EXPECT_EQ(a.idle_time.ns(), b.idle_time.ns()) << label;
+      EXPECT_EQ(a.contention_time.ns(), b.contention_time.ns()) << label;
+      EXPECT_EQ(a.busy_time.ns(), b.busy_time.ns()) << label;
     }
   }
 }

@@ -140,7 +140,9 @@ DdcrTestbed::DdcrTestbed(int stations, const DdcrRunOptions& options,
     stations_.back()->set_flight_recorder(&recorder_);
     channel_->attach(*stations_.back());
   }
-  compiler_ = std::make_unique<EpochCompiler>(*channel_, *shared_);
+  simulator_.set_lane_handler([this](std::uint32_t index) { arrive(index); });
+  compiler_ = std::make_unique<EpochCompiler>(*channel_, *shared_,
+                                              simulator_, arrivals_);
   if (epoch_compiler_enabled(options_.epoch_compiler)) {
     channel_->set_span_compiler(compiler_.get());
   }
@@ -173,17 +175,35 @@ void DdcrTestbed::inject(int source, const traffic::Message& msg) {
                "source id out of range");
   HRTDM_EXPECT(msg.arrival >= simulator_.now(),
                "cannot inject a message in the past");
-  DdcrStation* station = stations_[static_cast<std::size_t>(source)].get();
-  simulator_.schedule_at(
-      msg.arrival, [station, msg] { station->enqueue(msg); }, "arrival");
+  HRTDM_EXPECT(arrivals_.size() < UINT32_MAX, "arrival ledger full");
+  arrivals_.push_back(Arrival{source, msg});
+  simulator_.append(msg.arrival,
+                    static_cast<std::uint32_t>(arrivals_.size() - 1));
   ++injected_;
 }
 
 void DdcrTestbed::inject(const traffic::GeneratedTraffic& traffic) {
+  std::size_t total = arrivals_.size();
+  for (const std::vector<traffic::Message>& source : traffic.per_source) {
+    total += source.size();
+  }
+  arrivals_.reserve(total);
   for (std::size_t s = 0; s < traffic.per_source.size(); ++s) {
     for (const traffic::Message& msg : traffic.per_source[s]) {
       inject(static_cast<int>(s), msg);
     }
+  }
+}
+
+void DdcrTestbed::arrive(std::uint32_t index) {
+  const Arrival& arrival = arrivals_[index];
+  // A committed compiled span removes its deliveries from the queues only
+  // at hand-off; the depth this arrival records leaves them out.
+  stations_[static_cast<std::size_t>(arrival.station)]->enqueue(
+      arrival.msg,
+      compiler_->served_before(arrival.station, simulator_.now()));
+  if (simulator_.lane().empty()) {
+    arrivals_.clear();  // nothing pending indexes the ledger any more
   }
 }
 

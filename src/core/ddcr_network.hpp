@@ -221,7 +221,11 @@ class DdcrTestbed {
   /// station views options().ddcr.
   const DdcrRunOptions& options() const { return options_; }
 
-  /// Injects a message at the given arrival time (scheduled, not direct).
+  /// Injects a message at the given arrival time: the message joins the
+  /// testbed's ledger, and an entry on the simulator's arrival lane
+  /// enqueues it at its station then. Any order of injection is fine; the
+  /// arrival order is the one schedule_at calls in the same order would
+  /// give.
   void inject(int source, const traffic::Message& msg);
   /// Injects every generated message, source by source: station s takes
   /// traffic.per_source[s].
@@ -298,6 +302,8 @@ class DdcrTestbed {
   DdcrTestbed(int stations, const DdcrRunOptions& options,
               const traffic::Workload* workload);
   void start_once();
+  /// The arrival lane's handler: enqueues arrivals_[index].
+  void arrive(std::uint32_t index);
 
   sim::Simulator simulator_;
   DdcrRunOptions options_;  ///< declared before stations_, which view it
@@ -305,6 +311,10 @@ class DdcrTestbed {
   std::unique_ptr<net::BroadcastChannel> channel_;
   std::unique_ptr<SharedReplica> shared_;  ///< declared before stations_
   std::vector<std::unique_ptr<DdcrStation>> stations_;
+  /// Injected messages the arrival lane has not fired yet, indexed by lane
+  /// entry; emptied whenever the lane is. Declared before compiler_, which
+  /// reads it.
+  std::vector<Arrival> arrivals_;
   std::unique_ptr<EpochCompiler> compiler_;  ///< declared after channel_
   MetricsCollector metrics_;
   std::unique_ptr<obs::ChannelTracer> channel_tracer_;

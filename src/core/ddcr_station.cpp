@@ -227,9 +227,9 @@ DdcrStation::DdcrStation(int id, const DdcrConfig& config,
   ++shared.members_;
 }
 
-void DdcrStation::enqueue(const Message& msg) {
+void DdcrStation::enqueue(const Message& msg, std::size_t served) {
   HRTDM_EXPECT(msg.source == id_, "message mapped to the wrong source");
-  queue_.push(msg);
+  queue_.push(msg, served);
 }
 
 std::optional<std::int64_t> DdcrStation::effective_time_index(

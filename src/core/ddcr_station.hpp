@@ -146,7 +146,9 @@ class DdcrStation final : public net::Station {
       delete;
 
   /// Delivers a message to the local queue (LA runs on arrival).
-  void enqueue(const Message& msg);
+  /// `served` is EdfQueue::push's: queued messages a committed compiled
+  /// span has already delivered.
+  void enqueue(const Message& msg, std::size_t served = 0);
 
   // --- net::Station ---
   int id() const override { return id_; }

@@ -7,14 +7,15 @@
 
 namespace hrtdm::core {
 
-void EdfQueue::push(const Message& msg) {
+void EdfQueue::push(const Message& msg,
+                    [[maybe_unused]] std::size_t served) {
   HRTDM_EXPECT(msg.uid >= 0, "message uid must be assigned");
   HRTDM_EXPECT(uids_.emplace(msg.uid, msg.absolute_deadline).second,
                "duplicate message uid in EDF queue");
   const bool inserted = by_deadline_.insert(msg).second;
   HRTDM_ENSURE(inserted, "EDF order collision despite distinct uids");
   HRTDM_COUNT("edf.push");
-  HRTDM_OBSERVE("edf.depth", by_deadline_.size());
+  HRTDM_OBSERVE("edf.depth", by_deadline_.size() - served);
 }
 
 std::optional<Message> EdfQueue::head() const {

@@ -17,8 +17,18 @@ using util::SimTime;
 
 class EdfQueue {
  public:
-  /// Inserts a newly arrived message.
-  void push(const Message& msg);
+  /// The service order: earlier deadline first, then lower uid.
+  static bool precedes(const Message& a, const Message& b) {
+    if (a.absolute_deadline != b.absolute_deadline) {
+      return a.absolute_deadline < b.absolute_deadline;
+    }
+    return a.uid < b.uid;
+  }
+
+  /// Inserts a newly arrived message. `served` queued messages have
+  /// already been delivered by a compiled span that hands them back only
+  /// at its end; the recorded depth leaves them out.
+  void push(const Message& msg, std::size_t served = 0);
 
   /// msg* — the EDF head, or nullopt when Q is empty.
   std::optional<Message> head() const;
@@ -43,10 +53,7 @@ class EdfQueue {
  private:
   struct EdfOrder {
     bool operator()(const Message& a, const Message& b) const {
-      if (a.absolute_deadline != b.absolute_deadline) {
-        return a.absolute_deadline < b.absolute_deadline;
-      }
-      return a.uid < b.uid;
+      return precedes(a, b);
     }
   };
   std::set<Message, EdfOrder> by_deadline_;

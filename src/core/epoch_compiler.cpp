@@ -29,8 +29,13 @@ bool epoch_compiler_enabled(EpochCompilerMode mode) {
 }
 
 EpochCompiler::EpochCompiler(net::BroadcastChannel& channel,
-                             SharedReplica& shared)
-    : channel_(channel), shared_(shared), work_(shared.replica_) {
+                             SharedReplica& shared, sim::Simulator& simulator,
+                             const std::vector<Arrival>& arrivals)
+    : channel_(channel),
+      shared_(shared),
+      simulator_(simulator),
+      arrivals_(arrivals),
+      work_(shared.replica_) {
   HRTDM_EXPECT(!shared_.stations_.empty(), "epoch compiler needs >= 1 station");
 }
 
@@ -99,11 +104,12 @@ void EpochCompiler::rebuild_tts_index() {
   tts_prefix_.assign(buckets, 0);
   const SimTime ref_time = work_.reft() + cfg_->alpha;
   for (PerStation& ps : per_) {
-    if (ps.it == ps.s->queue_.end()) {
+    const Message* head = ps.head();
+    if (head == nullptr) {
       continue;
     }
     if (ps.raw_gen != reft_gen_) {
-      ps.raw = (ps.it->absolute_deadline - ref_time)
+      ps.raw = (head->absolute_deadline - ref_time)
                    .floor_div(cfg_->class_width_c);
       ps.raw_gen = reft_gen_;
     }
@@ -130,11 +136,12 @@ void EpochCompiler::rebuild_sts_index() {
     if (ps.static_pos >= ps.s->my_indices_.size()) {
       continue;
     }
-    if (ps.it == ps.s->queue_.end()) {
+    const Message* head = ps.head();
+    if (head == nullptr) {
       continue;
     }
     if (ps.raw_gen != reft_gen_) {
-      ps.raw = (ps.it->absolute_deadline - ref_time)
+      ps.raw = (head->absolute_deadline - ref_time)
                    .floor_div(cfg_->class_width_c);
       ps.raw_gen = reft_gen_;
     }
@@ -180,6 +187,44 @@ bool EpochCompiler::bail(obs::FrBail reason, [[maybe_unused]] SimTime now) {
   HRTDM_FR_RECORD(channel_.flight_recorder(), obs::FrKind::kSpanBail, now.ns(),
                   -1, static_cast<std::int64_t>(reason));
   return false;
+}
+
+void EpochCompiler::absorb_arrivals(SimTime t) {
+  while (next_lane_ < lane_.size() && lane_[next_lane_].at <= t) {
+    const Arrival& arrival = arrivals_[lane_[next_lane_++].index];
+    const std::int32_t p = per_of_[static_cast<std::size_t>(arrival.station)];
+    if (p < 0) {
+      continue;  // offline: neither polls nor observes
+    }
+    PerStation& ps = per_[static_cast<std::size_t>(p)];
+    const Message* head = ps.head();
+    if (head == nullptr || EdfQueue::precedes(arrival.msg, *head)) {
+      ps.raw_gen = 0;
+      tts_index_valid_ = false;
+      sts_index_valid_ = false;
+    }
+    const auto unserved =
+        ps.absorbed.begin() + static_cast<std::ptrdiff_t>(ps.next_absorbed);
+    ps.absorbed.insert(std::upper_bound(unserved, ps.absorbed.end(),
+                                        arrival.msg, EdfQueue::precedes),
+                       arrival.msg);
+  }
+}
+
+std::size_t EpochCompiler::served_before(int station, SimTime now) {
+  if (!handoff_valid_) {
+    return 0;
+  }
+  const std::int32_t p = per_of_[static_cast<std::size_t>(station)];
+  if (p < 0) {
+    return 0;
+  }
+  PerStation& ps = per_[static_cast<std::size_t>(p)];
+  while (ps.served < ps.delivered.size() &&
+         ps.delivered[ps.served].end < now) {
+    ++ps.served;
+  }
+  return ps.served;
 }
 
 bool EpochCompiler::compile(SimTime start, SimTime horizon,
@@ -228,8 +273,10 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   std::optional<std::uint64_t> base_digest;
   const DdcrReplica* agreed = &base;  // the last replica found to match
   merge_ = false;
-  per_.clear();
-  for (DdcrStation* s : shared_.stations_) {
+  per_of_.assign(shared_.stations_.size(), -1);
+  std::size_t online = 0;
+  for (std::size_t i = 0; i < shared_.stations_.size(); ++i) {
+    DdcrStation* s = shared_.stations_[i];
     const Mode mode = s->mode();
     if (mode == Mode::kOffline) {
       continue;  // inert: neither polls nor observes
@@ -249,18 +296,31 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
       agreed = s->replica_;
     }
     merge_ = merge_ || !s->shares_replica();
-    PerStation ps;
+    if (online == per_.size()) {
+      per_.emplace_back();
+    }
+    PerStation& ps = per_[online];
+    per_of_[i] = static_cast<std::int32_t>(online++);
     ps.s = s;
     ps.it = s->queue_.begin();
+    ps.absorbed.clear();
+    ps.next_absorbed = 0;
     ps.static_pos = s->static_pos_;
-    per_.push_back(ps);
+    ps.delivered.clear();
+    ps.served = 0;
+    ps.transmitted = 0;
+    ps.burst_transmitted = 0;
+    ps.raw_gen = 0;  // every raw cache starts stale
   }
+  per_.resize(online);
+  lane_ = simulator_.lane();
+  next_lane_ = 0;
 
   // --- working copy ---
   cfg_ = &ref->config_;
   work_ = base;  // reuses the engines' stack capacity
   base_counters_ = base.counters();
-  reft_gen_ = 1;  // per_ entries start with raw_gen = 0: all caches stale
+  reft_gen_ = 1;  // and every per_ entry's raw_gen is 0
   tts_index_valid_ = false;
   sts_index_valid_ = false;
   sts_streak_touched_ = false;
@@ -273,8 +333,11 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   // would make exactly AT the horizon (a burst poll, the next contention
   // poll) ends the span instead, so the pre-existing event — which fires
   // first at equal timestamps, having the older sequence number — is seen
-  // by the live re-decision after hand-off, exactly as interpreted.
-  constexpr std::size_t kMaxSlots = std::size_t{1} << 20;
+  // by the live re-decision after hand-off, exactly as interpreted. Lane
+  // arrivals are absorbed before every poll past `start` (header comment).
+  // The cap bounds the span buffer (a capped span simply resumes into the
+  // next compile); spans of whole epochs rarely come near it.
+  constexpr std::size_t kMaxSlots = std::size_t{1} << 12;
   // Why the span stopped growing — decides the bail reason if it stopped
   // before reaching the 2-slot commit threshold. Defaults to kHorizon: an
   // epoch that closes inside the first slot is a span the horizon (span
@@ -282,15 +345,17 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   obs::FrBail stop_reason = obs::FrBail::kHorizon;
   SimTime now = start;
   out.clear();
-  if (out.capacity() < 4096) {
-    out.reserve(4096);  // skip the early growth reallocations; the
-                        // channel's span buffer keeps its capacity after
-  }                     // this, so deep spans only ever pay growth once
+  // The channel's span buffer keeps its capacity, so it is allocated once
+  // and never grows.
+  out.reserve(kMaxSlots);
   while (out.size() < kMaxSlots) {
     const Mode mode = work.mode();
     if (mode != Mode::kTimeSearch && mode != Mode::kStaticSearch) {
       epoch_completed_ = true;  // the epoch closed inside the span
       break;
+    }
+    if (now > start) {
+      absorb_arrivals(now);
     }
 
     // Poll mirror (DdcrStation::poll_intent; drop_late is off, so polls
@@ -326,7 +391,8 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
         // Unique contender: the walk's order no longer matters, so a
         // first-match scan names the same winner the full scan would.
         for (PerStation& ps : per_) {
-          if (ps.it == ps.s->queue_.end()) {
+          const Message* head = ps.head();
+          if (head == nullptr) {
             continue;
           }
           const std::int64_t idx = std::max(ps.raw, floor_idx);
@@ -334,7 +400,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
             continue;
           }
           winner = &ps;
-          winner_msg = &*ps.it;
+          winner_msg = head;
           break;
         }
         HRTDM_EXPECT(winner != nullptr, "contender index out of sync");
@@ -372,7 +438,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
         }
         winner = sts_owner_[static_cast<std::size_t>(b_lo)];
         HRTDM_EXPECT(winner != nullptr, "STs contender index out of sync");
-        winner_msg = &*winner->it;
+        winner_msg = winner->head();
       }
     }
 
@@ -413,14 +479,11 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     // construction.
     if (kind == net::SlotKind::kSuccess) {
       slot.record.frame = winner->s->make_frame(*winner_msg);
-      winner->delivered.push_back(winner_msg->uid);
-      ++winner->it;
-      winner->raw_gen = 0;  // head advanced: cached raw index is stale
+      winner->serve(winner_msg, end);
       tts_index_valid_ = false;
       // The STs index survives a TTs success untouched: it is rebuilt on
       // tie-break entry (kStsEntered resets every static_pos); an STs
       // success patches it incrementally below.
-      ++winner->transmitted;
       if (mode == Mode::kStaticSearch) {
         // "next index in the ranking" — and patch the contender index in
         // place: only the winner changed, so its old key leaves the
@@ -434,10 +497,11 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
           for (std::size_t b = kw; b < sts_prefix_.size(); ++b) {
             --sts_prefix_[b];
           }
+          const Message* next = winner->head();
           if (winner->static_pos < winner->s->my_indices_.size() &&
-              winner->it != winner->s->queue_.end()) {
+              next != nullptr) {
             if (winner->raw_gen != reft_gen_) {
-              winner->raw = work.raw_time_index(winner->it->absolute_deadline);
+              winner->raw = work.raw_time_index(next->absolute_deadline);
               winner->raw_gen = reft_gen_;
             }
             if (winner->raw <= work.sts_leaf()) {
@@ -489,16 +553,18 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
           close_span = true;  // the poll decision belongs after the event
           break;
         }
+        absorb_arrivals(now);  // an arrival may become the burst's head
         // poll_burst mirror (the winner is synced, so never declines on
         // mode grounds).
-        if (winner->it == winner->s->queue_.end()) {
+        const Message* head = winner->head();
+        if (head == nullptr) {
           break;  // channel released: next contention slot
         }
-        const Message& head = *winner->it;
-        if (head.l_bits > budget) {
+        if (head->l_bits > budget) {
           break;
         }
-        const SimTime bend = now + phy.tx_time(head.l_bits);
+        const std::int64_t l_bits = head->l_bits;
+        const SimTime bend = now + phy.tx_time(l_bits);
         if (bend > horizon) {
           close_span = true;
           break;
@@ -509,18 +575,15 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
         burst.record.in_burst = true;
         burst.record.start = now;
         burst.record.end = bend;
-        burst.record.frame = winner->s->make_frame(head);
-        winner->delivered.push_back(head.uid);
-        ++winner->it;
-        winner->raw_gen = 0;  // head advanced: cached raw index is stale
+        burst.record.frame = winner->s->make_frame(*head);
+        winner->serve(head, bend);
         tts_index_valid_ = false;
         sts_index_valid_ = false;
-        ++winner->transmitted;
         ++winner->burst_transmitted;
         // In-burst observe: no engine feedback, no probes — only the out
         // flag, and only while still inside the epoch.
         work.hear_burst(net::SlotKind::kSuccess);
-        budget -= head.l_bits;
+        budget -= l_bits;
         burst.burst_budget_next = budget;
         out.push_back(std::move(burst));
         now = bend;
@@ -558,8 +621,8 @@ void EpochCompiler::apply_handoff() {
   std::int64_t burst_total = 0;
   for (PerStation& ps : per_) {
     DdcrStation* s = ps.s;
-    for (const std::int64_t uid : ps.delivered) {
-      const bool removed = s->queue_.remove(uid);
+    for (const PerStation::Served& served : ps.delivered) {
+      const bool removed = s->queue_.remove(served.uid);
       HRTDM_EXPECT(removed, "compiled delivery was not queued");
     }
     s->static_pos_ = ps.static_pos;

@@ -22,11 +22,26 @@
 //    becomes a bail-out to the interpreted path, never a miscompile);
 //  - drop_late_messages is off (with it on, poll_intent prunes the queue
 //    by wall time, so polls are not pure).
-// Disqualifying conditions during the span — a scheduled event (mid-epoch
-// arrival, fault action, another channel's slot) inside the horizon — cap
-// the compiled span at that event, and anything scheduled into a committed
-// span from outside the event loop dissolves it through the same
-// ScheduleWatcher mechanism idle gaps use (docs/PERFORMANCE.md).
+// A scheduled event off the simulator's arrival lane (a fault action, a
+// bridge relay, a test callback) caps the compiled span at that event, and
+// anything scheduled or appended into a committed span from outside the
+// event loop dissolves it through the same ScheduleWatcher mechanism idle
+// gaps use (docs/PERFORMANCE.md).
+//
+// Arrivals do not cap a span. The testbed appends every injected message
+// to the simulator's arrival lane, and the replay applies the pending lane
+// entries at the slot boundaries where the slot-by-slot loop would have
+// seen them: before every replayed poll at t > start (contention and burst
+// polls alike), every lane arrival with time <= t joins its station's
+// replay queue, in lane order. Those arrival events are older than every
+// slot-end event the loop would schedule inside the span, so they fire
+// before the poll at t. A pending arrival at exactly `start` is newer than
+// the event running the poll at `start`, so it joins from the next
+// boundary. An arrival for an offline station is ignored. The arrival
+// events still fire at their own times during the span, so the live queues
+// fill as they would slot by slot; the span's deliveries leave them at
+// hand-off, and served_before() lets an arrival record the queue depth the
+// slot-by-slot run would have seen.
 //
 // Shared replica. The synced stations hold one SharedReplica
 // (ddcr_station.hpp), so while no online station holds a private copy the
@@ -44,14 +59,24 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/ddcr_station.hpp"
 #include "net/channel.hpp"
 #include "obs/flight_recorder.hpp"
+#include "sim/simulator.hpp"
 
 namespace hrtdm::core {
+
+/// One injected message and the station (its index on the channel) it
+/// arrives at. The testbed keeps them in a ledger that the simulator's
+/// arrival lane indexes.
+struct Arrival {
+  int station = 0;
+  Message msg;
+};
 
 /// DdcrRunOptions knob for the fast path. kAuto defers to the
 /// HRTDM_EPOCH_COMPILER environment variable ("off" / "0" / "false"
@@ -63,14 +88,23 @@ bool epoch_compiler_enabled(EpochCompilerMode mode);
 
 class EpochCompiler final : public net::SpanCompiler {
  public:
-  /// `shared` is the replica the stations attached to `channel` hold;
-  /// both must outlive the compiler.
-  EpochCompiler(net::BroadcastChannel& channel, SharedReplica& shared);
+  /// `shared` is the replica the stations attached to `channel` hold.
+  /// `simulator`'s arrival lane indexes `arrivals`, whose station fields
+  /// index shared.stations_. All must outlive the compiler.
+  EpochCompiler(net::BroadcastChannel& channel, SharedReplica& shared,
+                sim::Simulator& simulator,
+                const std::vector<Arrival>& arrivals);
 
   bool compile(SimTime start, SimTime horizon,
                std::vector<net::CompiledSlot>& out) override;
   void apply_handoff() override;
   void drop_handoff() override;
+
+  /// Messages the committed span delivered for `station` in slots that
+  /// ended before `now`: still in its queue until the hand-off, already
+  /// gone slot by slot. 0 while no span is pending. Calls for one station
+  /// must come in non-decreasing `now` (arrival events do).
+  std::size_t served_before(int station, SimTime now);
 
   std::int64_t spans_compiled() const { return spans_compiled_; }
   std::int64_t slots_compiled() const { return slots_compiled_; }
@@ -94,12 +128,24 @@ class EpochCompiler final : public net::SpanCompiler {
   /// Per-station replay cursor. The station's live queue is untouched
   /// during compile; because every transmission a station makes is its
   /// current EDF head (poll_intent, sts_candidate and poll_burst all serve
-  /// the head), deliveries advance a const iterator in EDF order.
+  /// the head), deliveries advance a const iterator in EDF order, merged
+  /// with the arrivals the replay absorbed. Entries are reused across
+  /// compiles, so their buffers keep their capacity.
   struct PerStation {
+    struct Served {
+      std::int64_t uid;
+      SimTime end;  ///< the delivering slot's end
+    };
+
     DdcrStation* s = nullptr;
     QueueIter it;
+    /// Lane arrivals the replay absorbed, in EDF order; those from
+    /// next_absorbed on are still queued in the replay.
+    std::vector<Message> absorbed;
+    std::size_t next_absorbed = 0;
     std::size_t static_pos = 0;
-    std::vector<std::int64_t> delivered;  ///< uids, removed at hand-off
+    std::vector<Served> delivered;  ///< in slot order; removed at hand-off
+    std::size_t served = 0;         ///< served_before()'s cursor
     std::int64_t transmitted = 0;
     std::int64_t burst_transmitted = 0;
     /// Cached raw deadline-class index of the queue head relative to the
@@ -107,6 +153,27 @@ class EpochCompiler final : public net::SpanCompiler {
     /// and the head is unchanged; 0 = invalid).
     std::int64_t raw = 0;
     std::uint32_t raw_gen = 0;
+
+    /// The replay queue's EDF head, or nullptr when it is empty.
+    const Message* head() const {
+      const bool live = it != s->queue_.end();
+      if (next_absorbed == absorbed.size()) {
+        return live ? &*it : nullptr;
+      }
+      const Message& arrived = absorbed[next_absorbed];
+      return live && EdfQueue::precedes(*it, arrived) ? &*it : &arrived;
+    }
+    /// Transmits `head` (head()'s result) in a slot ending at `end`.
+    void serve(const Message* head, SimTime end) {
+      delivered.push_back(Served{head->uid, end});
+      if (next_absorbed < absorbed.size() && head == &absorbed[next_absorbed]) {
+        ++next_absorbed;
+      } else {
+        ++it;
+      }
+      raw_gen = 0;  // head advanced: cached raw index is stale
+      ++transmitted;
+    }
   };
 
   /// Buffers the replay's reports until hand-off: registry amounts summed
@@ -159,8 +226,15 @@ class EpochCompiler final : public net::SpanCompiler {
   /// record) and returns false so `return bail(...)` reads as a decline.
   bool bail(obs::FrBail reason, SimTime now);
 
+  /// Moves every pending lane arrival with time <= `t` into its station's
+  /// replay queue, in lane order; a new head invalidates that station's
+  /// raw cache and both contender indices.
+  void absorb_arrivals(SimTime t);
+
   net::BroadcastChannel& channel_;
   SharedReplica& shared_;
+  sim::Simulator& simulator_;
+  const std::vector<Arrival>& arrivals_;
 
   // --- replay state (reset per compile(); the hand-off subset stays valid
   // until apply_handoff()/drop_handoff()) ---
@@ -181,6 +255,13 @@ class EpochCompiler final : public net::SpanCompiler {
   bool epoch_completed_ = false;
   SimTime last_end_;
   std::vector<PerStation> per_;
+  /// per_ index of each station (shared.stations_ order); -1 = offline.
+  std::vector<std::int32_t> per_of_;
+  /// The lane's pending entries, and the first one not yet absorbed. Set
+  /// by each compile() and read only inside it: the simulator appends and
+  /// fires nothing while a compile runs, so the view stays valid.
+  std::span<const sim::LaneEntry> lane_;
+  std::size_t next_lane_ = 0;
   /// TTs contender index: tts_prefix_[b] = number of stations with a
   /// non-empty replay queue whose raw index, clamped to [0, F], is <= b
   /// (bucket F collects heads beyond the class range — never eligible).

@@ -414,8 +414,11 @@ void BroadcastChannel::begin_slot() {
 //  - a compiled span, produced by the SpanCompiler for [start, end): the
 //    exact slot records the slot-by-slot loop would have produced, under
 //    the contract that every compiled slot ends at or before the next
-//    already-scheduled simulator event. Station-side effects are NOT
-//    applied per slot: stations stay frozen at the span entry state and
+//    already-scheduled simulator event off the arrival lane. Lane arrivals
+//    inside the span are the compiler's input (SpanCompiler::compile).
+//    Station-side slot effects are NOT applied per slot: stations stay at
+//    the span entry state, apart from the arrivals that still fire at
+//    their own times and fill their queues as they would slot by slot, and
 //    receive the bulk end-of-span state in apply_handoff() when the resume
 //    event fires. That is unobservable from outside the event loop because
 //    every external entry point that reads stations goes through
@@ -458,7 +461,7 @@ bool BroadcastChannel::try_idle_gap(SimTime start) {
 }
 
 bool BroadcastChannel::try_compiled_span(SimTime start) {
-  const SimTime horizon = simulator_.next_event_time();
+  const SimTime horizon = simulator_.next_non_lane_time();
   span_.clear();
   if (!span_compiler_->compile(start, horizon, span_)) {
     return false;

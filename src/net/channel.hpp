@@ -104,12 +104,15 @@ class SpanCompiler {
   virtual ~SpanCompiler() = default;
 
   /// Attempts to compile >= 2 slots starting at `start`. Every produced
-  /// slot must end at or before `horizon` (the next already-scheduled
-  /// simulator event; nothing the compiled slots do not account for may
-  /// fire inside the span). On true, the compiler retains the bulk
-  /// end-of-span station state until exactly one of apply_handoff() /
-  /// drop_handoff() is called; on false nothing is retained and `out` is
-  /// ignored.
+  /// slot must end at or before `horizon`, the next already-scheduled
+  /// simulator event off the arrival lane: no such event may fire inside
+  /// the span. Pending lane arrivals may fall inside it; they are the
+  /// compiler's input, and it must apply each one at the first poll
+  /// boundary after `start` that is at or after its time, as the
+  /// slot-by-slot loop would see it. They still fire at their own times.
+  /// On true, the compiler retains the bulk end-of-span station state
+  /// until exactly one of apply_handoff() / drop_handoff() is called; on
+  /// false nothing is retained and `out` is ignored.
   virtual bool compile(SimTime start, SimTime horizon,
                        std::vector<CompiledSlot>& out) = 0;
 
@@ -326,11 +329,13 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   // holds one of two slot kinds:
   //  - an idle gap: implicit silence slots of length x, committed when a
   //    slot resolves to silence and every station is quiescent(); it runs
-  //    up to the next scheduled simulator event, or open-ended (no resume
-  //    event) when none is pending;
+  //    up to the next scheduled simulator event (an arrival included: it
+  //    ends quiescence), or open-ended (no resume event) when none is
+  //    pending;
   //  - a compiled span: the SpanCompiler's explicit CompiledSlot list for
-  //    whole clean TTs/STs epochs (stations are handed the end-of-span
-  //    state in bulk at resume).
+  //    whole clean TTs/STs epochs, bounded by the next event off the
+  //    arrival lane (stations are handed the end-of-span state in bulk at
+  //    resume).
   // Both share one commit, flush, resume and dissolve. Completed slots are
   // accounted lazily (flush_span) by one end rule: a slot counts once it has
   // ended, except the last, which counts only at the resume event. A

@@ -70,7 +70,8 @@ enum FrOutcome : std::int64_t {
 /// taxonomy is exhaustive over compile() bail sites; test_epoch_compiler
 /// asserts attempts == commits + sum of per-reason bailouts.
 enum class FrBail : std::uint8_t {
-  kHorizon = 0,  ///< span would not clear 2 slots before the next event/cap
+  kHorizon = 0,  ///< span would not clear 2 slots before the next
+                 ///< non-arrival event (or its epoch ended first)
   kFault,        ///< drop-late discipline active (fault-era semantics)
   kResync,       ///< some station quarantined / resyncing
   kNoise,        ///< replay hit an outcome the closed form cannot resolve

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -66,13 +67,84 @@ bool Simulator::cancel(EventHandle handle) {
   return true;
 }
 
+void Simulator::set_lane_handler(LaneHandler handler) {
+  lane_handler_ = std::move(handler);
+}
+
+void Simulator::append(SimTime at, std::uint32_t index) {
+  HRTDM_EXPECT(at >= now_, "cannot schedule into the past");
+  HRTDM_EXPECT(static_cast<bool>(lane_handler_),
+               "install a lane handler before appending to the lane");
+  if (!watchers_.empty()) {
+    notify_watchers(at);
+  }
+  if (lane_head_ < lane_.size() && at < lane_.back().at) {
+    lane_sorted_ = false;
+  }
+  lane_.push_back(LaneEntry{at, next_seq_++, index});
+  ++live_events_;
+}
+
+std::span<const LaneEntry> Simulator::lane() {
+  sort_lane();
+  return std::span<const LaneEntry>(lane_).subspan(lane_head_);
+}
+
+void Simulator::sort_lane() {
+  if (lane_sorted_) {
+    return;
+  }
+  std::sort(lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_),
+            lane_.end(), [](const LaneEntry& a, const LaneEntry& b) {
+              return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+            });
+  lane_sorted_ = true;
+}
+
+void Simulator::drop_tombstones() {
+  while (!queue_.empty() && !live(queue_.top())) {
+    queue_.pop();
+  }
+}
+
+bool Simulator::lane_first() const {
+  if (lane_head_ == lane_.size()) {
+    return false;
+  }
+  if (queue_.empty()) {
+    return true;
+  }
+  const LaneEntry& lane = lane_[lane_head_];
+  const QueueEntry& heap = queue_.top();
+  return lane.at != heap.at ? lane.at < heap.at : lane.seq < heap.seq;
+}
+
 bool Simulator::step() {
-  while (!queue_.empty()) {
+  drop_tombstones();
+  sort_lane();
+  return fire_next();
+}
+
+bool Simulator::fire_next() {
+  if (lane_first()) {
+    const LaneEntry entry = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();  // every entry fired: reuse the storage from the start
+      lane_head_ = 0;
+    }
+    HRTDM_ENSURE(entry.at >= now_, "event queue went backwards in time");
+    now_ = entry.at;
+    ++events_fired_;
+    --live_events_;
+    if (util::log_level() <= util::LogLevel::kTrace) {
+      HRTDM_LOG(kTrace) << entry.at.str() << " fire: lane " << entry.index;
+    }
+    lane_handler_(entry.index);
+    return true;
+  }
+  if (!queue_.empty()) {
     const QueueEntry entry = queue_.top();
     queue_.pop();
-    if (!live(entry)) {
-      continue;  // tombstone of a cancelled event
-    }
     Event& event = pool_[entry.index];
     HRTDM_ENSURE(event.at >= now_, "event queue went backwards in time");
     now_ = event.at;
@@ -93,17 +165,7 @@ bool Simulator::step() {
 }
 
 void Simulator::run_until(SimTime horizon) {
-  while (!queue_.empty()) {
-    // Peek past tombstones without firing.
-    const QueueEntry& entry = queue_.top();
-    if (!live(entry)) {
-      queue_.pop();
-      continue;
-    }
-    if (entry.at > horizon) {
-      break;
-    }
-    step();
+  while (next_event_time() <= horizon && fire_next()) {
   }
   if (now_ < horizon) {
     now_ = horizon;
@@ -151,15 +213,17 @@ void Simulator::notify_watchers(SimTime at) {
 }
 
 SimTime Simulator::next_event_time() {
-  while (!queue_.empty()) {
-    const QueueEntry& entry = queue_.top();
-    if (!live(entry)) {
-      queue_.pop();
-      continue;
-    }
-    return entry.at;
+  drop_tombstones();
+  sort_lane();
+  if (lane_first()) {
+    return lane_[lane_head_].at;
   }
-  return SimTime::infinity();
+  return queue_.empty() ? SimTime::infinity() : queue_.top().at;
+}
+
+SimTime Simulator::next_non_lane_time() {
+  drop_tombstones();
+  return queue_.empty() ? SimTime::infinity() : queue_.top().at;
 }
 
 }  // namespace hrtdm::sim

@@ -14,10 +14,22 @@
 // tag; the heap entry becomes a tombstone skipped on pop, and a recycled
 // slot can never resurrect a cancelled event because sequence numbers are
 // never reused.
+//
+// Beside the heap sits one ordered arrival lane: plain (time, seq, index)
+// entries that fire one installed handler with their index, so the many
+// message arrivals of a run cost no pool slot and no closure. Lane entries
+// take their sequence number from the same counter as heap events, and
+// step() fires whichever of the lane front and the heap top comes first by
+// (time, seq): the firing order is exactly the one a single heap would
+// give. Because the lane is plain data, code that replays the future
+// closed-form (the epoch compiler) can read the arrivals it holds instead
+// of stopping at them.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "sim/inline_callback.hpp"
@@ -43,6 +55,13 @@ class EventHandle {
   std::uint64_t seq_ = 0;  ///< unique per schedule; 0 = null
 };
 
+/// One pending entry of the arrival lane.
+struct LaneEntry {
+  SimTime at;
+  std::uint64_t seq;    ///< from the simulator's one sequence counter
+  std::uint32_t index;  ///< what the lane handler is called with
+};
+
 /// Notified when an event is scheduled earlier than a registered horizon.
 /// Used by the channel's idle fast-forward: a committed idle gap assumes no
 /// event will appear inside it, and this hook is how that assumption is
@@ -51,15 +70,17 @@ class EventHandle {
 class ScheduleWatcher {
  public:
   virtual ~ScheduleWatcher() = default;
-  /// Invoked from schedule_at BEFORE the triggering event takes its
-  /// sequence number, so anything the watcher schedules here fires first
-  /// at equal timestamps. The watcher is unregistered before the call.
+  /// Invoked from schedule_at (or append) BEFORE the triggering event
+  /// takes its sequence number, so anything the watcher schedules here
+  /// fires first at equal timestamps. The watcher is unregistered before
+  /// the call.
   virtual void on_early_schedule(SimTime at) = 0;
 };
 
 class Simulator {
  public:
   using Callback = InlineCallback;
+  using LaneHandler = std::function<void(std::uint32_t index)>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -82,6 +103,21 @@ class Simulator {
   /// a no-op. Returns true if something was cancelled.
   bool cancel(EventHandle handle);
 
+  /// Installs the function every lane entry fires with its index.
+  void set_lane_handler(LaneHandler handler);
+
+  /// Appends an entry at absolute time `at` (>= now) to the arrival lane;
+  /// it fires the lane handler with `index`, in the (time, seq) order a
+  /// schedule_at at this point would have given it. Schedule watchers are
+  /// notified exactly as by schedule_at. Lane entries cannot be cancelled.
+  /// An entry earlier than the lane's tail is fine: the pending entries are
+  /// sorted again before the lane is next read.
+  void append(SimTime at, std::uint32_t index);
+
+  /// The lane's pending entries, in firing order; valid until the next
+  /// append or firing.
+  std::span<const LaneEntry> lane();
+
   /// Runs until the queue drains or the horizon is passed, whichever comes
   /// first. Events exactly at the horizon still fire; afterwards now() is
   /// at least the horizon.
@@ -98,6 +134,11 @@ class Simulator {
   /// of cancelled events.
   SimTime next_event_time();
 
+  /// Timestamp of the earliest pending event off the arrival lane (one
+  /// made by schedule_at), or SimTime::infinity() when there is none.
+  SimTime next_non_lane_time();
+
+  /// Heap and lane events alike.
   std::uint64_t events_fired() const { return events_fired_; }
   std::size_t events_pending() const { return live_events_; }
 
@@ -146,6 +187,16 @@ class Simulator {
   bool live(const QueueEntry& entry) const {
     return pool_[entry.index].seq == entry.seq;
   }
+  /// Pops cancelled entries off the heap top.
+  void drop_tombstones();
+  /// Sorts the lane's pending entries by (time, seq) after an append
+  /// before its tail.
+  void sort_lane();
+  /// True when the lane's front fires before every heap event; requires
+  /// drop_tombstones() and a sorted lane.
+  bool lane_first() const;
+  /// step() once the heap top is live and the lane sorted.
+  bool fire_next();
 
   SimTime now_;
   std::uint64_t next_seq_ = 1;
@@ -154,6 +205,12 @@ class Simulator {
   std::vector<Event> pool_;
   std::uint32_t free_head_ = kNullIndex;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, EntryOrder> queue_;
+  /// The arrival lane: entries before lane_head_ have fired; the rest are
+  /// pending, sorted by (time, seq) while lane_sorted_.
+  std::vector<LaneEntry> lane_;
+  std::size_t lane_head_ = 0;
+  bool lane_sorted_ = true;
+  LaneHandler lane_handler_;
   std::vector<WatchEntry> watchers_;
 };
 

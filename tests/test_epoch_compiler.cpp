@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -332,22 +333,25 @@ TEST(EpochCompiler, BailTaxonomyIsExhaustive) {
   // exactly one FrBail reason: attempts == commits + sum of per-reason
   // bailouts. The channel only consults the compiler on a clean destructive
   // channel (no corruption, no Gilbert-Elliott chain, no interceptor), so
-  // the reachable bail reasons are kHorizon (a scheduled event lands inside
-  // the would-be span), kFault (drop_late makes polls impure) and kResync
-  // (a station mid quiet-period rejoin). kNoise — an STs leaf collision,
-  // i.e. two sources sharing a static index — and the kMaxSlots kCap are
-  // defensively unreachable: config validation keeps static indices
-  // disjoint across sources and a capped span always holds >= 2 slots and
-  // commits. Both stay in the enum so a future relaxation cannot silently
-  // escape the taxonomy.
+  // the reachable bail reasons are kHorizon (a scheduled event off the
+  // arrival lane, such as a timer, lands too close for a two-slot span),
+  // kFault (drop_late makes polls impure) and kResync (a station mid
+  // quiet-period rejoin). Arrivals never bail: the replay absorbs them.
+  // kNoise — an STs leaf collision, i.e. two sources sharing a static
+  // index — and the kMaxSlots kCap are defensively unreachable: config
+  // validation keeps static indices disjoint across sources and a capped
+  // span always holds >= 2 slots and commits. Both stay in the enum so a
+  // future relaxation cannot silently escape the taxonomy.
   struct Scenario {
     const char* label;
     bool drop_late;
     bool rejoin;
+    bool timers;
   };
-  for (const Scenario sc : {Scenario{"clean", false, false},
-                            Scenario{"drop-late", true, false},
-                            Scenario{"rejoin", false, true}}) {
+  for (const Scenario sc : {Scenario{"clean", false, false, false},
+                            Scenario{"drop-late", true, false, false},
+                            Scenario{"rejoin", false, true, false},
+                            Scenario{"timers", false, false, true}}) {
     auto options = round_options();
     options.ddcr.drop_late_messages = sc.drop_late;
     if (sc.rejoin) {
@@ -362,6 +366,14 @@ TEST(EpochCompiler, BailTaxonomyIsExhaustive) {
       bed.simulator().schedule_at(
           SimTime::from_ns(300'000),
           [&bed] { bed.station(1).reset_for_rejoin(); }, "test:rejoin");
+    }
+    if (sc.timers) {
+      // A no-op simulator callback every half slot for 12 us (four rounds'
+      // epochs): every consultation there sees the next one inside the
+      // first slot and takes the kHorizon exit.
+      for (std::int64_t t = 300'000; t < 312'000; t += 50) {
+        bed.simulator().schedule_at(SimTime::from_ns(t), [] {}, "test:timer");
+      }
     }
     bed.run(SimTime::from_ns(2'000'000));
 
@@ -381,9 +393,35 @@ TEST(EpochCompiler, BailTaxonomyIsExhaustive) {
     if (sc.rejoin) {
       EXPECT_GT(compiler.bailouts(obs::FrBail::kResync), 0) << sc.label;
     }
+    if (sc.timers) {
+      EXPECT_GT(compiler.bailouts(obs::FrBail::kHorizon), 0) << sc.label;
+    }
     EXPECT_EQ(compiler.bailouts(obs::FrBail::kNoise), 0) << sc.label;
     EXPECT_EQ(compiler.bailouts(obs::FrBail::kCap), 0) << sc.label;
   }
+
+  // A clean channel_poisson-shaped run (stock_exchange(64), library
+  // defaults, Poisson arrivals, run as run_ddcr runs it) commits every
+  // attempt: arrivals land inside spans instead of ending them, and no
+  // other event is scheduled.
+  const Workload wl = traffic::stock_exchange(64);
+  DdcrRunOptions options;
+  options.arrivals = ArrivalKind::kBoundedPoisson;
+  options.arrival_horizon = SimTime::from_ns(100'000'000);
+  options.drain_cap = SimTime::from_ns(500'000'000);
+  options.seed = 3;
+  options.epoch_compiler = EpochCompilerMode::kOn;
+  DdcrTestbed bed(wl, options);
+  bed.inject(traffic::generate_traffic(wl, options.arrivals,
+                                       options.arrival_horizon, options.seed));
+  bed.advance(options.arrival_horizon);
+  bed.drain(options.drain_cap);
+  bed.stop();
+  const EpochCompiler& compiler = *bed.epoch_compiler();
+  EXPECT_GT(compiler.compile_attempts(), 100);
+  EXPECT_EQ(compiler.compile_attempts(), compiler.spans_compiled());
+  EXPECT_EQ(bailout_sum(compiler), 0);
+  EXPECT_TRUE(bed.drained());
 }
 
 TEST(EpochCompiler, BailCountersMirrorTheRegistry) {
@@ -408,8 +446,8 @@ TEST(EpochCompiler, BailCountersMirrorTheRegistry) {
   const std::int64_t spans_before = counter("ddcr.spans_compiled");
 
   // A clean round-collision run plus a mid-run quarantine: spans commit AND
-  // attempts bail (kResync during the quiet-period rejoin, kHorizon when a
-  // scheduled arrival lands too close), so both sides of the breakdown move.
+  // attempts bail (kResync during the quiet-period rejoin), so both sides
+  // of the breakdown move.
   auto options = round_options();
   options.require_rejoinable = true;
 
@@ -542,14 +580,18 @@ bool online_replicas_agree(DdcrTestbed& bed) {
 }
 
 // Sits between the channel and a testbed's epoch compiler: counts the spans
-// the compiler commits while the online replicas disagree, and notes where
-// every committed span is planned to end.
+// the compiler commits while the online replicas disagree, notes where
+// every committed span starts and is planned to end, how many pending lane
+// arrivals fall strictly inside one, and how many spans were dissolved.
 class CompilerTap final : public net::SpanCompiler {
  public:
   DdcrTestbed* bed = nullptr;
   std::int64_t commits = 0;
   std::int64_t commits_while_split = 0;
+  std::vector<SimTime> span_starts;
   std::vector<SimTime> span_ends;
+  std::int64_t arrivals_inside = 0;
+  std::int64_t drops = 0;
 
   bool compile(SimTime start, SimTime horizon,
                std::vector<net::CompiledSlot>& out) override {
@@ -560,12 +602,26 @@ class CompilerTap final : public net::SpanCompiler {
       if (!agree) {
         ++commits_while_split;
       }
-      span_ends.push_back(out.back().record.end);
+      const SimTime end = out.back().record.end;
+      span_starts.push_back(start);
+      span_ends.push_back(end);
+      // The pending lane is sorted: count the entries in (start, end).
+      const auto lane = bed->simulator().lane();
+      const auto first_after = [&lane](SimTime t) {
+        return std::partition_point(
+            lane.begin(), lane.end(),
+            [t](const sim::LaneEntry& e) { return e.at <= t; });
+      };
+      arrivals_inside +=
+          first_after(end - Duration::nanoseconds(1)) - first_after(start);
     }
     return committed;
   }
   void apply_handoff() override { bed->epoch_compiler()->apply_handoff(); }
-  void drop_handoff() override { bed->epoch_compiler()->drop_handoff(); }
+  void drop_handoff() override {
+    ++drops;
+    bed->epoch_compiler()->drop_handoff();
+  }
 };
 
 // A station mutation a simulator callback makes at a given time.
@@ -927,10 +983,18 @@ TEST(SharedReplica, EachLocalEventForksTheStationItHits) {
   }
 }
 
+// The compiled fast path's own bookkeeping: the only registry names a
+// compiled run may move against the interpreted one.
+bool compiler_bookkeeping(std::string_view name) {
+  return name.starts_with("ddcr.compile_") || name == "ddcr.spans_compiled" ||
+         name == "ddcr.epochs_compiled";
+}
+
 // Every counter value and every histogram's count, sum, min and max in
 // the registry, in name order; zero entries are skipped, so a name an
 // earlier run registered in the same process folds the same as no name.
-std::uint64_t registry_fold() {
+// Without `bookkeeping`, the compiler's own counters are left out.
+std::uint64_t registry_fold(bool bookkeeping = true) {
   const obs::RegistrySnapshot snap = obs::Registry::global().snapshot();
   pins::OutcomeFold fold;
   const auto add_name = [&fold](const std::string& name) {
@@ -939,6 +1003,9 @@ std::uint64_t registry_fold() {
     }
   };
   for (const obs::CounterSnapshot& c : snap.counters) {
+    if (!bookkeeping && compiler_bookkeeping(c.name)) {
+      continue;
+    }
     if (c.value != 0) {
       add_name(c.name);
       fold.add(c.value);
@@ -959,14 +1026,19 @@ TEST(Registry, ReplicaSumsArePinned) {
   // ddcr.sts_runs, ddcr.compressions, the search-slot histograms), with the
   // rest of the registry alongside, after three fixed runs. The constants
   // were recorded before the stations shared one replica; they hold with
-  // the compiler on and off.
+  // the compiler on and off. A compiled run differs from the interpreted
+  // one only in the compiler's own bookkeeping (ddcr.compile_*,
+  // ddcr.spans_compiled, ddcr.epochs_compiled): without it, it folds to
+  // the interpreted constant. The stock_exchange(8) compiled constant was
+  // re-recorded when arrivals stopped ending compiled spans, which moved
+  // that bookkeeping alone (it was 0xdfad443b462522b2).
   struct Pin {
     const char* label;
     std::uint64_t compiled;
     std::uint64_t interpreted;
   };
   const Pin pins[] = {
-      {"stock_exchange(8) poisson", 0xdfad443b462522b2ULL,
+      {"stock_exchange(8) poisson", 0x8234be30ea38e6ccULL,
        0x943b9e00d9fa0b86ULL},
       {"round collisions + quarantine", 0xe415c5a81cba0a1fULL,
        0x3d23f1465abdc8caULL},
@@ -980,9 +1052,11 @@ TEST(Registry, ReplicaSumsArePinned) {
     const EpochCompilerMode mode =
         compiled ? EpochCompilerMode::kOn : EpochCompilerMode::kOff;
     std::uint64_t folds[3] = {};
+    std::uint64_t unbooked[3] = {};  // the folds without the bookkeeping
     // Non-vacuity: each run must advance the replica sums it pins.
-    const auto fold_replica_sums = [] {
+    const auto fold_replica_sums = [&unbooked](std::size_t i) {
       const std::uint64_t fold = registry_fold();
+      unbooked[i] = registry_fold(/*bookkeeping=*/false);
 #if !defined(HRTDM_OBS_OFF)
       EXPECT_GT(counter("ddcr.epochs"), 0);
       EXPECT_GT(counter("tree.searches"), 0);
@@ -1000,7 +1074,7 @@ TEST(Registry, ReplicaSumsArePinned) {
       options.drain_cap = SimTime::from_ns(200'000'000);
       options.epoch_compiler = mode;
       (void)run_ddcr(wl, options);
-      folds[0] = fold_replica_sums();
+      folds[0] = fold_replica_sums(0);
     }
     {
       obs::Registry::global().reset();
@@ -1013,7 +1087,7 @@ TEST(Registry, ReplicaSumsArePinned) {
       bed.station(2).reset_for_rejoin();
       bed.run(SimTime::from_ns(2'000'000));
       bed.stop();
-      folds[1] = fold_replica_sums();
+      folds[1] = fold_replica_sums(1);
     }
     {
       obs::Registry::global().reset();
@@ -1022,12 +1096,13 @@ TEST(Registry, ReplicaSumsArePinned) {
       options.phy.burst_budget_bits = 30000;
       options.epoch_compiler = mode;
       (void)run_ddcr(wl, options);
-      folds[2] = fold_replica_sums();
+      folds[2] = fold_replica_sums(2);
     }
     for (std::size_t i = 0; i < std::size(pins); ++i) {
 #if defined(HRTDM_OBS_OFF)
       // The macros are compiled out: the runs registered nothing.
       (void)folds[i];
+      (void)unbooked[i];
       const obs::RegistrySnapshot after = obs::Registry::global().snapshot();
       EXPECT_EQ(after.counters.size(), before.counters.size()) << pins[i].label;
       EXPECT_EQ(after.histograms.size(), before.histograms.size())
@@ -1035,10 +1110,359 @@ TEST(Registry, ReplicaSumsArePinned) {
 #else
       EXPECT_EQ(folds[i], compiled ? pins[i].compiled : pins[i].interpreted)
           << pins[i].label << (compiled ? " (compiled)" : " (interpreted)");
+      EXPECT_EQ(unbooked[i], pins[i].interpreted)
+          << pins[i].label << (compiled ? " (compiled)" : " (interpreted)")
+          << " without the compiler's bookkeeping";
 #endif
     }
   }
   obs::Registry::global().reset();
+}
+
+// Every slot record a channel completes, folded in order and kept.
+class SlotLog final : public net::ChannelObserver {
+ public:
+  void on_slot(const net::SlotRecord& r) override {
+    fold.add(static_cast<std::int64_t>(r.kind))
+        .add(r.contenders)
+        .add(r.start.ns())
+        .add(r.end.ns())
+        .add(r.in_burst);
+    if (r.frame.has_value()) {
+      fold.add(r.frame->source).add(r.frame->msg_uid);
+    }
+    records.push_back(r);
+  }
+  pins::OutcomeFold fold;
+  std::vector<net::SlotRecord> records;
+};
+
+// What ArrivalsInsideSpansMatchTheInterpretedRun compares, and the span
+// geometry of a compiled run.
+struct SpanRun {
+  DdcrRunResult result;
+  std::uint64_t slots = 0;     ///< SlotLog fold
+  std::uint64_t registry = 0;  ///< without the compiler's bookkeeping
+  std::vector<net::SlotRecord> records;
+  std::vector<SimTime> span_starts;
+  std::vector<SimTime> span_ends;
+  std::int64_t arrivals_inside = 0;
+  std::int64_t drops = 0;
+};
+
+using Script = std::function<void(DdcrTestbed&)>;
+
+// A testbed of `stations` stations that `script` feeds and drives, then
+// stops; the registry is reset first, so the fold covers this run alone.
+SpanRun run_script(int stations, DdcrRunOptions options, bool compiled,
+                   const Script& script) {
+  options.epoch_compiler =
+      compiled ? EpochCompilerMode::kOn : EpochCompilerMode::kOff;
+  obs::Registry::global().reset();
+  SlotLog log;      // declared first: both outlive the channel
+  CompilerTap tap;
+  DdcrTestbed bed(stations, options);
+  tap.bed = &bed;
+  if (compiled) {
+    bed.channel().set_span_compiler(&tap);
+  }
+  bed.channel().add_observer(log);
+  script(bed);
+  bed.stop();
+  SpanRun run;
+  run.result = bed.result();
+  run.slots = log.fold.value();
+  run.registry = registry_fold(/*bookkeeping=*/false);
+  run.records = std::move(log.records);
+  run.span_starts = tap.span_starts;
+  run.span_ends = tap.span_ends;
+  run.arrivals_inside = tap.arrivals_inside;
+  run.drops = tap.drops;
+  return run;
+}
+
+// Runs `script` with the compiler on and off; the two runs must agree on
+// the digest, every outcome, the slot stream and the registry, and some
+// arrival must have fallen inside a compiled span. Returns the compiled run.
+SpanRun expect_arrivals_replayed(int stations, const DdcrRunOptions& options,
+                                 const Script& script,
+                                 const std::string& label) {
+  SpanRun compiled = run_script(stations, options, true, script);
+  const SpanRun interpreted = run_script(stations, options, false, script);
+  EXPECT_EQ(compiled.result.protocol_digest,
+            interpreted.result.protocol_digest)
+      << label;
+  EXPECT_EQ(outcome_of(compiled.result), outcome_of(interpreted.result))
+      << label;
+  EXPECT_EQ(compiled.slots, interpreted.slots) << label;
+  EXPECT_EQ(compiled.registry, interpreted.registry) << label;
+  EXPECT_GT(compiled.arrivals_inside, 0)
+      << label << ": no arrival fell inside a compiled span";
+  return compiled;
+}
+
+traffic::Message message(std::int64_t uid, int source, std::int64_t l_bits,
+                         SimTime arrival, Duration deadline) {
+  traffic::Message m;
+  m.uid = uid;
+  m.class_id = source;
+  m.source = source;
+  m.l_bits = l_bits;
+  m.arrival = arrival;
+  m.absolute_deadline = arrival + deadline;
+  return m;
+}
+
+// Groups of three round collisions, 20 us apart: inside a group each round
+// lands in the epoch the one before opened. With `offset` 0 the rounds, 700
+// ns apart, sit on the 100 ns slot grid, so they arrive exactly on slot
+// boundaries; an offset of 50 ns and 750 ns spacing puts them mid-slot.
+void inject_dense_rounds(DdcrTestbed& bed, Duration offset = Duration()) {
+  const Duration spacing = Duration::nanoseconds(offset.ns() == 0 ? 700 : 750);
+  for (int group = 0; group < 40; ++group) {
+    inject_rounds(bed, 6, /*rounds=*/3, spacing,
+                  SimTime() + Duration::microseconds(20) * group + offset,
+                  /*first_uid=*/1 + 18 * group);
+  }
+}
+
+TEST(EpochCompiler, ArrivalsInsideSpansMatchTheInterpretedRun) {
+  // Arrivals no longer end a compiled span: the replay applies each pending
+  // lane arrival at the first poll boundary past the span's start that is
+  // at or after its time. Every shape of arrival below must leave the run
+  // exactly where the slot-by-slot loop leaves it.
+  const SimTime end = SimTime::from_ns(2'000'000);
+
+  // Generated arrivals of three kinds on stock_exchange(8); its epochs are
+  // rare at this load, so the run is long enough for arrivals to land in
+  // a few dozen of them.
+  for (const ArrivalKind kind :
+       {ArrivalKind::kBoundedPoisson, ArrivalKind::kSporadic,
+        ArrivalKind::kPeriodicJitter}) {
+    const Workload wl = traffic::stock_exchange(8);
+    auto options = base_options(wl, 4, 64);
+    options.arrivals = kind;
+    options.arrival_horizon = SimTime::from_ns(1'000'000'000);
+    options.drain_cap = SimTime::from_ns(1'200'000'000);
+    expect_arrivals_replayed(
+        wl.z(), options,
+        [&wl, &options](DdcrTestbed& bed) {
+          bed.inject(traffic::generate_traffic(
+              wl, options.arrivals, options.arrival_horizon, options.seed));
+          bed.advance(options.arrival_horizon);
+          bed.drain(options.drain_cap);
+        },
+        "stock_exchange(8) kind " + std::to_string(static_cast<int>(kind)));
+  }
+
+  // Packet bursting on videoconference(6): the saturating adversary plus a
+  // seeded stream of extra messages (the workload's own epochs are short
+  // and far apart, so its arrivals never land inside one), and an arrival
+  // that becomes the winner's head in the middle of its burst.
+  const Workload vc = traffic::videoconference(6);
+  auto burst = base_options(vc, 4, 64);
+  burst.phy.burst_budget_bits = 30000;
+  burst.arrival_horizon = SimTime::from_ns(50'000'000);
+  burst.drain_cap = SimTime::from_ns(100'000'000);
+  expect_arrivals_replayed(
+      vc.z(), burst,
+      [&vc, &burst](DdcrTestbed& bed) {
+        bed.inject(traffic::generate_traffic(vc, burst.arrivals,
+                                             burst.arrival_horizon,
+                                             burst.seed));
+        util::Rng rng(11);
+        for (std::int64_t uid = 1'000'000; uid < 1'002'000; ++uid) {
+          const int s = static_cast<int>(rng.uniform_i64(0, 5));
+          const SimTime at = SimTime::from_ns(
+              rng.uniform_i64(0, burst.arrival_horizon.ns() - 1));
+          bed.inject(s, message(uid, s, 4000 * rng.uniform_i64(1, 3), at,
+                                burst.ddcr.class_width_c *
+                                    rng.uniform_i64(1, 60)));
+        }
+        bed.advance(burst.arrival_horizon);
+        bed.drain(burst.drain_cap);
+      },
+      "videoconference(6) bursting");
+  {
+    // Station 0 queues A and B, stations 1 and 2 one message each: the
+    // opening collision starts an epoch, and A's win opens a burst that
+    // would carry B. C arrives while A is on the wire (or exactly as it
+    // ends) with a deadline between A's and B's, so the burst carries C
+    // first.
+    const SimTime t0 = SimTime::from_ns(10'000);
+    const Duration c = burst.ddcr.class_width_c;
+    const auto base = [&](DdcrTestbed& bed) {
+      bed.inject(0, message(1, 0, 4000, t0, c * 4));
+      bed.inject(0, message(2, 0, 4000, t0, c * 40));
+      bed.inject(1, message(3, 1, 4000, t0, c * 6));
+      bed.inject(2, message(4, 2, 4000, t0, c * 8));
+    };
+    const SpanRun plain = run_script(6, burst, false, [&](DdcrTestbed& bed) {
+      base(bed);
+      bed.run(SimTime::from_ns(1'000'000));
+    });
+    const auto a = std::find_if(
+        plain.records.begin(), plain.records.end(),
+        [](const net::SlotRecord& r) {
+          return r.frame.has_value() && r.frame->msg_uid == 1;
+        });
+    ASSERT_NE(a, plain.records.end());
+    for (const SimTime at : {a->start + (a->end - a->start) / 2, a->end}) {
+      const std::string label =
+          "mid-burst head at " + std::to_string(at.ns());
+      const SpanRun run = expect_arrivals_replayed(
+          6, burst,
+          [&](DdcrTestbed& bed) {
+            base(bed);
+            bed.inject(0, message(5, 0, 4000, at, c * 20 - (at - t0)));
+            bed.run(SimTime::from_ns(1'000'000));
+          },
+          label);
+      const auto carried = std::find_if(
+          run.records.begin(), run.records.end(),
+          [](const net::SlotRecord& r) {
+            return r.frame.has_value() && r.frame->msg_uid == 5;
+          });
+      ASSERT_NE(carried, run.records.end()) << label;
+      EXPECT_TRUE(carried->in_burst) << label;
+      EXPECT_EQ(carried->start, a->end) << label;
+      bool compiled = false;
+      for (std::size_t i = 0; i < run.span_starts.size(); ++i) {
+        compiled = compiled || (run.span_starts[i] < carried->start &&
+                                carried->end <= run.span_ends[i]);
+      }
+      EXPECT_TRUE(compiled) << label << ": the burst slot was not compiled";
+    }
+  }
+
+  // Equal-time arrivals at several stations: on the slot grid, and off it.
+  auto options = round_options();
+  expect_arrivals_replayed(
+      6, options,
+      [&](DdcrTestbed& bed) {
+        inject_dense_rounds(bed);
+        bed.run(end);
+      },
+      "dense rounds on the slot grid");
+  expect_arrivals_replayed(
+      6, options,
+      [&](DdcrTestbed& bed) {
+        inject_dense_rounds(bed, Duration::nanoseconds(50));
+        bed.run(end);
+      },
+      "dense rounds off the slot grid");
+
+  // Urgent arrivals exactly on slot boundaries inside compiled spans, where
+  // they contend in the very poll at their time, and exactly at compiled
+  // spans' ends.
+  const SpanRun ends = run_script(6, options, true, [&](DdcrTestbed& bed) {
+    inject_dense_rounds(bed);
+    bed.run(end);
+  });
+  ASSERT_GT(ends.span_ends.size(), 10u);
+  const auto inside_a_span = [&ends](SimTime t) {
+    for (std::size_t i = 0; i < ends.span_starts.size(); ++i) {
+      if (ends.span_starts[i] < t && t < ends.span_ends[i]) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::vector<SimTime> boundaries;
+  for (std::size_t i = 0; i < ends.records.size(); i += 37) {
+    if (inside_a_span(ends.records[i].end)) {
+      boundaries.push_back(ends.records[i].end);
+    }
+  }
+  ASSERT_GT(boundaries.size(), 4u);
+  std::vector<SimTime> at_ends;
+  for (std::size_t i = 0; i < ends.span_ends.size();
+       i += ends.span_ends.size() / 8) {
+    at_ends.push_back(ends.span_ends[i]);
+  }
+  const SpanRun ended = expect_arrivals_replayed(
+      6, options,
+      [&](DdcrTestbed& bed) {
+        inject_dense_rounds(bed);
+        std::int64_t uid = 50'000;
+        for (const SimTime at : boundaries) {
+          const int s = static_cast<int>(uid % 6);
+          bed.inject(s, message(uid++, s, 100, at, Duration::nanoseconds(300)));
+        }
+        for (const SimTime at : at_ends) {
+          const int s = static_cast<int>(uid % 6);
+          bed.inject(s, message(uid++, s, 100, at, Duration::microseconds(2)));
+        }
+        bed.run(end);
+      },
+      "arrivals on slot boundaries and at span ends");
+  EXPECT_TRUE(std::any_of(at_ends.begin(), at_ends.end(), [&](SimTime at) {
+    return std::find(ended.span_ends.begin(), ended.span_ends.end(), at) !=
+           ended.span_ends.end();
+  })) << "no arrival landed exactly on a compiled span's end";
+
+  // Out-of-order injections between run() calls, some of them exactly at
+  // the end of the slot in flight: the next span starts there, and the
+  // arrival, newer than the event that polls at its start, joins from the
+  // next boundary.
+  expect_arrivals_replayed(
+      6, options,
+      [&](DdcrTestbed& bed) {
+        inject_dense_rounds(bed);
+        std::int64_t uid = 60'000;
+        for (int k = 1; k <= 8; ++k) {
+          const SimTime at = SimTime::from_ns(1'500 + 20'000 * k);
+          bed.run(at + Duration::nanoseconds(50));
+          const int s = k % 6;
+          const SimTime later = at + Duration::nanoseconds(4'000);
+          const SimTime slot_end = at + Duration::nanoseconds(100);
+          bed.inject(s,
+                     message(uid++, s, 100, later, Duration::microseconds(2)));
+          bed.inject(s, message(uid++, s, 100, slot_end,
+                                Duration::nanoseconds(500)));
+        }
+        bed.run(end);
+      },
+      "out-of-order injections between runs");
+
+  // Arrivals for a churned-out station: its live queue fills, the replay
+  // leaves it out.
+  auto churn = round_options();
+  churn.require_rejoinable = true;
+  expect_arrivals_replayed(
+      6, churn,
+      [&](DdcrTestbed& bed) {
+        inject_dense_rounds(bed);
+        bed.run(SimTime::from_ns(20'050));
+        bed.station(5).go_offline();
+        bed.run(end);
+      },
+      "churned-out station");
+
+  // An arrival injected from outside the loop into an active span
+  // dissolves it, and the run goes on as the slot-by-slot one does.
+  std::size_t longest = 0;
+  for (std::size_t i = 0; i < ends.span_starts.size(); ++i) {
+    if (ends.span_starts[i] > SimTime::from_ns(20'000) &&
+        ends.span_ends[i] - ends.span_starts[i] >
+            ends.span_ends[longest] - ends.span_starts[longest]) {
+      longest = i;
+    }
+  }
+  const SimTime inside = ends.span_starts[longest] + Duration::nanoseconds(250);
+  ASSERT_LT(inside + Duration::nanoseconds(100), ends.span_ends[longest]);
+  const SpanRun intruded = expect_arrivals_replayed(
+      6, options,
+      [&](DdcrTestbed& bed) {
+        inject_dense_rounds(bed);
+        bed.advance(inside);
+        bed.inject(3, message(70'000, 3, 100,
+                              inside + Duration::nanoseconds(100),
+                              Duration::nanoseconds(300)));
+        bed.advance(end);
+      },
+      "arrival injected into an active span");
+  EXPECT_GT(intruded.drops, 0) << "the intruding arrival dissolved no span";
 }
 
 #if !defined(HRTDM_OBS_OFF)
@@ -1078,12 +1502,31 @@ TEST(EpochCompiler, SpanCommitsAndBailsLandInTheFlightRecorder) {
 
 #endif  // !HRTDM_OBS_OFF
 
+/// Records only an interpreted slot leaves (a compiled span stands for
+/// them with one kSpanCommit), and the compiler's own span records.
+[[maybe_unused]] bool interpreted_only(obs::FrKind kind) {
+  switch (kind) {
+    case obs::FrKind::kSpanCommit:
+    case obs::FrKind::kSpanBail:
+    case obs::FrKind::kEpochStart:
+    case obs::FrKind::kEpochEnd:
+    case obs::FrKind::kTtsProbe:
+    case obs::FrKind::kStsProbe:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// Holds an unwrapped flight window to its pinned fold and to the channel
 /// it recorded: the slot records tile run.channel, each slot once (an idle
-/// gap record stands for its `b` silence slots). Under HRTDM_OBS_OFF the
+/// gap record stands for its `b` silence slots). Returns the fold of the
+/// records both paths leave (all but interpreted_only() kinds), which a
+/// compiled run shares with the interpreted one. Under HRTDM_OBS_OFF the
 /// recorder is compiled out and the window is empty.
-void expect_flight_window(const DdcrRunResult& run,
-                          [[maybe_unused]] std::uint64_t pin) {
+std::uint64_t expect_flight_window(const DdcrRunResult& run,
+                                   [[maybe_unused]] std::uint64_t pin) {
+  pins::OutcomeFold shared;
 #if defined(HRTDM_OBS_OFF)
   EXPECT_TRUE(run.flight_window.empty());
 #else
@@ -1095,6 +1538,10 @@ void expect_flight_window(const DdcrRunResult& run,
   for (const obs::FrRecord& r : run.flight_window) {
     fold.add(r.t_ns).add(r.a).add(r.b).add(r.station).add(
         static_cast<std::int64_t>(r.kind));
+    if (!interpreted_only(r.kind)) {
+      shared.add(r.t_ns).add(r.a).add(r.b).add(r.station).add(
+          static_cast<std::int64_t>(r.kind));
+    }
     switch (r.kind) {
       case obs::FrKind::kSlotSilence:
         ++silence;
@@ -1118,6 +1565,7 @@ void expect_flight_window(const DdcrRunResult& run,
   EXPECT_EQ(collision, run.channel.collision_slots);
   EXPECT_EQ(success, run.channel.successes);
 #endif
+  return shared.value();
 }
 
 TEST(SharedReplica, FlightWindowsArePinned) {
@@ -1127,24 +1575,32 @@ TEST(SharedReplica, FlightWindowsArePinned) {
   // values recorded before the stations shared one replica. The second run
   // forks two stations (a reset and a phantom collision between run()
   // calls), so private copies record alongside the shared one. Each
-  // window's slot records also account for every slot the channel counted.
+  // window's slot records also account for every slot the channel counted,
+  // and a compiled window equals the interpreted one once the records only
+  // one of the paths leaves are set aside. The rounds compiled constant was
+  // re-recorded when arrivals stopped ending compiled spans, which moved
+  // only its span records (it was 0x88b1bd5d6c86ba89).
   struct Pin {
     EpochCompilerMode mode;
     std::uint64_t videoconference;
     std::uint64_t rounds;
   };
+  std::vector<std::uint64_t> shared[2];  // per mode: the shared-record folds
   for (const Pin pin :
        {Pin{EpochCompilerMode::kOff, 0x1416a65f34235d21ULL,
             0x11511d9624feb342ULL},
         Pin{EpochCompilerMode::kOn, 0x953b75b8293fcff2ULL,
-            0x88b1bd5d6c86ba89ULL}}) {
+            0xdf1e664f1eff36baULL}}) {
+    std::vector<std::uint64_t>& folds =
+        shared[pin.mode == EpochCompilerMode::kOn ? 1 : 0];
     const Workload wl = traffic::videoconference(6);
     auto options = base_options(wl, 4, 64);
     options.epoch_compiler = pin.mode;
     options.flight_recorder_capacity = std::size_t{1} << 20;
     SCOPED_TRACE(pin.mode == EpochCompilerMode::kOn ? "compiler on"
                                                     : "compiler off");
-    expect_flight_window(run_ddcr(wl, options), pin.videoconference);
+    folds.push_back(
+        expect_flight_window(run_ddcr(wl, options), pin.videoconference));
 
     auto round = round_options();
     round.require_rejoinable = true;
@@ -1161,8 +1617,11 @@ TEST(SharedReplica, FlightWindowsArePinned) {
     bed.station(1).observe(phantom);
     bed.run(SimTime::from_ns(2'000'000));
     bed.stop();
-    expect_flight_window(bed.result(), pin.rounds);
+    folds.push_back(expect_flight_window(bed.result(), pin.rounds));
   }
+  EXPECT_EQ(shared[1], shared[0])
+      << "a compiled window differs from the interpreted one beyond the "
+         "records only one path leaves";
 }
 
 TEST(EpochCompiler, TraceStaysWellFormedAcrossCompiledEpochs) {

@@ -291,6 +291,15 @@ DdcrReplica::Step DdcrReplica::feedback(net::SlotKind kind, SimTime start,
   return Step::kNone;
 }
 
+bool DdcrReplica::same_pending_reports(const DdcrReplica& other) const {
+  const auto same = [](const TreeSearchEngine& a, const TreeSearchEngine& b) {
+    return a.silence_slots() == b.silence_slots() &&
+           a.collision_slots() == b.collision_slots();
+  };
+  return same(time_engine_, other.time_engine_) &&
+         same(static_engine_, other.static_engine_);
+}
+
 std::uint64_t DdcrReplica::digest() const {
   util::SplitMix64 seed_mix(0xDDC12ULL);
   std::uint64_t h = seed_mix.next();

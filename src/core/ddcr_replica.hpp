@@ -151,6 +151,11 @@ class DdcrReplica {
   /// Digest over the replicated protocol state (the counters are not part
   /// of it).
   std::uint64_t digest() const;
+  /// True when both tree engines would flush the same registry amounts
+  /// for their current searches: digest() mixes each engine's search-slot
+  /// total but not its split into silence and collision slots, so
+  /// replicas with equal digests can still differ here.
+  bool same_pending_reports(const DdcrReplica& other) const;
 
  private:
   void start_epoch(SimTime now, ReplicaSink& sink);

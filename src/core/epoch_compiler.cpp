@@ -198,6 +198,9 @@ void EpochCompiler::absorb_arrivals(SimTime t) {
     }
     PerStation& ps = per_[static_cast<std::size_t>(p)];
     const Message* head = ps.head();
+    if (head == nullptr) {
+      ++queued_;
+    }
     if (head == nullptr || EdfQueue::precedes(arrival.msg, *head)) {
       ps.raw_gen = 0;
       tts_index_valid_ = false;
@@ -208,6 +211,32 @@ void EpochCompiler::absorb_arrivals(SimTime t) {
     ps.absorbed.insert(std::upper_bound(unserved, ps.absorbed.end(),
                                         arrival.msg, EdfQueue::precedes),
                        arrival.msg);
+  }
+}
+
+bool EpochCompiler::collision_ahead() const {
+  int queued = 0;
+  for (const DdcrStation* s : shared_.stations_) {
+    if (s->online() && !s->queue_.empty() && ++queued == 2) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void EpochCompiler::serve(PerStation& ps, const Message* head, SimTime end) {
+  ps.delivered.push_back(PerStation::Served{head->uid, end});
+  if (ps.next_absorbed < ps.absorbed.size() &&
+      head == &ps.absorbed[ps.next_absorbed]) {
+    ++ps.next_absorbed;
+  } else {
+    ++ps.it;
+  }
+  ++ps.transmitted;
+  ps.raw_gen = 0;  // head advanced: cached raw index is stale
+  tts_index_valid_ = false;
+  if (ps.head() == nullptr) {
+    --queued_;
   }
 }
 
@@ -245,16 +274,27 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   }
   // The digest-equality gate below implies every synced station shares
   // ref's mode, so one mode check suffices (a resyncing ref fails it too).
-  // A decline here is NOT a compile attempt: the stations are simply not
-  // mid-epoch, so there was nothing to compile in the first place.
+  // A decline here is NOT a compile attempt: the stations are not mid-epoch
+  // and no collision or post-TTs attempt is ahead, so the next slot is a
+  // lone CSMA-CD transmission or silence, with nothing to compile.
   const DdcrReplica& base = *ref->replica_;
-  if (base.mode() != Mode::kTimeSearch && base.mode() != Mode::kStaticSearch) {
-    return false;
+  switch (base.mode()) {
+    case Mode::kTimeSearch:
+    case Mode::kStaticSearch:
+      break;
+    case Mode::kCsmaCd:
+      if (!base.post_tts_attempt() && !collision_ahead()) {
+        return false;
+      }
+      break;
+    case Mode::kResync:
+    case Mode::kOffline:
+      return false;
   }
 
-  // Mid-epoch consultation: from here on every outcome is either a
-  // committed span or exactly one ddcr.compile_bailout.<reason> (satellite
-  // invariant asserted in test_epoch_compiler).
+  // From here on every outcome is either a committed span or exactly one
+  // ddcr.compile_bailout.<reason> (invariant asserted in
+  // test_epoch_compiler).
   ++compile_attempts_;
   HRTDM_COUNT("ddcr.compile_attempts");
 
@@ -269,12 +309,15 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   }
   // Holders of one replica agree by construction; a station on another
   // one (a private copy forked at a receiver-local event, or the shared
-  // replica while ref holds a copy) must match ref's digest.
+  // replica while ref holds a copy) must match ref's digest, and its
+  // engines must hold the registry amounts ref's would flush: a committed
+  // span merges it into one replica, whose flush then counts for it.
   std::optional<std::uint64_t> base_digest;
   const DdcrReplica* agreed = &base;  // the last replica found to match
   merge_ = false;
   per_of_.assign(shared_.stations_.size(), -1);
   std::size_t online = 0;
+  queued_ = 0;
   for (std::size_t i = 0; i < shared_.stations_.size(); ++i) {
     DdcrStation* s = shared_.stations_[i];
     const Mode mode = s->mode();
@@ -289,7 +332,8 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
       if (!base_digest.has_value()) {
         base_digest = base.digest();
       }
-      if (s->replica_->digest() != *base_digest) {
+      if (s->replica_->digest() != *base_digest ||
+          !s->replica_->same_pending_reports(base)) {
         // Latent desync: bail out, never miscompile.
         return bail(obs::FrBail::kDesync, start);
       }
@@ -311,6 +355,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     ps.transmitted = 0;
     ps.burst_transmitted = 0;
     ps.raw_gen = 0;  // every raw cache starts stale
+    queued_ += s->queue_.empty() ? 0 : 1;
   }
   per_.resize(online);
   lane_ = simulator_.lane();
@@ -325,7 +370,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   sts_index_valid_ = false;
   sts_streak_touched_ = false;
   reports_.clear(shared_.traced_);
-  epoch_completed_ = false;
+  span_epochs_ = 0;
   DdcrReplica& work = work_;
 
   // --- replay loop: one contention slot (+ burst chain) per iteration ---
@@ -336,12 +381,12 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   // by the live re-decision after hand-off, exactly as interpreted. Lane
   // arrivals are absorbed before every poll past `start` (header comment).
   // The cap bounds the span buffer (a capped span simply resumes into the
-  // next compile); spans of whole epochs rarely come near it.
+  // next compile), and with it the memory a busy channel's span holds.
   constexpr std::size_t kMaxSlots = std::size_t{1} << 12;
   // Why the span stopped growing — decides the bail reason if it stopped
-  // before reaching the 2-slot commit threshold. Defaults to kHorizon: an
-  // epoch that closes inside the first slot is a span the horizon (span
-  // geometry) made too short, not a replay failure.
+  // before reaching the 2-slot commit threshold. Defaults to kHorizon: a
+  // channel that falls quiescent after the first slot makes a span the
+  // span geometry cut too short, not a replay failure.
   obs::FrBail stop_reason = obs::FrBail::kHorizon;
   SimTime now = start;
   out.clear();
@@ -350,10 +395,6 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   out.reserve(kMaxSlots);
   while (out.size() < kMaxSlots) {
     const Mode mode = work.mode();
-    if (mode != Mode::kTimeSearch && mode != Mode::kStaticSearch) {
-      epoch_completed_ = true;  // the epoch closed inside the span
-      break;
-    }
     if (now > start) {
       absorb_arrivals(now);
     }
@@ -363,7 +404,23 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     int contenders = 0;
     PerStation* winner = nullptr;
     const Message* winner_msg = nullptr;
-    if (mode == Mode::kTimeSearch) {
+    if (mode == Mode::kCsmaCd) {
+      // Every station with a queued message transmits its EDF head.
+      contenders = queued_;
+      if (contenders == 0 && !work.post_tts_attempt()) {
+        break;  // quiescent: the channel's idle gap takes over
+      }
+      if (contenders == 1) {
+        for (PerStation& ps : per_) {
+          if (const Message* head = ps.head()) {
+            winner = &ps;
+            winner_msg = head;
+            break;
+          }
+        }
+        HRTDM_EXPECT(winner != nullptr, "CSMA-CD contender count out of sync");
+      }
+    } else if (mode == Mode::kTimeSearch) {
       const auto interval = work.time_engine().current();
       const std::int64_t floor_idx = work.time_engine().resolved_up_to();
       if (!tts_index_valid_) {
@@ -479,8 +536,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     // construction.
     if (kind == net::SlotKind::kSuccess) {
       slot.record.frame = winner->s->make_frame(*winner_msg);
-      winner->serve(winner_msg, end);
-      tts_index_valid_ = false;
+      serve(*winner, winner_msg, end);
       // The STs index survives a TTs success untouched: it is rebuilt on
       // tie-break entry (kStsEntered resets every static_pos); an STs
       // success patches it incrementally below.
@@ -528,6 +584,9 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     }
     sts_streak_touched_ =
         sts_streak_touched_ || step != DdcrReplica::Step::kNone;
+    if (mode != Mode::kCsmaCd && work.mode() == Mode::kCsmaCd) {
+      ++span_epochs_;  // the epoch closed inside the span
+    }
     if (work.reft() != reft_before) {
       // A TTs success, a theta compression or the STs hand-back moved
       // reft: every cached raw index and both contender indices are stale.
@@ -576,8 +635,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
         burst.record.start = now;
         burst.record.end = bend;
         burst.record.frame = winner->s->make_frame(*head);
-        winner->serve(head, bend);
-        tts_index_valid_ = false;
+        serve(*winner, head, bend);
         sts_index_valid_ = false;
         ++winner->burst_transmitted;
         // In-burst observe: no engine feedback, no probes — only the out
@@ -604,7 +662,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     return bail(stop_reason, now);
   }
   last_end_ = out.back().record.end;
-  slots_compiled_ += static_cast<std::int64_t>(out.size());
+  span_slots_ = static_cast<std::int64_t>(out.size());
   handoff_valid_ = true;
   return true;
 }
@@ -664,10 +722,11 @@ void EpochCompiler::apply_handoff() {
   }
 
   ++spans_compiled_;
+  slots_compiled_ += span_slots_;
   HRTDM_COUNT("ddcr.spans_compiled");
-  if (epoch_completed_) {
-    ++epochs_compiled_;
-    HRTDM_COUNT("ddcr.epochs_compiled");
+  if (span_epochs_ > 0) {
+    epochs_compiled_ += span_epochs_;
+    HRTDM_COUNT_N("ddcr.epochs_compiled", span_epochs_);
   }
 }
 

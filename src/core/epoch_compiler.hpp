@@ -6,22 +6,34 @@
 // cost is exactly xi(k, t, m), Eq. 1/3) is deterministic, so the full
 // winner order, per-winner slot offsets, TTs/STs search costs and epoch
 // length can be computed closed-form by replaying the station state machine
-// in memory instead of slot by slot on the simulator. EpochCompiler is the
-// net::SpanCompiler that performs that replay; BroadcastChannel commits the
-// resulting slot list as a compiled span (one resume event at the far
-// boundary, lazy per-slot accounting) and hands the bulk end-of-span state
-// back to the stations when the span elapses.
+// in memory instead of slot by slot on the simulator. The CSMA-CD slots
+// between epochs are as deterministic: a synced source transmits iff its
+// EDF queue is non-empty, and a collision starts the next epoch at every
+// source. EpochCompiler is the net::SpanCompiler that performs that replay;
+// BroadcastChannel commits the resulting slot list as a compiled span (one
+// resume event at the far boundary, lazy per-slot accounting) and hands the
+// bulk end-of-span state back to the stations when the span elapses.
 //
 // Eligibility (the channel gates its own side: destructive mode, no
 // interceptor, no noise draw, no Gilbert–Elliott chain):
 //  - at least one online station, none in listen-only resync (a resyncing
 //    station counts silent slots per observation, so slots cannot be
 //    skipped under it);
-//  - the synced stations sit mid-epoch (kTimeSearch / kStaticSearch) with
-//    bit-identical protocol digests (a defensive gate: a latent desync
-//    becomes a bail-out to the interpreted path, never a miscompile);
+//  - the synced stations sit mid-epoch (kTimeSearch / kStaticSearch), or in
+//    CSMA-CD with a collision ahead (at least two online stations have a
+//    queued message) or a pending post-TTs attempt; a lone CSMA-CD
+//    transmission or a quiescent channel is not an attempt;
+//  - their protocol digests are bit-identical (a defensive gate: a latent
+//    desync becomes a bail-out to the interpreted path, never a
+//    miscompile), and so are the registry amounts their tree engines would
+//    flush (a committed span merges every copy into one replica);
 //  - drop_late_messages is off (with it on, poll_intent prunes the queue
 //    by wall time, so polls are not pure).
+// A span runs across as many epochs as fit and stops only where the
+// interpreted channel would stop polling or could not be replayed: at
+// quiescence (CSMA-CD with no post-TTs attempt and every replay queue
+// empty, DdcrStation::quiescent(); the channel's idle gap takes over), at
+// the horizon, before an STs leaf collision, or at the kMaxSlots cap.
 // A scheduled event off the simulator's arrival lane (a fault action, a
 // bridge relay, a test callback) caps the compiled span at that event, and
 // anything scheduled or appended into a committed span from outside the
@@ -106,16 +118,20 @@ class EpochCompiler final : public net::SpanCompiler {
   /// must come in non-decreasing `now` (arrival events do).
   std::size_t served_before(int station, SimTime now);
 
+  /// Spans handed off, the slots they held and the epochs that closed
+  /// inside them (several per span). A span dissolved before its end
+  /// counts in none of them: its slots ran slot by slot after all.
   std::int64_t spans_compiled() const { return spans_compiled_; }
   std::int64_t slots_compiled() const { return slots_compiled_; }
   std::int64_t epochs_compiled() const { return epochs_compiled_; }
 
-  /// Mid-epoch compile() consultations: calls that passed the mode gate
-  /// (the stations sat in TTs/STs), so every one either committed a span
-  /// or took exactly one of the bail-out reasons below.
-  /// Invariant: compile_attempts() == spans_compiled() + sum of bailouts().
+  /// compile() calls that passed the entry gate (the stations sat mid-epoch,
+  /// or in CSMA-CD with a collision or a post-TTs attempt ahead), so every
+  /// one either committed a span or took exactly one of the bail-out
+  /// reasons below. Invariant: compile_attempts() == spans_compiled() + sum
+  /// of bailouts() + the committed spans that were dissolved.
   std::int64_t compile_attempts() const { return compile_attempts_; }
-  /// Per-reason mid-epoch bail-outs (registry family
+  /// Per-reason bail-outs (registry family
   /// ddcr.compile_bailout.{horizon,fault,resync,noise,cap,desync}).
   std::int64_t bailouts(obs::FrBail reason) const {
     return bailouts_[static_cast<std::size_t>(reason)];
@@ -162,17 +178,6 @@ class EpochCompiler final : public net::SpanCompiler {
       }
       const Message& arrived = absorbed[next_absorbed];
       return live && EdfQueue::precedes(*it, arrived) ? &*it : &arrived;
-    }
-    /// Transmits `head` (head()'s result) in a slot ending at `end`.
-    void serve(const Message* head, SimTime end) {
-      delivered.push_back(Served{head->uid, end});
-      if (next_absorbed < absorbed.size() && head == &absorbed[next_absorbed]) {
-        ++next_absorbed;
-      } else {
-        ++it;
-      }
-      raw_gen = 0;  // head advanced: cached raw index is stale
-      ++transmitted;
     }
   };
 
@@ -231,6 +236,15 @@ class EpochCompiler final : public net::SpanCompiler {
   /// raw cache and both contender indices.
   void absorb_arrivals(SimTime t);
 
+  /// True when at least two online stations have a queued message: the
+  /// next CSMA-CD slot is a collision that starts an epoch.
+  bool collision_ahead() const;
+
+  /// Transmits `head` (ps.head()'s result) in a slot ending at `end`: the
+  /// station's replay queue advances, and its raw cache, the TTs contender
+  /// index and the CSMA-CD contender count follow.
+  void serve(PerStation& ps, const Message* head, SimTime end);
+
   net::BroadcastChannel& channel_;
   SharedReplica& shared_;
   sim::Simulator& simulator_;
@@ -252,9 +266,13 @@ class EpochCompiler final : public net::SpanCompiler {
   std::uint32_t reft_gen_ = 1;
   bool sts_streak_touched_ = false;
   SpanReports reports_;
-  bool epoch_completed_ = false;
+  /// Slots and closed epochs of the span pending hand-off.
+  std::int64_t span_slots_ = 0;
+  std::int64_t span_epochs_ = 0;
   SimTime last_end_;
   std::vector<PerStation> per_;
+  /// per_ entries whose replay queue is non-empty: the CSMA-CD contenders.
+  std::int32_t queued_ = 0;
   /// per_ index of each station (shared.stations_ order); -1 = offline.
   std::vector<std::int32_t> per_of_;
   /// The lane's pending entries, and the first one not yet absorbed. Set

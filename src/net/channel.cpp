@@ -426,13 +426,14 @@ void BroadcastChannel::begin_slot() {
 // Channel-side effects of a completed slot — stats delta, registry
 // counters, observation index, observers — are pure functions of its
 // record and are flushed lazily (flush_span), mirroring deliver(). Events
-// scheduled into a span from outside the event loop (a testbed injecting
-// mid-run) hit the ScheduleWatcher, and dissolve_span() replays a compiled
-// prefix through the real Station::observe() (the stations were untouched,
-// so the replay lands them precisely at the prefix boundary — counters,
-// engines, traces and all) and rebuilds the in-flight slot as a regular
-// pending slot — before the intruding event takes its sequence number, so
-// even same-timestamp ordering matches the slot-by-slot run.
+// scheduled into a span or at its end from outside the event loop (a
+// testbed injecting mid-run) hit the ScheduleWatcher, and dissolve_span()
+// replays a compiled prefix through the real Station::observe() (the
+// stations were untouched, so the replay lands them precisely at the
+// prefix boundary — counters, engines, traces and all) and rebuilds the
+// in-flight slot as a regular pending slot — before the intruding event
+// takes its sequence number, so even same-timestamp ordering matches the
+// slot-by-slot run.
 
 bool BroadcastChannel::all_quiescent() const {
   for (const Station* station : stations_) {
@@ -485,13 +486,16 @@ void BroadcastChannel::commit_span(SimTime start, std::int64_t slots,
   span_flushed_ = 0;
   span_next_success_ = 0;
   span_deliveries_ = 0;
-  // Watcher first: the resume event sits exactly at `end`, and the watcher
-  // only fires for times strictly below its horizon.
-  simulator_.add_schedule_watcher(this, end);
+  // Resume event first: the watcher also fires for an event at exactly
+  // `end`. An event scheduled there from outside the event loop must fire
+  // after the last slot's end, as it would slot by slot, so it dissolves
+  // the span and the rebuilt slot-end event takes the older sequence
+  // number.
   span_resume_ = slots < 0 ? sim::EventHandle{}
                            : simulator_.schedule_at(
                                  end, [this] { resume_span(); },
                                  "channel:span-resume");
+  simulator_.add_schedule_watcher(this, end);
 }
 
 void BroadcastChannel::resume_span() {

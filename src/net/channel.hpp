@@ -333,14 +333,14 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   //    ends quiescence), or open-ended (no resume event) when none is
   //    pending;
   //  - a compiled span: the SpanCompiler's explicit CompiledSlot list for
-  //    whole clean TTs/STs epochs, bounded by the next event off the
-  //    arrival lane (stations are handed the end-of-span state in bulk at
-  //    resume).
+  //    clean TTs/STs epochs and the CSMA-CD slots between them, bounded by
+  //    the next event off the arrival lane (stations are handed the
+  //    end-of-span state in bulk at resume).
   // Both share one commit, flush, resume and dissolve. Completed slots are
   // accounted lazily (flush_span) by one end rule: a slot counts once it has
   // ended, except the last, which counts only at the resume event. A
-  // ScheduleWatcher dissolves the span if anything is scheduled into it
-  // from outside the event loop.
+  // ScheduleWatcher dissolves the span if anything is scheduled into it or
+  // at its end from outside the event loop.
   bool try_idle_gap(SimTime start);
   bool try_compiled_span(SimTime start);
   /// Commits `slots` slots (-1: open-ended) from `start`, resumed at `end`.

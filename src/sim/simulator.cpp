@@ -199,7 +199,7 @@ void Simulator::notify_watchers(SimTime at) {
   // re-trigger (cold path — the local vector allocation is acceptable).
   std::vector<ScheduleWatcher*> triggered;
   for (std::size_t i = 0; i < watchers_.size();) {
-    if (at < watchers_[i].horizon) {
+    if (at <= watchers_[i].horizon) {
       triggered.push_back(watchers_[i].watcher);
       watchers_[i] = watchers_.back();
       watchers_.pop_back();

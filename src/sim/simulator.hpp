@@ -62,11 +62,11 @@ struct LaneEntry {
   std::uint32_t index;  ///< what the lane handler is called with
 };
 
-/// Notified when an event is scheduled earlier than a registered horizon.
-/// Used by the channel's idle fast-forward: a committed idle gap assumes no
-/// event will appear inside it, and this hook is how that assumption is
-/// revalidated when code outside the event loop (a testbed injecting a
-/// message between run() calls) schedules into the gap.
+/// Notified when an event is scheduled at or before a registered horizon.
+/// Used by the channel's fast-forward spans: a committed span assumes no
+/// event will appear inside it or at its end, and this hook is how that
+/// assumption is revalidated when code outside the event loop (a testbed
+/// injecting a message between run() calls) schedules into the span.
 class ScheduleWatcher {
  public:
   virtual ~ScheduleWatcher() = default;
@@ -143,7 +143,7 @@ class Simulator {
   std::size_t events_pending() const { return live_events_; }
 
   /// Registers `watcher` to be notified (once, and then unregistered) the
-  /// next time an event is scheduled at a time strictly below `horizon`.
+  /// next time an event is scheduled at a time at or below `horizon`.
   void add_schedule_watcher(ScheduleWatcher* watcher, SimTime horizon);
   /// Unregisters without notifying; unknown watchers are ignored.
   void remove_schedule_watcher(ScheduleWatcher* watcher);

@@ -22,6 +22,7 @@
 #include "check/conformance.hpp"
 #include "core/ddcr_network.hpp"
 #include "fault/campaign.hpp"
+#include "fault/stabilization.hpp"
 #include "outcome_fold.hpp"
 #include "obs/event_tracer.hpp"
 #include "obs/registry.hpp"
@@ -402,8 +403,13 @@ TEST(EpochCompiler, BailTaxonomyIsExhaustive) {
 
   // A clean channel_poisson-shaped run (stock_exchange(64), library
   // defaults, Poisson arrivals, run as run_ddcr runs it) commits every
-  // attempt: arrivals land inside spans instead of ending them, and no
-  // other event is scheduled.
+  // attempt: arrivals land inside spans instead of ending them, no other
+  // event is scheduled, and a CSMA-CD slot is an attempt only with a
+  // collision ahead, so a span never starts on a lone transmission that
+  // quiescence cuts to one slot. The channel stays busy until it drains,
+  // so spans cross every epoch boundary: each epoch of the run closes
+  // inside a compiled span, and every span but the last (which ends at
+  // quiescence) runs to the 2^12-slot cap.
   const Workload wl = traffic::stock_exchange(64);
   DdcrRunOptions options;
   options.arrivals = ArrivalKind::kBoundedPoisson;
@@ -418,10 +424,14 @@ TEST(EpochCompiler, BailTaxonomyIsExhaustive) {
   bed.drain(options.drain_cap);
   bed.stop();
   const EpochCompiler& compiler = *bed.epoch_compiler();
-  EXPECT_GT(compiler.compile_attempts(), 100);
   EXPECT_EQ(compiler.compile_attempts(), compiler.spans_compiled());
   EXPECT_EQ(bailout_sum(compiler), 0);
   EXPECT_TRUE(bed.drained());
+  EXPECT_GT(compiler.epochs_compiled(), 100);
+  EXPECT_EQ(compiler.epochs_compiled(), bed.station(0).counters().epochs);
+  constexpr std::int64_t kCap = 4096;
+  EXPECT_EQ(compiler.spans_compiled(),
+            (compiler.slots_compiled() + kCap - 1) / kCap);
 }
 
 TEST(EpochCompiler, BailCountersMirrorTheRegistry) {
@@ -1031,7 +1041,9 @@ TEST(Registry, ReplicaSumsArePinned) {
   // ddcr.spans_compiled, ddcr.epochs_compiled): without it, it folds to
   // the interpreted constant. The stock_exchange(8) compiled constant was
   // re-recorded when arrivals stopped ending compiled spans, which moved
-  // that bookkeeping alone (it was 0xdfad443b462522b2).
+  // that bookkeeping alone (it was 0xdfad443b462522b2), and the round
+  // collisions one when spans began to cross epoch boundaries, which moved
+  // that bookkeeping alone too (it was 0xe415c5a81cba0a1f).
   struct Pin {
     const char* label;
     std::uint64_t compiled;
@@ -1040,7 +1052,7 @@ TEST(Registry, ReplicaSumsArePinned) {
   const Pin pins[] = {
       {"stock_exchange(8) poisson", 0x8234be30ea38e6ccULL,
        0x943b9e00d9fa0b86ULL},
-      {"round collisions + quarantine", 0xe415c5a81cba0a1fULL,
+      {"round collisions + quarantine", 0x8e7b7a35dbdf471fULL,
        0x3d23f1465abdc8caULL},
       {"videoconference(6) bursting", 0x7ce90347d7edcaa2ULL,
        0xb4a7468ae5ab5751ULL},
@@ -1119,6 +1131,50 @@ TEST(Registry, ReplicaSumsArePinned) {
   obs::Registry::global().reset();
 }
 
+TEST(SharedReplica, MergedCopiesKeepTheRegistrySums) {
+  // A converged private copy merges back only when its tree engines hold
+  // the registry amounts the shared replica's would flush: digest() mixes
+  // each engine's search-slot total, not its split into silence and
+  // collision slots. Scrambled joint states (fault::run_stabilization) on
+  // these seeds converge with equal digests and different splits, so a
+  // merge there moved tree.silence_slots and tree.collision_slots against
+  // the interpreted run.
+  struct Config {
+    int m;
+    int stations;
+    std::uint64_t seed;
+  };
+  const char* env = std::getenv("HRTDM_EPOCH_COMPILER");
+  const std::optional<std::string> saved =
+      env == nullptr ? std::nullopt : std::optional<std::string>(env);
+  for (const Config c : {Config{2, 3, 97}, Config{2, 4, 97}, Config{3, 3, 221},
+                         Config{4, 3, 159}}) {
+    fault::StabilizationOptions options;
+    options.ddcr.m_time = options.ddcr.m_static = c.m;
+    options.ddcr.F = options.ddcr.q = c.m == 3 ? 27 : 16;
+    options.stations = c.stations;
+    options.seed = c.seed;
+    options.conformance_check = false;
+    std::uint64_t folds[2] = {};
+    for (const bool compiled : {false, true}) {
+      ::setenv("HRTDM_EPOCH_COMPILER", compiled ? "on" : "off", 1);
+      obs::Registry::global().reset();
+      const fault::StabilizationResult result =
+          fault::run_stabilization(options);
+      EXPECT_TRUE(result.reconverged) << c.seed;
+      folds[compiled ? 1 : 0] = registry_fold(/*bookkeeping=*/false);
+    }
+    EXPECT_EQ(folds[1], folds[0])
+        << "m " << c.m << " stations " << c.stations << " seed " << c.seed;
+  }
+  if (saved.has_value()) {
+    ::setenv("HRTDM_EPOCH_COMPILER", saved->c_str(), 1);
+  } else {
+    ::unsetenv("HRTDM_EPOCH_COMPILER");
+  }
+  obs::Registry::global().reset();
+}
+
 // Every slot record a channel completes, folded in order and kept.
 class SlotLog final : public net::ChannelObserver {
  public:
@@ -1137,7 +1193,17 @@ class SlotLog final : public net::ChannelObserver {
   std::vector<net::SlotRecord> records;
 };
 
-// What ArrivalsInsideSpansMatchTheInterpretedRun compares, and the span
+// Records where each flush of an idle gap starts.
+class GapStarts final : public net::ChannelObserver {
+ public:
+  void on_slot(const net::SlotRecord&) override {}
+  void on_idle_gap(std::int64_t, SimTime first_start, Duration) override {
+    starts.push_back(first_start);
+  }
+  std::vector<SimTime> starts;
+};
+
+// What the compiled-vs-interpreted run comparisons compare, and the span
 // geometry of a compiled run.
 struct SpanRun {
   DdcrRunResult result;
@@ -1146,8 +1212,11 @@ struct SpanRun {
   std::vector<net::SlotRecord> records;
   std::vector<SimTime> span_starts;
   std::vector<SimTime> span_ends;
+  std::vector<SimTime> gap_starts;
   std::int64_t arrivals_inside = 0;
   std::int64_t drops = 0;
+  std::int64_t spans_compiled = 0;  ///< the compiler's own counts
+  std::int64_t epochs_compiled = 0;
 };
 
 using Script = std::function<void(DdcrTestbed&)>;
@@ -1159,7 +1228,8 @@ SpanRun run_script(int stations, DdcrRunOptions options, bool compiled,
   options.epoch_compiler =
       compiled ? EpochCompilerMode::kOn : EpochCompilerMode::kOff;
   obs::Registry::global().reset();
-  SlotLog log;      // declared first: both outlive the channel
+  SlotLog log;      // declared first: they outlive the channel
+  GapStarts gaps;
   CompilerTap tap;
   DdcrTestbed bed(stations, options);
   tap.bed = &bed;
@@ -1167,6 +1237,7 @@ SpanRun run_script(int stations, DdcrRunOptions options, bool compiled,
     bed.channel().set_span_compiler(&tap);
   }
   bed.channel().add_observer(log);
+  bed.channel().add_observer(gaps);
   script(bed);
   bed.stop();
   SpanRun run;
@@ -1176,17 +1247,19 @@ SpanRun run_script(int stations, DdcrRunOptions options, bool compiled,
   run.records = std::move(log.records);
   run.span_starts = tap.span_starts;
   run.span_ends = tap.span_ends;
+  run.gap_starts = std::move(gaps.starts);
   run.arrivals_inside = tap.arrivals_inside;
   run.drops = tap.drops;
+  run.spans_compiled = bed.epoch_compiler()->spans_compiled();
+  run.epochs_compiled = bed.epoch_compiler()->epochs_compiled();
   return run;
 }
 
 // Runs `script` with the compiler on and off; the two runs must agree on
-// the digest, every outcome, the slot stream and the registry, and some
-// arrival must have fallen inside a compiled span. Returns the compiled run.
-SpanRun expect_arrivals_replayed(int stations, const DdcrRunOptions& options,
-                                 const Script& script,
-                                 const std::string& label) {
+// the digest, every outcome, the slot stream and the registry. Returns the
+// compiled run.
+SpanRun expect_same_run(int stations, const DdcrRunOptions& options,
+                        const Script& script, const std::string& label) {
   SpanRun compiled = run_script(stations, options, true, script);
   const SpanRun interpreted = run_script(stations, options, false, script);
   EXPECT_EQ(compiled.result.protocol_digest,
@@ -1196,6 +1269,15 @@ SpanRun expect_arrivals_replayed(int stations, const DdcrRunOptions& options,
       << label;
   EXPECT_EQ(compiled.slots, interpreted.slots) << label;
   EXPECT_EQ(compiled.registry, interpreted.registry) << label;
+  return compiled;
+}
+
+// expect_same_run, where some arrival must have fallen inside a compiled
+// span.
+SpanRun expect_arrivals_replayed(int stations, const DdcrRunOptions& options,
+                                 const Script& script,
+                                 const std::string& label) {
+  SpanRun compiled = expect_same_run(stations, options, script, label);
   EXPECT_GT(compiled.arrivals_inside, 0)
       << label << ": no arrival fell inside a compiled span";
   return compiled;
@@ -1354,7 +1436,8 @@ TEST(EpochCompiler, ArrivalsInsideSpansMatchTheInterpretedRun) {
 
   // Urgent arrivals exactly on slot boundaries inside compiled spans, where
   // they contend in the very poll at their time, and exactly at compiled
-  // spans' ends.
+  // spans' ends. A span that falls quiescent would go on past an arrival
+  // at its end, so a no-op timer there ends the span where it ended.
   const SpanRun ends = run_script(6, options, true, [&](DdcrTestbed& bed) {
     inject_dense_rounds(bed);
     bed.run(end);
@@ -1391,6 +1474,7 @@ TEST(EpochCompiler, ArrivalsInsideSpansMatchTheInterpretedRun) {
         }
         for (const SimTime at : at_ends) {
           const int s = static_cast<int>(uid % 6);
+          bed.simulator().schedule_at(at, [] {}, "test:span-end");
           bed.inject(s, message(uid++, s, 100, at, Duration::microseconds(2)));
         }
         bed.run(end);
@@ -1463,6 +1547,267 @@ TEST(EpochCompiler, ArrivalsInsideSpansMatchTheInterpretedRun) {
       },
       "arrival injected into an active span");
   EXPECT_GT(intruded.drops, 0) << "the intruding arrival dissolved no span";
+}
+
+// Twenty groups of three rounds of simultaneous arrivals from `start`, 20
+// us apart, whose deadlines lie `deadline` after their arrival: beyond the
+// 16 us TTs horizon of round_options(), they outlast the epochs that open
+// while they wait, and each epoch's end finds them queued.
+void inject_far_rounds(DdcrTestbed& bed, Duration deadline,
+                       std::int64_t first_uid = 1,
+                       SimTime start = SimTime()) {
+  std::int64_t uid = first_uid;
+  for (int group = 0; group < 20; ++group) {
+    for (int round = 0; round < 3; ++round) {
+      const SimTime at = start + Duration::microseconds(20) * group +
+                         Duration::nanoseconds(700) * round;
+      for (int s = 0; s < 6; ++s) {
+        bed.inject(s, message(uid++, s, 100, at, deadline));
+      }
+    }
+  }
+}
+
+TEST(EpochCompiler, SpansCrossEpochBoundariesMatchTheInterpretedRun) {
+  // A compiled span runs on through the CSMA-CD slots between epochs: a
+  // collision there starts the next epoch inside the span, a lone
+  // contender is served, and the span stops only at quiescence, the
+  // horizon, an STs leaf collision or the cap. Under every epoch mode
+  // below the run must end exactly where the slot-by-slot loop ends it,
+  // with spans that closed more epochs than there were spans.
+  const SimTime end = SimTime::from_ns(2'000'000);
+  struct Case {
+    const char* label;
+    DdcrRunOptions options;
+    Script script;
+  };
+  // Dense rounds with far-deadline rounds among them: the epochs follow
+  // one another without a quiet slot between them while the far messages
+  // wait, and fall quiescent between groups once they are gone.
+  const auto mixed = [](DdcrTestbed& bed) {
+    inject_dense_rounds(bed);
+    inject_far_rounds(bed, Duration::microseconds(40), /*first_uid=*/10'000);
+  };
+  std::vector<Case> cases;
+  {
+    // The empty-TTs cap closes epochs whose messages sit past the horizon;
+    // the compressed reft carries into the next one.
+    Case c{"fallback, max_empty_tts cap", round_options(), {}};
+    c.script = [&end](DdcrTestbed& bed) {
+      inject_far_rounds(bed, Duration::microseconds(40));
+      bed.run(end);
+    };
+    cases.push_back(c);
+  }
+  {
+    // Without compressed time an empty TTs closes the epoch at once, and
+    // the next CSMA-CD collision opens another.
+    Case c{"fallback, theta 0", round_options(), {}};
+    c.options.ddcr.theta_factor = 0.0;
+    c.options.ddcr.max_empty_tts = 0;
+    c.script = [&end](DdcrTestbed& bed) {
+      inject_far_rounds(bed, Duration::microseconds(40));
+      bed.run(end);
+    };
+    cases.push_back(c);
+  }
+  {
+    // A post-TTs attempt slot after every time tree: never quiescent.
+    Case c{"perpetual", round_options(), {}};
+    c.options.ddcr.epoch_mode = EpochMode::kPerpetual;
+    c.script = [&end](DdcrTestbed& bed) {
+      inject_dense_rounds(bed);
+      bed.run(end);
+    };
+    cases.push_back(c);
+  }
+  {
+    Case c{"bursting", round_options(), {}};
+    c.options.phy.burst_budget_bits = 300;
+    c.script = [&](DdcrTestbed& bed) {
+      mixed(bed);
+      bed.run(end);
+    };
+    cases.push_back(c);
+  }
+  {
+    // The offline station's queue keeps filling; it never contends.
+    Case c{"churned-out station", round_options(), {}};
+    c.options.require_rejoinable = true;
+    c.script = [&](DdcrTestbed& bed) {
+      mixed(bed);
+      bed.run(SimTime::from_ns(20'050));
+      bed.station(5).go_offline();
+      bed.run(end);
+    };
+    cases.push_back(c);
+  }
+  {
+    // Single messages at random stations and times, some due past the TTs
+    // horizon: epochs often close with one station still queued, and a
+    // message that arrived during an epoch's last slot makes the CSMA-CD
+    // slot after it a collision.
+    Case c{"random arrivals", round_options(), {}};
+    c.script = [&end](DdcrTestbed& bed) {
+      util::Rng rng(5);
+      for (std::int64_t uid = 1; uid <= 1'500; ++uid) {
+        const int s = static_cast<int>(rng.uniform_i64(0, 5));
+        bed.inject(s, message(uid, s, 100,
+                              SimTime::from_ns(rng.uniform_i64(0, 600'000)),
+                              Duration::nanoseconds(
+                                  100 * rng.uniform_i64(20, 400))));
+      }
+      bed.run(end);
+    };
+    cases.push_back(c);
+  }
+  {
+    // A collision heard by station 1 alone forks its replica mid-epoch;
+    // spans resume once the copy has converged, and merge it back. The
+    // far-deadline rounds start after that.
+    Case c{"phantom collision", round_options(), {}};
+    c.script = [&](DdcrTestbed& bed) {
+      inject_dense_rounds(bed);
+      inject_far_rounds(bed, Duration::microseconds(40), /*first_uid=*/10'000,
+                        SimTime::from_ns(200'000));
+      DdcrStation& hit = bed.station(1);
+      SimTime t = SimTime::from_ns(21'050);
+      do {  // slot by slot up to a time tree search
+        t += bed.options().phy.slot_x;
+        bed.run(t);
+        ASSERT_LT(t, SimTime::from_ns(40'000));
+      } while (hit.mode() != DdcrStation::Mode::kTimeSearch);
+      net::SlotObservation phantom;
+      phantom.kind = net::SlotKind::kCollision;
+      phantom.slot_end = bed.simulator().now();
+      phantom.slot_start = phantom.slot_end - bed.options().phy.slot_x;
+      hit.observe(phantom);
+      bed.run(end);
+      EXPECT_EQ(bed.shared_replica().forks(), 1);
+      EXPECT_EQ(bed.shared_replica().merges(),
+                bed.epoch_compiler()->spans_compiled() > 0 ? 1 : 0);
+    };
+    cases.push_back(c);
+  }
+  for (const Case& c : cases) {
+    const SpanRun run = expect_same_run(6, c.options, c.script, c.label);
+    EXPECT_GT(run.spans_compiled, 0) << c.label;
+    EXPECT_GT(run.epochs_compiled, run.spans_compiled)
+        << c.label << ": no span crossed an epoch boundary";
+  }
+
+  // A span that falls quiescent hands the channel to an idle gap at its
+  // end.
+  const SpanRun quiet = expect_same_run(
+      6, round_options(),
+      [&](DdcrTestbed& bed) {
+        mixed(bed);
+        bed.run(end);
+      },
+      "quiescence");
+  EXPECT_GT(quiet.epochs_compiled, quiet.spans_compiled);
+  EXPECT_TRUE(std::any_of(
+      quiet.span_ends.begin(), quiet.span_ends.end(), [&quiet](SimTime t) {
+        return std::find(quiet.gap_starts.begin(), quiet.gap_starts.end(),
+                         t) != quiet.gap_starts.end();
+      }))
+      << "no idle gap began where a compiled span ended";
+}
+
+TEST(EpochCompiler, SlotsCompiledCountsHandedOffSpansOnly) {
+  // run() dissolves the span in flight at its horizon, and the next run
+  // compiles the remainder again. Only handed-off spans count, so the
+  // compiled slots never exceed the slots the channel ran.
+  const Workload wl = traffic::stock_exchange(64);
+  DdcrRunOptions options;
+  options.arrivals = ArrivalKind::kBoundedPoisson;
+  options.arrival_horizon = SimTime::from_ns(20'000'000);
+  options.drain_cap = SimTime::from_ns(400'000'000);
+  options.seed = 3;
+  options.epoch_compiler = EpochCompilerMode::kOn;
+  CompilerTap tap;  // declared first: it outlives the channel
+  DdcrTestbed bed(wl, options);
+  tap.bed = &bed;
+  bed.channel().set_span_compiler(&tap);
+  const traffic::GeneratedTraffic traffic = traffic::generate_traffic(
+      wl, options.arrivals, options.arrival_horizon, options.seed);
+  bed.inject(traffic);
+  bed.run(options.arrival_horizon);
+  EXPECT_GT(tap.drops, 0) << "no span was in flight at the horizon";
+  bed.run_until_delivered(traffic.total_messages, options.drain_cap);
+  const EpochCompiler& compiler = *bed.epoch_compiler();
+  const net::ChannelStats& stats = bed.channel().stats();
+  EXPECT_GT(compiler.slots_compiled(), 0);
+  EXPECT_LE(compiler.slots_compiled(),
+            stats.silence_slots + stats.collision_slots + stats.successes);
+  EXPECT_EQ(compiler.spans_compiled(), tap.commits - tap.drops);
+}
+
+// Four idle stations and a no-op timer at 10 slots, so the first idle gap
+// ends there; the run stops 1 ns short of the gap's end, and a message for
+// station 0 is injected (or scheduled) at exactly that end from outside the
+// event loop. The slot in flight there ends before the message arrives, as
+// it would slot by slot. Returns the start of the first success.
+SimTime first_success_after_gap_end(bool inject, bool slot_by_slot) {
+  const DdcrRunOptions options = fault::small_rejoinable_options();
+  SlotBySlotListener listener;  // declared first: both outlive the channel
+  SlotLog log;
+  DdcrTestbed bed(4, options);
+  bed.channel().add_observer(log);
+  if (slot_by_slot) {
+    bed.channel().attach(listener);
+  }
+  const SimTime end = SimTime() + options.phy.slot_x * 10;
+  bed.simulator().schedule_at(end, [] {}, "test:timer");
+  bed.run(end - Duration::nanoseconds(1));
+  const traffic::Message msg =
+      message(1, 0, 100, end, Duration::microseconds(5));
+  if (inject) {
+    bed.inject(0, msg);
+  } else {
+    bed.simulator().schedule_at(
+        end, [&bed, msg] { bed.station(0).enqueue(msg); }, "test:arrival");
+  }
+  bed.run(SimTime::from_ns(20'000));
+  for (const net::SlotRecord& r : log.records) {
+    if (r.kind == net::SlotKind::kSuccess) {
+      return r.start;
+    }
+  }
+  return SimTime::infinity();
+}
+
+TEST(FastForward, AnEventAtASpanEndFiresAfterItsLastSlot) {
+  // A span's watcher covers the span's end: an event scheduled or appended
+  // there from outside the event loop dissolves the span, so the slot in
+  // flight ends before the event fires, as it does slot by slot.
+  for (const bool inject : {true, false}) {
+    const SimTime gap = first_success_after_gap_end(inject, false);
+    const SimTime ref = first_success_after_gap_end(inject, true);
+    EXPECT_EQ(ref, SimTime::from_ns(1'100)) << inject;
+    EXPECT_EQ(gap, ref) << inject;
+  }
+
+  // An arrival injected at exactly a compiled span's end while the span is
+  // in flight.
+  const SimTime end = SimTime::from_ns(2'000'000);
+  const auto options = round_options();
+  const SpanRun plain = run_script(6, options, true, [&end](DdcrTestbed& bed) {
+    inject_dense_rounds(bed);
+    bed.run(end);
+  });
+  ASSERT_GT(plain.span_ends.size(), 10u);
+  const SimTime at = plain.span_ends[plain.span_ends.size() / 2];
+  const SpanRun run = expect_same_run(
+      6, options,
+      [&](DdcrTestbed& bed) {
+        inject_dense_rounds(bed);
+        bed.advance(at - Duration::nanoseconds(1));
+        bed.inject(2, message(90'000, 2, 100, at, Duration::microseconds(2)));
+        bed.run(end);
+      },
+      "arrival at a compiled span's end");
+  EXPECT_GT(run.drops, 0) << "the arrival dissolved no span";
 }
 
 #if !defined(HRTDM_OBS_OFF)
@@ -1579,7 +1924,10 @@ TEST(SharedReplica, FlightWindowsArePinned) {
   // and a compiled window equals the interpreted one once the records only
   // one of the paths leaves are set aside. The rounds compiled constant was
   // re-recorded when arrivals stopped ending compiled spans, which moved
-  // only its span records (it was 0x88b1bd5d6c86ba89).
+  // only its span records (it was 0x88b1bd5d6c86ba89). Both compiled
+  // constants were re-recorded when spans began to cross epoch boundaries,
+  // which moved only their span records (they were 0x953b75b8293fcff2 and
+  // 0xdf1e664f1eff36ba).
   struct Pin {
     EpochCompilerMode mode;
     std::uint64_t videoconference;
@@ -1589,8 +1937,8 @@ TEST(SharedReplica, FlightWindowsArePinned) {
   for (const Pin pin :
        {Pin{EpochCompilerMode::kOff, 0x1416a65f34235d21ULL,
             0x11511d9624feb342ULL},
-        Pin{EpochCompilerMode::kOn, 0x953b75b8293fcff2ULL,
-            0xdf1e664f1eff36baULL}}) {
+        Pin{EpochCompilerMode::kOn, 0x55861e6df8f73169ULL,
+            0x829824301786ff09ULL}}) {
     std::vector<std::uint64_t>& folds =
         shared[pin.mode == EpochCompilerMode::kOn ? 1 : 0];
     const Workload wl = traffic::videoconference(6);

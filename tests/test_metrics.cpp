@@ -5,12 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/ddcr_network.hpp"
 #include "obs/registry.hpp"
 #include "traffic/workload.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace hrtdm::core {
 namespace {
@@ -258,6 +265,236 @@ TEST(Metrics, DropLateOffTransmitsLateMessages) {
   ASSERT_EQ(bed.metrics().log().size(), 1u);
   EXPECT_EQ(bed.metrics().summarize().misses, 1);
   EXPECT_EQ(bed.station(0).counters().dropped_late, 0);
+}
+
+// --- MetricsOracle: summarize() against the map-and-sort version -----------
+
+// count_deadline_inversions as it was written first: a sort of 2n prefix
+// queries and a binary search per deadline rank.
+std::int64_t reference_inversions(const std::vector<TxRecord>& log) {
+  const std::size_t n = log.size();
+  if (n < 2) {
+    return 0;
+  }
+  std::vector<std::int64_t> deadlines(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    deadlines[i] = log[i].deadline.ns();
+  }
+  std::vector<std::int64_t> sorted = deadlines;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  const auto rank_of = [&](std::int64_t d) {
+    return static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), d) - sorted.begin());
+  };
+  std::vector<SimTime> tx_starts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tx_starts[i] = log[i].tx_start;
+  }
+  struct PrefixQuery {
+    std::size_t p;
+    std::size_t rank;
+    std::int64_t sign;
+  };
+  std::vector<PrefixQuery> queries;
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto lo = static_cast<std::size_t>(
+        std::lower_bound(tx_starts.begin(),
+                         tx_starts.begin() + static_cast<std::ptrdiff_t>(j),
+                         log[j].arrival) -
+        tx_starts.begin());
+    const std::size_t rank = rank_of(deadlines[j]);
+    queries.push_back({j, rank, +1});
+    queries.push_back({lo, rank, -1});
+  }
+  std::sort(queries.begin(), queries.end(),
+            [](const PrefixQuery& a, const PrefixQuery& b) { return a.p < b.p; });
+  std::vector<std::int64_t> tree(sorted.size() + 1, 0);
+  std::int64_t inversions = 0;
+  std::size_t q = 0;
+  for (std::size_t p = 0; p <= n; ++p) {
+    while (q < queries.size() && queries[q].p == p) {
+      std::int64_t le = 0;
+      for (std::size_t i = queries[q].rank + 1; i > 0; i -= i & (~i + 1)) {
+        le += tree[i];
+      }
+      inversions += queries[q].sign * (static_cast<std::int64_t>(p) - le);
+      ++q;
+    }
+    if (p < n) {
+      for (std::size_t i = rank_of(deadlines[p]) + 1; i < tree.size();
+           i += i & (~i + 1)) {
+        ++tree[i];
+      }
+    }
+  }
+  return inversions;
+}
+
+// MetricsCollector::summarize as it was written first: util::Samples per
+// class in a std::map, full sorts for every percentile.
+MetricsSummary reference_summarize(const MetricsCollector& collector,
+                                   std::int64_t silence,
+                                   std::int64_t collision) {
+  const std::vector<TxRecord>& log = collector.log();
+  MetricsSummary summary;
+  summary.silence_slots = silence;
+  summary.collision_slots = collision;
+  summary.delivered = static_cast<std::int64_t>(log.size());
+  util::Samples latencies;
+  std::map<int, util::Samples> class_latency;
+  for (const TxRecord& tx : log) {
+    const double latency = (tx.completed - tx.arrival).to_seconds();
+    latencies.add(latency);
+    auto& cls = summary.per_class[tx.class_id];
+    cls.class_id = tx.class_id;
+    ++cls.delivered;
+    if (tx.completed > tx.deadline) {
+      ++cls.misses;
+    }
+    class_latency[tx.class_id].add(latency);
+  }
+  for (auto& [id, cls] : summary.per_class) {
+    auto& samples = class_latency[id];
+    cls.mean_latency_s = samples.mean();
+    cls.p99_latency_s = samples.percentile(99.0);
+    cls.worst_latency_s = samples.max();
+  }
+  summary.misses = collector.misses();
+  summary.worst_latency_s = collector.worst_latency_s();
+  if (latencies.count() > 0) {
+    summary.mean_latency_s = latencies.mean();
+    summary.p99_latency_s = latencies.percentile(99.0);
+  }
+  std::map<int, std::int64_t> per_source;
+  for (const TxRecord& tx : log) {
+    ++per_source[tx.source];
+  }
+  if (per_source.size() > 1) {
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (const auto& [source, count] : per_source) {
+      sum += static_cast<double>(count);
+      sum_sq += static_cast<double>(count) * static_cast<double>(count);
+    }
+    summary.source_fairness =
+        sum * sum / (static_cast<double>(per_source.size()) * sum_sq);
+  }
+  summary.deadline_inversions = reference_inversions(log);
+  return summary;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Every field, doubles bit for bit.
+void expect_same_summary(const MetricsSummary& got, const MetricsSummary& want,
+                         const std::string& label) {
+  EXPECT_EQ(got.delivered, want.delivered) << label;
+  EXPECT_EQ(got.misses, want.misses) << label;
+  EXPECT_EQ(got.silence_slots, want.silence_slots) << label;
+  EXPECT_EQ(got.collision_slots, want.collision_slots) << label;
+  EXPECT_EQ(got.deadline_inversions, want.deadline_inversions) << label;
+  EXPECT_EQ(bits(got.mean_latency_s), bits(want.mean_latency_s)) << label;
+  EXPECT_EQ(bits(got.worst_latency_s), bits(want.worst_latency_s)) << label;
+  EXPECT_EQ(bits(got.p99_latency_s), bits(want.p99_latency_s)) << label;
+  EXPECT_EQ(bits(got.source_fairness), bits(want.source_fairness)) << label;
+  ASSERT_EQ(got.per_class.size(), want.per_class.size()) << label;
+  for (auto g = got.per_class.begin(), w = want.per_class.begin();
+       g != got.per_class.end(); ++g, ++w) {
+    EXPECT_EQ(g->first, w->first) << label;
+    EXPECT_EQ(g->second.class_id, w->second.class_id) << label;
+    EXPECT_EQ(g->second.delivered, w->second.delivered) << label;
+    EXPECT_EQ(g->second.misses, w->second.misses) << label;
+    EXPECT_EQ(bits(g->second.mean_latency_s), bits(w->second.mean_latency_s))
+        << label << " class " << g->first;
+    EXPECT_EQ(bits(g->second.p99_latency_s), bits(w->second.p99_latency_s))
+        << label << " class " << g->first;
+    EXPECT_EQ(bits(g->second.worst_latency_s), bits(w->second.worst_latency_s))
+        << label << " class " << g->first;
+  }
+}
+
+// A random transmission log of `n` deliveries among silence and collision
+// slots, fed to a collector the way the channel feeds it: tx_start never
+// decreases and often repeats, deadlines and arrivals tie, and class and
+// source ids come from `ids`.
+struct RandomLog {
+  MetricsCollector collector;
+  std::int64_t silence = 0;
+  std::int64_t collision = 0;
+};
+
+void fill_log(RandomLog& log, util::Rng& rng, std::int64_t n,
+              const std::vector<int>& ids) {
+  const auto pick = [&rng, &ids] {
+    return ids[static_cast<std::size_t>(
+        rng.uniform_i64(0, static_cast<std::int64_t>(ids.size()) - 1))];
+  };
+  std::int64_t start = 1'000;
+  for (std::int64_t uid = 0; uid < n; ++uid) {
+    if (rng.uniform_i64(0, 3) == 0) {
+      const bool silent = rng.uniform_i64(0, 1) == 0;
+      log.collector.on_slot(plain_record(silent ? net::SlotKind::kSilence
+                                                : net::SlotKind::kCollision));
+      ++(silent ? log.silence : log.collision);
+    }
+    start += rng.uniform_i64(0, 2) * 10;  // equal tx_starts are common
+    const std::int64_t end = start + 10 * rng.uniform_i64(1, 3);
+    const std::int64_t arrival = start - 10 * rng.uniform_i64(0, 40);
+    const std::int64_t deadline = arrival + 10 * rng.uniform_i64(0, 30);
+    log.collector.on_slot(
+        success_record(uid, pick(), pick(), arrival, start, end, deadline));
+  }
+}
+
+TEST(MetricsOracle, SummarizeMatchesTheReferenceOnRandomLogs) {
+  const std::vector<std::vector<int>> palettes = {
+      {0, 1, 2, 3},                       // dense, as the runs have them
+      {-3, -1, 0, 2},                     // negative
+      {-1'000'000, 7, 2'000'000'000},     // sparse: beyond the id table
+      {5},                                // one class, one source
+  };
+  util::Rng rng(2024);
+  int with_inversions = 0;
+  int with_misses = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<int>& ids =
+        palettes[static_cast<std::size_t>(trial) % palettes.size()];
+    const std::int64_t n = rng.uniform_i64(0, 400);
+    RandomLog log;
+    fill_log(log, rng, n, ids);
+    const std::string label =
+        "trial " + std::to_string(trial) + " n " + std::to_string(n);
+    EXPECT_EQ(count_deadline_inversions(log.collector.log()),
+              reference_inversions(log.collector.log()))
+        << label;
+    const MetricsSummary summary = log.collector.summarize();
+    expect_same_summary(summary,
+                        reference_summarize(log.collector, log.silence,
+                                            log.collision),
+                        label);
+    with_inversions += summary.deadline_inversions > 0 ? 1 : 0;
+    with_misses += summary.misses > 0 ? 1 : 0;
+  }
+  // Non-vacuity: the logs hold inversions and misses to count.
+  EXPECT_GT(with_inversions, 150);
+  EXPECT_GT(with_misses, 150);
+}
+
+TEST(MetricsOracle, SummarizeMatchesTheReferenceOnTinyLogs) {
+  util::Rng rng(7);
+  for (const std::int64_t n : {0, 1, 2}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      RandomLog log;
+      fill_log(log, rng, n, {-2, 0, 9});
+      const std::string label =
+          "n " + std::to_string(n) + " trial " + std::to_string(trial);
+      expect_same_summary(log.collector.summarize(),
+                          reference_summarize(log.collector, log.silence,
+                                              log.collision),
+                          label);
+    }
+  }
 }
 
 }  // namespace

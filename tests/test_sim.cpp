@@ -346,20 +346,25 @@ class RecordingWatcher final : public ScheduleWatcher {
 };
 
 TEST(SimulatorLane, AppendBelowAWatcherHorizonNotifiesIt) {
-  Simulator sim;
-  RecordingWatcher watcher(sim);
-  sim.set_lane_handler([&watcher](std::uint32_t index) {
-    watcher.order.push_back(static_cast<int>(index));
-  });
-  sim.add_schedule_watcher(&watcher, SimTime::from_ns(100));
-  sim.append(SimTime::from_ns(100), 1);  // at the horizon: not below it
-  EXPECT_TRUE(watcher.notified.empty());
-  sim.append(SimTime::from_ns(40), 2);
-  EXPECT_EQ(watcher.notified, (std::vector<std::int64_t>{40}));
-  sim.append(SimTime::from_ns(30), 3);  // notified once, then unregistered
-  EXPECT_EQ(watcher.notified.size(), 1u);
-  sim.run_to_completion();
-  EXPECT_EQ(watcher.order, (std::vector<int>{3, -1, 2, 1}));
+  // A watcher covers its horizon too: an append below it or exactly at it
+  // notifies the watcher once, and what the watcher schedules then fires
+  // first at the same instant. An append past the horizon does not notify.
+  for (const std::int64_t at : {40, 100}) {
+    Simulator sim;
+    RecordingWatcher watcher(sim);
+    sim.set_lane_handler([&watcher](std::uint32_t index) {
+      watcher.order.push_back(static_cast<int>(index));
+    });
+    sim.add_schedule_watcher(&watcher, SimTime::from_ns(100));
+    sim.append(SimTime::from_ns(101), 1);  // past the horizon
+    EXPECT_TRUE(watcher.notified.empty()) << at;
+    sim.append(SimTime::from_ns(at), 2);
+    EXPECT_EQ(watcher.notified, (std::vector<std::int64_t>{at}));
+    sim.append(SimTime::from_ns(30), 3);  // notified once, then unregistered
+    EXPECT_EQ(watcher.notified.size(), 1u) << at;
+    sim.run_to_completion();
+    EXPECT_EQ(watcher.order, (std::vector<int>{3, -1, 2, 1})) << at;
+  }
 }
 
 TEST(SimulatorLane, CountsLaneEvents) {

@@ -269,6 +269,46 @@ BENCHMARK(BM_CleanWorkloadSlots)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
+void BM_PoissonSlots(benchmark::State& state) {
+  // The time-tree side of the epoch compiler (docs/PERFORMANCE.md,
+  // "Contender indexes"): stock_exchange(64) under bounded-Poisson arrivals,
+  // perfbench's channel_poisson shape cut to 200 ms of arrivals, where most
+  // replayed slots are TTs probes over about 60 queued heads
+  // (BM_CleanWorkloadSlots is the full-width STs drain). Arg(1) compiles
+  // epochs, Arg(0) forces the interpreted loop; set-up (testbed, traffic,
+  // injection) is outside the timed region.
+  const traffic::Workload wl = traffic::stock_exchange(64);
+  core::DdcrRunOptions options;
+  options.arrivals = traffic::ArrivalKind::kBoundedPoisson;
+  options.arrival_horizon = sim::SimTime::from_ns(200'000'000);
+  options.drain_cap =
+      options.arrival_horizon + util::Duration::milliseconds(400);
+  options.epoch_compiler = state.range(0) != 0
+                               ? core::EpochCompilerMode::kOn
+                               : core::EpochCompilerMode::kOff;
+  const traffic::GeneratedTraffic arrivals = traffic::generate_traffic(
+      wl, options.arrivals, options.arrival_horizon, options.seed);
+  std::int64_t slots = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      core::DdcrTestbed bed(wl, options);
+      bed.inject(arrivals);
+      state.ResumeTiming();
+      bed.advance(options.arrival_horizon);
+      bed.drain(options.drain_cap);
+      state.PauseTiming();
+      const auto cs = bed.metrics().summarize();
+      slots = cs.silence_slots + cs.collision_slots + cs.delivered;
+      benchmark::DoNotOptimize(slots);
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * slots);
+  state.SetLabel(state.range(0) != 0 ? "compiled" : "interpreted");
+}
+BENCHMARK(BM_PoissonSlots)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <string>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/math.hpp"
@@ -15,51 +16,138 @@ Duration DdcrConfig::theta() const {
       std::llround(theta_factor * static_cast<double>(class_width_c.ns()))));
 }
 
+namespace {
+
+std::string str(std::int64_t v) { return std::to_string(v); }
+
+std::string ns(Duration d) { return std::to_string(d.ns()) + " ns"; }
+
+/// The smallest power of m (>= 2) that is at least n, as a fix to suggest.
+std::string power_at_least(std::int64_t m, std::int64_t n) {
+  return str(util::ipow(m, util::ilog_ceil(m, std::max<std::int64_t>(n, 1))));
+}
+
+}  // namespace
+
 void DdcrConfig::validate(int z) const {
-  HRTDM_EXPECT(z >= 1, "need at least one source");
-  HRTDM_EXPECT(m_time >= 2 && m_static >= 2, "branching degrees must be >= 2");
-  HRTDM_EXPECT(util::is_power_of(m_time, F), "F must be a power of m_time");
-  HRTDM_EXPECT(util::is_power_of(m_static, q), "q must be a power of m_static");
-  HRTDM_EXPECT(q >= z, "q must be at least the number of sources");
+  HRTDM_EXPECT(z >= 1, "z = " + str(z) + ": a channel needs at least one "
+                           "source");
+  HRTDM_EXPECT(m_time >= 2, "m_time = " + str(m_time) +
+                                ": the time tree's branching degree must be "
+                                ">= 2, e.g. m_time = 4");
+  HRTDM_EXPECT(m_static >= 2, "m_static = " + str(m_static) +
+                                  ": the static tree's branching degree "
+                                  "must be >= 2, e.g. m_static = 4");
+  HRTDM_EXPECT(util::is_power_of(m_time, F),
+               "F = " + str(F) + " is not a power of m_time = " +
+                   str(m_time) + "; use e.g. F = " +
+                   power_at_least(m_time, F));
+  HRTDM_EXPECT(util::is_power_of(m_static, q),
+               "q = " + str(q) + " is not a power of m_static = " +
+                   str(m_static) + "; use e.g. q = " +
+                   power_at_least(m_static, q));
+  HRTDM_EXPECT(q >= z, "q = " + str(q) + " but z = " + str(z) +
+                           " sources; q must be a power of m_static = " +
+                           str(m_static) + " at least z, e.g. " +
+                           power_at_least(m_static, z));
   HRTDM_EXPECT(class_width_c > Duration::nanoseconds(0),
-               "class width c must be positive");
-  HRTDM_EXPECT(!alpha.is_negative(), "alpha cannot be negative");
-  HRTDM_EXPECT(theta_factor >= 0.0, "theta factor cannot be negative");
+               "class width c = " + ns(class_width_c) +
+                   " must be positive; size it with "
+                   "DdcrConfig::class_width_for(max deadline, F)");
+  HRTDM_EXPECT(!alpha.is_negative(),
+               "alpha = " + ns(alpha) + " cannot be negative; use alpha >= 0 "
+                                        "(e.g. 2 * c)");
+  // Deadline-class boundaries reft + alpha + (b + 1) * c, b <= F, are
+  // compared in int64 nanoseconds (the compiled replay counts contenders
+  // that way), so the largest offset must be representable.
+  std::int64_t span = 0;
+  HRTDM_EXPECT(!__builtin_mul_overflow(F + 1, class_width_c.ns(), &span) &&
+                   !__builtin_add_overflow(span, alpha.ns(), &span),
+               "alpha + (F + 1) * c overflows int64 nanoseconds (alpha = " +
+                   ns(alpha) + ", c = " + ns(class_width_c) + ", F = " +
+                   str(F) + "); shrink c or F");
+  HRTDM_EXPECT(theta_factor >= 0.0,
+               "theta_factor = " + std::to_string(theta_factor) +
+                   " cannot be negative; use 0 (no compressed time) or a "
+                   "positive factor such as 1.0");
   // In perpetual mode reft is only ever advanced by successes and by
   // compressed time; with theta = 0 an idle network freezes reft while
   // physical time runs on, pushing every future arrival beyond the
   // scheduling horizon for good (livelock).
   HRTDM_EXPECT(epoch_mode != EpochMode::kPerpetual || theta_factor > 0.0,
-               "perpetual epoch mode requires compressed time (theta > 0)");
-  HRTDM_EXPECT(max_empty_tts >= 0, "max_empty_tts cannot be negative");
+               "perpetual epoch mode with theta_factor = 0 livelocks: an "
+               "idle network freezes reft and pushes every later arrival "
+               "beyond the horizon; set theta_factor > 0 or epoch_mode = "
+               "kCsmaCdFallback");
+  HRTDM_EXPECT(max_empty_tts >= 0,
+               "max_empty_tts = " + str(max_empty_tts) +
+                   " cannot be negative; use 0 (no cap) or a positive cap");
   HRTDM_EXPECT(static_cast<int>(static_indices.size()) == z,
-               "static_indices must cover every source");
-  std::set<std::int64_t> seen;
+               "static_indices lists " + str(static_cast<std::int64_t>(
+                                             static_indices.size())) +
+                   " sources but z = " + str(z) +
+                   "; give every source its own list, e.g. "
+                   "DdcrConfig::one_index_per_source(z, q)");
+  std::int64_t total = 0;
   for (const auto& indices : static_indices) {
-    HRTDM_EXPECT(!indices.empty(), "every source needs >= 1 static index");
+    total += static_cast<std::int64_t>(indices.size());
+  }
+  HRTDM_EXPECT(total <= q, "sum of nu_i is " + str(total) + " (z = " +
+                               str(z) + ") but q = " + str(q) +
+                               "; q must be a power of m_static = " +
+                               str(m_static) + " at least the sum, e.g. " +
+                               power_at_least(m_static, total));
+  // (leaf, source) for every static index, checked for disjointness below.
+  std::vector<std::pair<std::int64_t, int>> held;
+  held.reserve(static_cast<std::size_t>(total));
+  for (int s = 0; s < z; ++s) {
+    const auto& indices = static_indices[static_cast<std::size_t>(s)];
+    HRTDM_EXPECT(!indices.empty(),
+                 "source " + str(s) + " has no static index; every source "
+                                      "needs nu_i >= 1");
     for (std::size_t i = 0; i < indices.size(); ++i) {
-      HRTDM_EXPECT(indices[i] >= 0 && indices[i] < q,
-                   "static index out of [0, q)");
-      HRTDM_EXPECT(seen.insert(indices[i]).second,
-                   "static indices must be disjoint across sources");
-      if (i > 0) {
-        HRTDM_EXPECT(indices[i - 1] < indices[i],
-                     "static indices must be ranked increasing");
-      }
+      const std::int64_t leaf = indices[i];
+      HRTDM_EXPECT(leaf >= 0 && leaf < q,
+                   "static index " + str(leaf) + " of source " + str(s) +
+                       " is outside [0, q = " + str(q) +
+                       "); every index must be a static-tree leaf");
+      HRTDM_EXPECT(i == 0 || indices[i - 1] < leaf,
+                   "static indices of source " + str(s) +
+                       " are not ranked increasing (" + str(indices[i - 1]) +
+                       " then " + str(leaf) +
+                       "); list each source's indices in increasing order");
+      held.emplace_back(leaf, s);
     }
+  }
+  std::sort(held.begin(), held.end());
+  for (std::size_t i = 1; i < held.size(); ++i) {
+    HRTDM_EXPECT(held[i - 1].first != held[i].first,
+                 "static index " + str(held[i].first) +
+                     " is held by sources " + str(held[i - 1].second) +
+                     " and " + str(held[i].second) +
+                     "; static indices must be disjoint across sources");
   }
 }
 
 std::vector<std::vector<std::int64_t>> DdcrConfig::spread_indices(
     int z, std::int64_t q, const std::vector<std::int64_t>& nu) {
-  HRTDM_EXPECT(z >= 1, "need at least one source");
-  HRTDM_EXPECT(static_cast<int>(nu.size()) == z, "nu must have z entries");
+  HRTDM_EXPECT(z >= 1, "z = " + str(z) + ": need at least one source");
+  HRTDM_EXPECT(static_cast<int>(nu.size()) == z,
+               "nu has " + str(static_cast<std::int64_t>(nu.size())) +
+                   " entries but z = " + str(z) +
+                   "; give one nu_i per source");
   std::int64_t total = 0;
-  for (const std::int64_t n : nu) {
-    HRTDM_EXPECT(n >= 1, "every source needs >= 1 static index");
-    total += n;
+  for (std::size_t s = 0; s < nu.size(); ++s) {
+    HRTDM_EXPECT(nu[s] >= 1, "nu_" + str(static_cast<std::int64_t>(s)) +
+                                 " = " + str(nu[s]) +
+                                 "; every source needs nu_i >= 1 static "
+                                 "index");
+    total += nu[s];
   }
-  HRTDM_EXPECT(total <= q, "sum of nu_i cannot exceed q");
+  HRTDM_EXPECT(total <= q, "sum of nu_i is " + str(total) + " (z = " +
+                               str(z) + ") but q = " + str(q) +
+                               "; raise q to a power of m_static at least " +
+                               str(total) + ", or lower some nu_i");
 
   // Round-robin over sources that still need indices, walking the leaf
   // range left to right: sources end up maximally interleaved.

@@ -124,7 +124,9 @@ struct DdcrConfig {
   /// The scheduling horizon c * F.
   Duration horizon() const { return class_width_c * F; }
 
-  /// Validates tree shapes and the static-index partition for z sources.
+  /// Validates tree shapes, the class arithmetic (alpha + (F + 1) * c must
+  /// fit in int64 ns) and the static-index partition for z sources. Each
+  /// ContractViolation names the field, its value and the fix.
   void validate(int z) const;
 
   /// Allocates nu_i indices per source, interleaved across [0, q) so that

@@ -93,7 +93,9 @@ class ConsistencyChecker final : public net::ChannelObserver {
 namespace {
 
 DdcrRunOptions resolve_options(DdcrRunOptions options, int z) {
-  if (options.ddcr.static_indices.empty()) {
+  // With q < z there is no index to hand out: validate() names q, z and
+  // the power of m_static to use instead.
+  if (options.ddcr.static_indices.empty() && options.ddcr.q >= z) {
     options.ddcr.static_indices =
         DdcrConfig::one_index_per_source(z, options.ddcr.q);
   }

@@ -99,54 +99,24 @@ void EpochCompiler::SpanReports::flush(ReplicaSink& sink) const {
   }
 }
 
-void EpochCompiler::rebuild_tts_index() {
-  const std::size_t buckets = static_cast<std::size_t>(cfg_->F) + 1;
-  tts_prefix_.assign(buckets, 0);
-  const SimTime ref_time = work_.reft() + cfg_->alpha;
-  for (PerStation& ps : per_) {
-    const Message* head = ps.head();
-    if (head == nullptr) {
-      continue;
-    }
-    if (ps.raw_gen != reft_gen_) {
-      ps.raw = (head->absolute_deadline - ref_time)
-                   .floor_div(cfg_->class_width_c);
-      ps.raw_gen = reft_gen_;
-    }
-    // Bucket F collects raw >= F heads: idx = max(raw, floor) >= F is out
-    // of the class range whatever the frontier does. Negative raws clamp
-    // to 0, which is exact because the frontier never goes below 0.
-    const std::int64_t b =
-        std::clamp<std::int64_t>(ps.raw, 0, static_cast<std::int64_t>(cfg_->F));
-    ++tts_prefix_[static_cast<std::size_t>(b)];
-  }
-  for (std::size_t b = 1; b < buckets; ++b) {
-    tts_prefix_[b] += tts_prefix_[b - 1];
-  }
-  tts_index_valid_ = true;
+std::int64_t EpochCompiler::class_end(std::int64_t b) const {
+  // raw = floor((D - ref) / c) <= b  iff  D - ref < (b + 1) * c. Exact in
+  // int64: DdcrConfig::validate bounds alpha + (F + 1) * c.
+  return work_.reft().ns() + cfg_->alpha.ns() +
+         (b + 1) * cfg_->class_width_c.ns();
 }
 
 void EpochCompiler::rebuild_sts_index() {
   const std::size_t q = static_cast<std::size_t>(cfg_->q);
   sts_prefix_.assign(q, 0);
   sts_owner_.assign(q, nullptr);
-  const SimTime ref_time = work_.reft() + cfg_->alpha;
-  const std::int64_t sts_leaf = work_.sts_leaf();
-  for (PerStation& ps : per_) {
-    if (ps.static_pos >= ps.s->my_indices_.size()) {
+  // Due-or-late rule: only heads with raw index <= the tie-break leaf.
+  const std::int64_t due_before = class_end(work_.sts_leaf());
+  for (std::size_t i = 0; i < queued_per_.size(); ++i) {
+    PerStation& ps = per_[static_cast<std::size_t>(queued_per_[i])];
+    if (ps.static_pos >= ps.s->my_indices_.size() ||
+        queued_deadline_[i] >= due_before) {
       continue;
-    }
-    const Message* head = ps.head();
-    if (head == nullptr) {
-      continue;
-    }
-    if (ps.raw_gen != reft_gen_) {
-      ps.raw = (head->absolute_deadline - ref_time)
-                   .floor_div(cfg_->class_width_c);
-      ps.raw_gen = reft_gen_;
-    }
-    if (ps.raw > sts_leaf) {
-      continue;  // due-or-late rule: not eligible for this tie-break
     }
     const auto key =
         static_cast<std::size_t>(ps.s->my_indices_[ps.static_pos]);
@@ -199,11 +169,13 @@ void EpochCompiler::absorb_arrivals(SimTime t) {
     PerStation& ps = per_[static_cast<std::size_t>(p)];
     const Message* head = ps.head();
     if (head == nullptr) {
-      ++queued_;
-    }
-    if (head == nullptr || EdfQueue::precedes(arrival.msg, *head)) {
-      ps.raw_gen = 0;
-      tts_index_valid_ = false;
+      ps.slot = static_cast<std::int32_t>(queued_per_.size());
+      queued_deadline_.push_back(arrival.msg.absolute_deadline.ns());
+      queued_per_.push_back(p);
+      sts_index_valid_ = false;
+    } else if (EdfQueue::precedes(arrival.msg, *head)) {
+      queued_deadline_[static_cast<std::size_t>(ps.slot)] =
+          arrival.msg.absolute_deadline.ns();
       sts_index_valid_ = false;
     }
     const auto unserved =
@@ -233,11 +205,19 @@ void EpochCompiler::serve(PerStation& ps, const Message* head, SimTime end) {
     ++ps.it;
   }
   ++ps.transmitted;
-  ps.raw_gen = 0;  // head advanced: cached raw index is stale
-  tts_index_valid_ = false;
-  if (ps.head() == nullptr) {
-    --queued_;
+  const auto slot = static_cast<std::size_t>(ps.slot);
+  if (const Message* next = ps.head()) {
+    queued_deadline_[slot] = next->absolute_deadline.ns();
+    return;
   }
+  // The queue emptied: the last entry takes its place.
+  const std::int32_t moved = queued_per_.back();
+  queued_deadline_[slot] = queued_deadline_.back();
+  queued_per_[slot] = moved;
+  per_[static_cast<std::size_t>(moved)].slot = ps.slot;
+  queued_deadline_.pop_back();
+  queued_per_.pop_back();
+  ps.slot = -1;
 }
 
 std::size_t EpochCompiler::served_before(int station, SimTime now) {
@@ -316,8 +296,9 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   const DdcrReplica* agreed = &base;  // the last replica found to match
   merge_ = false;
   per_of_.assign(shared_.stations_.size(), -1);
+  queued_deadline_.clear();
+  queued_per_.clear();
   std::size_t online = 0;
-  queued_ = 0;
   for (std::size_t i = 0; i < shared_.stations_.size(); ++i) {
     DdcrStation* s = shared_.stations_[i];
     const Mode mode = s->mode();
@@ -354,8 +335,12 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     ps.served = 0;
     ps.transmitted = 0;
     ps.burst_transmitted = 0;
-    ps.raw_gen = 0;  // every raw cache starts stale
-    queued_ += s->queue_.empty() ? 0 : 1;
+    ps.slot = -1;
+    if (ps.it != s->queue_.end()) {
+      ps.slot = static_cast<std::int32_t>(queued_per_.size());
+      queued_deadline_.push_back(ps.it->absolute_deadline.ns());
+      queued_per_.push_back(per_of_[i]);
+    }
   }
   per_.resize(online);
   lane_ = simulator_.lane();
@@ -365,8 +350,6 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
   cfg_ = &ref->config_;
   work_ = base;  // reuses the engines' stack capacity
   base_counters_ = base.counters();
-  reft_gen_ = 1;  // and every per_ entry's raw_gen is 0
-  tts_index_valid_ = false;
   sts_index_valid_ = false;
   sts_streak_touched_ = false;
   reports_.clear(shared_.traced_);
@@ -406,61 +389,33 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     const Message* winner_msg = nullptr;
     if (mode == Mode::kCsmaCd) {
       // Every station with a queued message transmits its EDF head.
-      contenders = queued_;
+      contenders = static_cast<int>(queued_per_.size());
       if (contenders == 0 && !work.post_tts_attempt()) {
         break;  // quiescent: the channel's idle gap takes over
       }
       if (contenders == 1) {
-        for (PerStation& ps : per_) {
-          if (const Message* head = ps.head()) {
-            winner = &ps;
-            winner_msg = head;
-            break;
-          }
-        }
-        HRTDM_EXPECT(winner != nullptr, "CSMA-CD contender count out of sync");
+        winner = &per_[static_cast<std::size_t>(queued_per_.front())];
+        winner_msg = winner->head();
       }
     } else if (mode == Mode::kTimeSearch) {
-      const auto interval = work.time_engine().current();
-      const std::int64_t floor_idx = work.time_engine().resolved_up_to();
-      if (!tts_index_valid_) {
-        rebuild_tts_index();
-      }
       // Counting form of the per-station scan: a station contends iff
-      // idx = max(raw, floor) lands in [lo, min(hi, F-1)]. Stations with
-      // raw > floor contribute the band [max(lo, floor+1), hi_cap]; every
-      // raw <= floor station folds onto the frontier leaf and joins iff
-      // the probe covers it. resolved_up_to() and interval.lo are both
-      // >= 0, so the clamped buckets preserve max(raw, floor) exactly.
-      const std::int64_t hi_cap =
-          std::min(interval.hi() - 1, static_cast<std::int64_t>(cfg_->F) - 1);
-      if (hi_cap >= interval.lo) {
-        const std::int64_t from = std::max(interval.lo, floor_idx + 1);
-        if (from <= hi_cap) {
-          contenders += tts_prefix_[static_cast<std::size_t>(hi_cap)] -
-                        tts_prefix_[static_cast<std::size_t>(from - 1)];
-        }
-        if (floor_idx >= interval.lo && floor_idx <= hi_cap) {
-          contenders += tts_prefix_[static_cast<std::size_t>(floor_idx)];
-        }
+      // idx = max(raw, frontier) lies in the probed [lo, hi). While a search
+      // runs, the frontier (resolved_up_to()) is the probe's own lo, so
+      // every raw <= lo head folds onto it and joins: the contenders are
+      // the heads with raw <= hi - 1, i.e. D < class_end(hi - 1). hi <= F,
+      // so a head with raw >= F never contends.
+      const std::int64_t before =
+          class_end(work.time_engine().current().hi() - 1);
+      for (const std::int64_t d : queued_deadline_) {
+        contenders += d < before ? 1 : 0;
       }
       if (contenders == 1) {
-        // Unique contender: the walk's order no longer matters, so a
-        // first-match scan names the same winner the full scan would.
-        for (PerStation& ps : per_) {
-          const Message* head = ps.head();
-          if (head == nullptr) {
-            continue;
-          }
-          const std::int64_t idx = std::max(ps.raw, floor_idx);
-          if (idx > cfg_->F - 1 || !interval.contains(idx)) {
-            continue;
-          }
-          winner = &ps;
-          winner_msg = head;
-          break;
+        std::size_t lone = 0;
+        while (queued_deadline_[lone] >= before) {
+          ++lone;
         }
-        HRTDM_EXPECT(winner != nullptr, "contender index out of sync");
+        winner = &per_[static_cast<std::size_t>(queued_per_[lone])];
+        winner_msg = winner->head();
       }
     } else {
       const auto interval = work.static_engine().current();
@@ -553,20 +508,15 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
           for (std::size_t b = kw; b < sts_prefix_.size(); ++b) {
             --sts_prefix_[b];
           }
-          const Message* next = winner->head();
           if (winner->static_pos < winner->s->my_indices_.size() &&
-              next != nullptr) {
-            if (winner->raw_gen != reft_gen_) {
-              winner->raw = work.raw_time_index(next->absolute_deadline);
-              winner->raw_gen = reft_gen_;
-            }
-            if (winner->raw <= work.sts_leaf()) {
-              const std::size_t k2 = static_cast<std::size_t>(
-                  winner->s->my_indices_[winner->static_pos]);
-              sts_owner_[k2] = winner;
-              for (std::size_t b = k2; b < sts_prefix_.size(); ++b) {
-                ++sts_prefix_[b];
-              }
+              winner->slot >= 0 &&
+              queued_deadline_[static_cast<std::size_t>(winner->slot)] <
+                  class_end(work.sts_leaf())) {
+            const std::size_t k2 = static_cast<std::size_t>(
+                winner->s->my_indices_[winner->static_pos]);
+            sts_owner_[k2] = winner;
+            for (std::size_t b = k2; b < sts_prefix_.size(); ++b) {
+              ++sts_prefix_[b];
             }
           }
         }
@@ -589,9 +539,7 @@ bool EpochCompiler::compile(SimTime start, SimTime horizon,
     }
     if (work.reft() != reft_before) {
       // A TTs success, a theta compression or the STs hand-back moved
-      // reft: every cached raw index and both contender indices are stale.
-      ++reft_gen_;
-      tts_index_valid_ = false;
+      // reft, and with it the STs index's due-or-late cut.
       sts_index_valid_ = false;
     }
 

@@ -164,11 +164,9 @@ class EpochCompiler final : public net::SpanCompiler {
     std::size_t served = 0;         ///< served_before()'s cursor
     std::int64_t transmitted = 0;
     std::int64_t burst_transmitted = 0;
-    /// Cached raw deadline-class index of the queue head relative to the
-    /// replay reft (valid while raw_gen matches the compiler's reft_gen_
-    /// and the head is unchanged; 0 = invalid).
-    std::int64_t raw = 0;
-    std::uint32_t raw_gen = 0;
+    /// Position in queued_deadline_/queued_per_, or -1 while the replay
+    /// queue is empty.
+    std::int32_t slot = -1;
 
     /// The replay queue's EDF head, or nullptr when it is empty.
     const Message* head() const {
@@ -220,11 +218,12 @@ class EpochCompiler final : public net::SpanCompiler {
     std::vector<TraceEvent> trace_;
   };
 
-  /// Rebuilds tts_prefix_ (and refreshes every stale raw cache) from the
-  /// current replay cursors; called lazily from the TTs poll mirror.
-  void rebuild_tts_index();
-  /// Rebuilds sts_prefix_/sts_owner_ from the current replay cursors;
-  /// called lazily from the STs poll mirror.
+  /// The earliest absolute deadline (ns) whose raw class index
+  /// floor((D - (reft + alpha)) / c) exceeds `b` in the replay: raw <= b
+  /// iff D < class_end(b), so no class index is ever divided out.
+  std::int64_t class_end(std::int64_t b) const;
+  /// Rebuilds sts_prefix_/sts_owner_ from the queued heads; called lazily
+  /// from the STs poll mirror.
   void rebuild_sts_index();
 
   /// Accounts one mid-epoch bail-out (counter family + kSpanBail flight
@@ -232,8 +231,8 @@ class EpochCompiler final : public net::SpanCompiler {
   bool bail(obs::FrBail reason, SimTime now);
 
   /// Moves every pending lane arrival with time <= `t` into its station's
-  /// replay queue, in lane order; a new head invalidates that station's
-  /// raw cache and both contender indices.
+  /// replay queue, in lane order; a new head updates (or adds) the
+  /// station's queued-head entry and invalidates the STs index.
   void absorb_arrivals(SimTime t);
 
   /// True when at least two online stations have a queued message: the
@@ -241,8 +240,8 @@ class EpochCompiler final : public net::SpanCompiler {
   bool collision_ahead() const;
 
   /// Transmits `head` (ps.head()'s result) in a slot ending at `end`: the
-  /// station's replay queue advances, and its raw cache, the TTs contender
-  /// index and the CSMA-CD contender count follow.
+  /// station's replay queue advances, and its queued-head entry follows
+  /// (swap-removed when the queue empties).
   void serve(PerStation& ps, const Message* head, SimTime end);
 
   net::BroadcastChannel& channel_;
@@ -260,10 +259,6 @@ class EpochCompiler final : public net::SpanCompiler {
   DdcrReplica::Counters base_counters_;
   /// Some online station held a private copy at compile time.
   bool merge_ = false;
-  /// Generation tag for PerStation::raw caches; bumped whenever the replay
-  /// reft moves (TTs success, theta compression, STs hand-back). Never 0,
-  /// so a zeroed raw_gen is always stale.
-  std::uint32_t reft_gen_ = 1;
   bool sts_streak_touched_ = false;
   SpanReports reports_;
   /// Slots and closed epochs of the span pending hand-off.
@@ -271,8 +266,16 @@ class EpochCompiler final : public net::SpanCompiler {
   std::int64_t span_epochs_ = 0;
   SimTime last_end_;
   std::vector<PerStation> per_;
-  /// per_ entries whose replay queue is non-empty: the CSMA-CD contenders.
-  std::int32_t queued_ = 0;
+  /// The queued heads: one entry per per_ station whose replay queue is
+  /// non-empty, in no order — its head's absolute deadline (ns) and its
+  /// per_ index, in two parallel arrays (PerStation::slot is the position).
+  /// These are the CSMA-CD contenders, and a TTs probe of [lo, hi) counts
+  /// its contenders in one pass over the deadlines: max(raw, frontier)
+  /// lies in it iff D < class_end(hi - 1), because the frontier is lo
+  /// while the search runs. A reft move costs nothing; a head change
+  /// rewrites one entry.
+  std::vector<std::int64_t> queued_deadline_;
+  std::vector<std::int32_t> queued_per_;
   /// per_ index of each station (shared.stations_ order); -1 = offline.
   std::vector<std::int32_t> per_of_;
   /// The lane's pending entries, and the first one not yet absorbed. Set
@@ -280,23 +283,17 @@ class EpochCompiler final : public net::SpanCompiler {
   /// fires nothing while a compile runs, so the view stays valid.
   std::span<const sim::LaneEntry> lane_;
   std::size_t next_lane_ = 0;
-  /// TTs contender index: tts_prefix_[b] = number of stations with a
-  /// non-empty replay queue whose raw index, clamped to [0, F], is <= b
-  /// (bucket F collects heads beyond the class range — never eligible).
-  /// Because idx = max(raw, frontier) folds every raw <= frontier station
-  /// onto the frontier leaf, a poll's contender count is two prefix-sum
-  /// lookups; the O(z) station walk then only runs on successes, to name
-  /// the unique winner. Invalidated (tts_index_valid_) by exactly the
-  /// events that invalidate a raw cache: a head advance or a reft_ move.
-  std::vector<std::int32_t> tts_prefix_;
-  bool tts_index_valid_ = false;
   /// STs contender index over the static leaf range [0, q): sts_prefix_[b]
-  /// counts due-or-late stations whose current static index is <= b, and
-  /// sts_owner_[b] names the station holding leaf b (static indices
-  /// partition [0, q), so a leaf has at most one holder). A poll is one
-  /// prefix-sum band; a success finds its winner by binary-searching the
-  /// band for the lone step, then the owner map. Same invalidation rule
-  /// as the TTs index, plus the tie-break entry that resets static_pos.
+  /// counts due-or-late stations (head deadline < class_end(leaf)) whose
+  /// current static index is <= b, and sts_owner_[b] names the station
+  /// holding leaf b (static indices partition [0, q), so a leaf has at most
+  /// one holder). A poll is one prefix-sum band; a success finds its winner
+  /// by binary-searching the band for the lone step, then the owner map,
+  /// and patches the index in place. A new head, a burst, a reft move or
+  /// the tie-break entry that resets static_pos invalidates it. It stays a
+  /// prefix array rather than a pass over the queued heads because wide
+  /// tie-breaks (a thousand queued heads, docs/PERFORMANCE.md) poll it far
+  /// more often than they rebuild it.
   std::vector<std::int32_t> sts_prefix_;
   std::vector<PerStation*> sts_owner_;
   bool sts_index_valid_ = false;

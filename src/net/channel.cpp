@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "obs/registry.hpp"
 #include "util/check.hpp"
@@ -22,9 +23,10 @@ BroadcastChannel::BroadcastChannel(sim::Simulator& simulator, PhyConfig phy,
 
 void BroadcastChannel::attach(Station& station) {
   HRTDM_EXPECT(!started_once_, "attach stations before start()");
-  for (const Station* existing : stations_) {
-    HRTDM_EXPECT(existing->id() != station.id(), "duplicate station id");
-  }
+  const int id = station.id();
+  HRTDM_EXPECT(station_ids_.insert(id).second,
+               "duplicate station id " + std::to_string(id) +
+                   ": every station on a channel needs its own id");
   stations_.push_back(&station);
 }
 

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -386,6 +387,8 @@ class BroadcastChannel final : private sim::ScheduleWatcher {
   util::Rng ge_rng_;
   bool ge_bad_ = false;
   std::vector<Station*> stations_;
+  /// The attached stations' ids: attach() rejects a duplicate in O(1).
+  std::unordered_set<int> station_ids_;
   std::vector<ChannelObserver*> observers_;
   SlotInterceptor* interceptor_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;

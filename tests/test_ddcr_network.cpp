@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "analysis/feasibility.hpp"
 #include "check/conformance.hpp"
@@ -253,6 +259,157 @@ TEST(DdcrNetwork, TestbedRejectsConformanceCheckWithoutWorkload) {
   EXPECT_TRUE(result.conformance.checked);
   EXPECT_TRUE(result.conformance.ok) << result.conformance.summary();
   EXPECT_EQ(result.protocol_digest, run_ddcr(wl, options).protocol_digest);
+}
+
+// The message of the ContractViolation `build` throws; empty (and a test
+// failure) when it throws none.
+template <typename Build>
+std::string rejection(Build build) {
+  try {
+    build();
+  } catch (const util::ContractViolation& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no ContractViolation";
+  return {};
+}
+
+TEST(DdcrConfig, EachCheckNamesItsValueAndTheFix) {
+  // Every boundary check of DdcrConfig::validate and spread_indices names
+  // the field, the value it rejects and what to use instead.
+  const auto base = [] {
+    DdcrConfig c;
+    c.static_indices = DdcrConfig::one_index_per_source(4, c.q);
+    return c;
+  };
+  struct Case {
+    const char* label;
+    std::function<void(DdcrConfig&)> mutate;
+    int z;
+    std::vector<std::string> expected;
+  };
+  const std::vector<Case> cases = {
+      {"no source", [](DdcrConfig&) {}, 0, {"z = 0"}},
+      {"m_time", [](DdcrConfig& c) { c.m_time = 1; }, 4,
+       {"m_time = 1", ">= 2"}},
+      {"m_static", [](DdcrConfig& c) { c.m_static = 0; }, 4,
+       {"m_static = 0", ">= 2"}},
+      {"F", [](DdcrConfig& c) { c.F = 60; }, 4,
+       {"F = 60", "m_time = 4", "F = 64"}},
+      {"q", [](DdcrConfig& c) { c.q = 100; }, 4,
+       {"q = 100", "m_static = 4", "q = 256"}},
+      {"q below z", [](DdcrConfig& c) { c.q = 1024; }, 2000,
+       {"q = 1024", "z = 2000", "m_static = 4", "4096"}},
+      {"c", [](DdcrConfig& c) { c.class_width_c = Duration::nanoseconds(-5); },
+       4, {"c = -5 ns", "class_width_for"}},
+      {"alpha", [](DdcrConfig& c) { c.alpha = Duration::nanoseconds(-7); }, 4,
+       {"alpha = -7 ns", "alpha >= 0"}},
+      {"alpha + (F + 1) * c",
+       [](DdcrConfig& c) {
+         c.class_width_c = Duration::nanoseconds(INT64_MAX / 64);
+         c.alpha = Duration::nanoseconds(3);
+       },
+       4,
+       {"overflows", "alpha = 3 ns",
+        "c = " + std::to_string(INT64_MAX / 64) + " ns", "F = 64"}},
+      {"theta_factor", [](DdcrConfig& c) { c.theta_factor = -0.5; }, 4,
+       {"theta_factor = -0.5", "1.0"}},
+      {"perpetual",
+       [](DdcrConfig& c) {
+         c.epoch_mode = EpochMode::kPerpetual;
+         c.theta_factor = 0.0;
+       },
+       4, {"theta_factor = 0", "kCsmaCdFallback"}},
+      {"max_empty_tts", [](DdcrConfig& c) { c.max_empty_tts = -2; }, 4,
+       {"max_empty_tts = -2"}},
+      {"static_indices size", [](DdcrConfig&) {}, 5,
+       {"lists 4 sources", "z = 5", "one_index_per_source"}},
+      {"sum of nu_i",
+       [](DdcrConfig& c) {
+         c.q = 16;
+         c.static_indices = {{0, 1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12},
+                             {13, 14, 15, 16}};
+       },
+       4, {"sum of nu_i is 17", "z = 4", "q = 16", "m_static = 4", "64"}},
+      {"empty source", [](DdcrConfig& c) { c.static_indices[2].clear(); }, 4,
+       {"source 2 has no static index"}},
+      {"out of range", [](DdcrConfig& c) { c.static_indices[1] = {70}; }, 4,
+       {"static index 70 of source 1", "q = 64"}},
+      {"shared leaf", [](DdcrConfig& c) { c.static_indices[3] = {16}; }, 4,
+       {"static index 16", "sources 1 and 3", "disjoint"}},
+      {"unranked",
+       [](DdcrConfig& c) { c.static_indices[0] = {9, 4}; }, 4,
+       {"source 0", "(9 then 4)", "increasing"}},
+  };
+  for (const Case& c : cases) {
+    DdcrConfig config = base();
+    c.mutate(config);
+    const std::string what = rejection([&] { config.validate(c.z); });
+    for (const std::string& part : c.expected) {
+      EXPECT_NE(what.find(part), std::string::npos)
+          << c.label << ": \"" << part << "\" not in: " << what;
+    }
+  }
+
+  // spread_indices, which the testbed reaches only with q >= z.
+  const struct {
+    const char* label;
+    int z;
+    std::int64_t q;
+    std::vector<std::int64_t> nu;
+    std::vector<const char*> expected;
+  } spread_cases[] = {
+      {"no source", 0, 16, {}, {"z = 0"}},
+      {"nu size", 3, 16, {1, 1}, {"nu has 2 entries", "z = 3"}},
+      {"nu_i", 3, 16, {1, 0, 1}, {"nu_1 = 0"}},
+      {"sum", 2000, 1024, std::vector<std::int64_t>(2000, 1),
+       {"sum of nu_i is 2000", "z = 2000", "q = 1024", "m_static"}},
+  };
+  for (const auto& c : spread_cases) {
+    const std::string what = rejection(
+        [&] { (void)DdcrConfig::spread_indices(c.z, c.q, c.nu); });
+    for (const char* part : c.expected) {
+      EXPECT_NE(what.find(part), std::string::npos)
+          << c.label << ": \"" << part << "\" not in: " << what;
+    }
+  }
+
+  // Through the testbed, q < z reaches validate's message.
+  DdcrRunOptions options;
+  options.ddcr.q = 1024;
+  const std::string what = rejection([&] { DdcrTestbed bed(2000, options); });
+  EXPECT_NE(what.find("q = 1024 but z = 2000 sources; q must be a power of "
+                      "m_static = 4 at least z, e.g. 4096"),
+            std::string::npos)
+      << what;
+}
+
+TEST(DdcrNetwork, TestbedConstructionIsNearLinearInStations) {
+  // BroadcastChannel::attach checks each id against a hash set, so building
+  // a testbed costs O(z) channel work: 4000 stations take at most 6x what
+  // 1000 take (the per-attach scan of the attached stations made it 14x).
+  // Each size keeps its fastest of several back-to-back builds, so the
+  // allocator has grown its heap to the size before the one that counts.
+  DdcrRunOptions options;
+  options.ddcr.q = 4096;
+  const auto fastest = [&options](int z) {
+    double best = 1e9;
+    for (int rep = 0; rep < 7; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      {
+        DdcrTestbed bed(z, options);
+        EXPECT_EQ(bed.station_count(), z);
+      }
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - t0;
+      best = std::min(best, took.count());
+    }
+    return best;
+  };
+  const double small = fastest(1000);
+  const double large = fastest(4000);
+  EXPECT_LE(large, 6.0 * small) << "z = 1000: " << small * 1e3
+                                << " ms, z = 4000: " << large * 1e3 << " ms";
 }
 
 }  // namespace

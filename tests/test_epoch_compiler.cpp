@@ -1714,6 +1714,77 @@ TEST(EpochCompiler, SpansCrossEpochBoundariesMatchTheInterpretedRun) {
       << "no idle gap began where a compiled span ended";
 }
 
+TEST(EpochCompiler, BucketEdgesMatchTheInterpretedRun) {
+  // The replay counts TTs contenders on head deadlines: raw <= b iff
+  // D < reft + alpha + (b + 1) * c, a head with raw < 0 folds onto the
+  // frontier leaf, and one with raw >= F never contends; the STs index
+  // applies the same cut at the tie-break leaf. Every frame and every slot
+  // here lasts 100 ns and alpha is 300 ns, so reft + alpha stays on the
+  // 100 ns grid and moves by less than c (1 or 8 us) per success. The
+  // deadlines sit on that grid and 1 ns either side of it, from just past
+  // the arrival (below ref once reft moves on) to beyond ref + F * c, so
+  // at every probe some head lies exactly on a class edge. Waves of
+  // arrivals, every other one off the slot grid, open new epochs and land
+  // inside running ones: they fill empty queues and replace heads. Most
+  // sources hold several static indices, so an STs winner's next head
+  // re-enters the tie-break when it is due.
+  struct Shape {
+    int stations;
+    int m;
+    std::int64_t leaves;  ///< F
+    std::int64_t q;
+    std::int64_t c_ns;
+    int waves;
+    std::int64_t spacing_ns;  ///< between waves
+    int per_station;          ///< messages per station and wave
+  };
+  for (const Shape shape : {Shape{4, 2, 16, 16, 1'000, 12, 30'000, 3},
+                            Shape{64, 4, 64, 256, 1'000, 8, 30'000, 1},
+                            Shape{1000, 4, 64, 4096, 8'000, 3, 300'000, 1}}) {
+    DdcrRunOptions options = round_options();
+    options.ddcr.m_time = shape.m;
+    options.ddcr.F = shape.leaves;
+    options.ddcr.m_static = shape.m;
+    options.ddcr.q = shape.q;
+    std::vector<std::int64_t> nu;
+    for (int s = 0; s < shape.stations; ++s) {
+      nu.push_back(1 + s % 3);
+    }
+    options.ddcr.static_indices =
+        DdcrConfig::spread_indices(shape.stations, shape.q, nu);
+    options.ddcr.class_width_c = Duration::nanoseconds(shape.c_ns);
+    options.ddcr.alpha = Duration::nanoseconds(300);
+    // Grid steps from one step past the arrival to two classes past F * c.
+    const std::int64_t steps = (shape.leaves + 2) * shape.c_ns / 100;
+    const auto deadline = [steps](std::int64_t n) {
+      return Duration::nanoseconds(100 * (1 + n % steps) + n % 3 - 1);
+    };
+    const std::string label = "z = " + std::to_string(shape.stations);
+    const SpanRun run = expect_same_run(
+        shape.stations, options,
+        [&](DdcrTestbed& bed) {
+          std::int64_t uid = 1;
+          for (int w = 0; w < shape.waves; ++w) {
+            // An off-grid wave's deadlines still sit on (or by) the grid.
+            const Duration off = Duration::nanoseconds(50 * (w % 2));
+            const SimTime at =
+                SimTime::from_ns(1'000 + shape.spacing_ns * w) + off;
+            for (int s = 0; s < shape.stations; ++s) {
+              for (int j = 0; j < shape.per_station; ++j) {
+                const std::int64_t n = 7 * s + 13 * j + 29 * w;
+                bed.inject(s, message(uid, s, 100, at, deadline(n) - off));
+                ++uid;
+              }
+            }
+          }
+          bed.run(SimTime::from_ns(20'000'000));
+        },
+        label);
+    EXPECT_GT(run.spans_compiled, 0) << label;
+    EXPECT_EQ(run.result.undelivered, 0) << label;
+  }
+}
+
 TEST(EpochCompiler, SlotsCompiledCountsHandedOffSpansOnly) {
   // run() dissolves the span in flight at its horizon, and the next run
   // compiles the remainder again. Only handed-off spans count, so the

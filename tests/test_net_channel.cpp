@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -257,6 +258,32 @@ TEST(Channel, RejectsMisconfiguration) {
   ScriptedStation dup(0);
   channel.attach(a);
   EXPECT_THROW(channel.attach(dup), util::ContractViolation);
+}
+
+TEST(Channel, RejectsDuplicateIdsContiguousOrSparse) {
+  for (const std::vector<int>& ids :
+       {std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7},
+        std::vector<int>{42, 7, 1'000'000'007, 3, 65'536}}) {
+    Simulator sim;
+    BroadcastChannel channel(sim, test_phy());
+    std::deque<ScriptedStation> stations;
+    for (const int id : ids) {
+      channel.attach(stations.emplace_back(id));
+    }
+    EXPECT_EQ(channel.station_count(), ids.size());
+    for (const int id : ids) {
+      try {
+        channel.attach(stations.emplace_back(id));
+        ADD_FAILURE() << "duplicate id " << id << " was accepted";
+      } catch (const util::ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("duplicate station id " +
+                                             std::to_string(id)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_EQ(channel.station_count(), ids.size());
+  }
 }
 
 }  // namespace
